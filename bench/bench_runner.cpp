@@ -151,7 +151,7 @@ currentRssBytes()
  * A multi-cgroup memory-manager fixture: @p n_cg cgroups under one
  * parent, @p n_pages pages total spread round-robin, alternating
  * anon/file. Mirrors the micro_reclaim Setup but at fleet-like
- * cgroup counts — the shapes the index-map and age-list work target.
+ * cgroup counts — the shapes the index map and the idle sweep target.
  */
 struct ManagerFixture {
     cgroup::CgroupTree tree;
@@ -220,6 +220,9 @@ runMicroSuites(Report &report, std::size_t n_cg, std::size_t n_pages)
     // --- idle-age breakdown at profiler cadence ----------------------
     // Touch a small warm set far in the future, then poll the
     // breakdown for every cgroup: the working-set profiler pattern.
+    // Each round polls at a new instant (1 ns later), so it pays the
+    // one page-table sweep a profiler interval pays; the cgroups of a
+    // round share it.
     {
         sim::SimTime now = sim::HOUR;
         for (std::size_t i = 0; i < fx.pages.size() / 64; ++i)
@@ -227,9 +230,11 @@ runMicroSuites(Report &report, std::size_t n_cg, std::size_t n_pages)
         const int polls = 20;
         const double ns = medianNs(3, [&] {
             double acc = 0.0;
-            for (int p = 0; p < polls; ++p)
+            for (int p = 0; p < polls; ++p) {
+                ++now;
                 for (auto *cg : fx.cgs)
                     acc += fx.mm->idleBreakdown(*cg, now).cold;
+            }
             g_sink = acc;
         });
         report.metrics["idle_breakdown_us_per_poll"] =

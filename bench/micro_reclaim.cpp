@@ -163,16 +163,19 @@ BENCHMARK(BM_MemcgLookup)->Arg(4)->Arg(64)->Arg(1024);
 void
 BM_IdleBreakdown(benchmark::State &state)
 {
-    // The working-set profiler's per-interval poll: served from the
-    // per-memcg age list, so cost tracks the warm prefix, not the
-    // page-table size.
+    // The working-set profiler's per-interval poll of every cgroup:
+    // one page-table sweep per poll instant serves all 64, so cost
+    // tracks the page-table size divided by the cgroup count.
     MultiSetup setup(64, static_cast<std::size_t>(state.range(0)));
     // Touch 1/64th of the pages "now"; the rest stay cold.
-    const sim::SimTime now = sim::HOUR;
+    sim::SimTime now = sim::HOUR;
     for (std::size_t i = 0; i < setup.pages.size() / 64; ++i)
         setup.mm->access(setup.pages[i], now);
     std::size_t c = 0;
     for (auto _ : state) {
+        // A new instant (1 ns later) per round over the cgroups.
+        if (c % setup.cgs.size() == 0)
+            ++now;
         benchmark::DoNotOptimize(setup.mm->idleBreakdown(
             *setup.cgs[c % setup.cgs.size()], now));
         ++c;

@@ -85,10 +85,9 @@ class WorkingsetProfiler
 
     /**
      * Also sample the cgroup's idle-age breakdown (Fig. 2 coldness)
-     * every interval from @p mm. The breakdown is served from the
-     * memory manager's incremental per-cgroup age accounting, so
-     * polling it at profiler cadence is O(warm pages), not a page-
-     * table sweep. nullptr detaches.
+     * every interval from @p mm. Each poll instant costs the memory
+     * manager one page-table sweep, which other cgroups polled at
+     * that instant reuse while no page changes. nullptr detaches.
      */
     void attachMemory(mem::MemoryManager *mm) { mm_ = mm; }
 

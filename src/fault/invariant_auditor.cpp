@@ -17,7 +17,8 @@ namespace
 
 /** Counters re-derived from one cgroup's pages. */
 struct Derived {
-    std::uint64_t live = 0;
+    /** Live pages and their idle ages at the host's now. */
+    mem::IdleCounts idle;
     std::uint64_t resident = 0;
     std::array<std::uint64_t, mem::NUM_LRU_LISTS> perLru{};
     std::uint64_t zswapBytes = 0;
@@ -55,6 +56,7 @@ auditHost(host::Host &machine)
     const mem::MemoryManager &mm = machine.memory();
     const auto &pages = mm.pages();
     const std::size_t ncg = mm.memcgCount();
+    const sim::SimTime now = machine.simulation().now();
 
     // One pass over the page table re-derives every per-cgroup
     // counter the hot paths maintain incrementally.
@@ -69,7 +71,7 @@ auditHost(host::Host &machine)
             continue;
         }
         Derived &d = derived[page.memcg];
-        ++d.live;
+        d.idle.add(page.lastAccess, now);
         if (page.flags & mem::PG_TIER_LISTED)
             ++d.tierListed;
         switch (page.where) {
@@ -108,9 +110,23 @@ auditHost(host::Host &machine)
         const std::string name =
             mcg.cg ? mcg.cg->name() : "memcg" + std::to_string(i);
 
-        if (mcg.ages.size() != d.live)
-            mismatch(violations, name, "age-list size", d.live,
-                     mcg.ages.size());
+        if (mcg.cg) {
+            // idleBreakdown() reuses an earlier pass at this instant
+            // until a page changes: stale reuse shows up here.
+            const mem::IdleBreakdown want = d.idle.fractions();
+            const mem::IdleBreakdown got = mm.idleBreakdown(*mcg.cg, now);
+            if (got.used1min != want.used1min ||
+                got.used2min != want.used2min ||
+                got.used5min != want.used5min || got.cold != want.cold) {
+                std::ostringstream msg;
+                msg << name << ": idleBreakdown 1/2/5-min fractions "
+                    << got.used1min << "/" << got.used2min << "/"
+                    << got.used5min << " != " << want.used1min << "/"
+                    << want.used2min << "/" << want.used5min
+                    << " derived from the page table";
+                violations.push_back(msg.str());
+            }
+        }
         for (std::size_t k = 0; k < mem::NUM_LRU_LISTS; ++k) {
             const auto size =
                 mcg.lru.list(static_cast<mem::LruKind>(k)).size();
@@ -131,8 +147,8 @@ auditHost(host::Host &machine)
             mismatch(violations, name, "lost pages", d.lost,
                      mcg.lostPages);
         // Conservation: every live page is in exactly one place.
-        if (d.resident + d.stored + d.lost + d.onFilesystem != d.live)
-            mismatch(violations, name, "page conservation", d.live,
+        if (d.resident + d.stored + d.lost + d.onFilesystem != d.idle.live)
+            mismatch(violations, name, "page conservation", d.idle.live,
                      d.resident + d.stored + d.lost + d.onFilesystem);
         lruTotal += mcg.lru.totalPages();
 

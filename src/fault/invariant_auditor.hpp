@@ -9,11 +9,12 @@
  * cross-checks the incremental counters against it after every fleet
  * epoch:
  *
- *  - per-cgroup: live pages == age-list size, resident pages == LRU
- *    sizes (per list), zswap/swap byte counters == per-page
- *    storedBytes sums, lost pages == pages parked in Where::LOST,
- *    and conservation: resident + stored + lost + on-filesystem ==
- *    all live pages;
+ *  - per-cgroup: resident pages == LRU sizes (per list), zswap/swap
+ *    byte counters == per-page storedBytes sums, lost pages == pages
+ *    parked in Where::LOST, conservation: resident + stored + lost +
+ *    on-filesystem == all live pages, and idleBreakdown() at the
+ *    host's now == the 1/2/5-minute counts of the live pages'
+ *    lastAccess (catches counts reused past a page change);
  *  - tier lists: every listed page carries PG_TIER_LISTED, belongs to
  *    the cgroup, maps to the tier it is listed under, and no page is
  *    on two lists; per-tier byte counters match;

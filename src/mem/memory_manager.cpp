@@ -56,6 +56,7 @@ MemoryManager::attach(cgroup::Cgroup &cg,
     registerBackend(anon_backend);
     registerBackend(file_backend);
     memcgs_.push_back(std::move(mcg));
+    idleFresh_ = false;
     MemCg &ref = *memcgs_.back();
     indexOf_.emplace(&cg, ref.index);
     // Index this memcg under every ancestor, so subtree enumeration
@@ -334,7 +335,8 @@ MemoryManager::newPage(cgroup::Cgroup &cg, bool anon, bool resident,
         Page &page = pages_[idx];
         page.memcg = mcg.index;
         page.flags = anon ? PG_ANON : 0;
-        mcg.ages.touch(pages_, idx, now);
+        page.lastAccess = now;
+        idleFresh_ = false;
         if (!resident) {
             page.where = Where::FS;
             return idx;
@@ -362,7 +364,8 @@ MemoryManager::access(PageIdx idx, sim::SimTime now)
     AccessResult result;
     Page &page = pages_[idx];
     MemCg &mcg = *memcgs_[page.memcg];
-    mcg.ages.touch(pages_, idx, now);
+    page.lastAccess = now;
+    idleFresh_ = false;
 
     if (page.where == Where::RAM) {
         // Hit: second-chance / activation bookkeeping.
@@ -550,7 +553,7 @@ MemoryManager::freePage(PageIdx idx)
         --mcg.lostPages;
         break;
     }
-    mcg.ages.remove(pages_, idx);
+    idleFresh_ = false;
     Page &page = pages_[idx];
     page.where = Where::FS;
     page.storedBytes = 0;
@@ -648,42 +651,37 @@ MemoryManager::info(const cgroup::Cgroup &cg) const
 }
 
 IdleBreakdown
-MemoryManager::idleBreakdown(const cgroup::Cgroup &cg,
-                             sim::SimTime now) const
+IdleCounts::fractions() const
 {
-    const MemCg &mcg = memcgOf(cg);
-
-    // The age list orders every live page (resident or offloaded) by
-    // lastAccess, most recent first: walk the warm prefix and stop at
-    // the first page older than the 5-minute horizon — everything
-    // behind it is cold by construction.
-    const std::uint64_t total = mcg.ages.size();
-    std::uint64_t used1 = 0, used2 = 0, used5 = 0;
-    for (PageIdx cur = mcg.ages.head(); cur != NO_PAGE;
-         cur = pages_[cur].ageNext) {
-        const Page &page = pages_[cur];
-        const sim::SimTime age =
-            now >= page.lastAccess ? now - page.lastAccess : 0;
-        if (age <= 1 * sim::MINUTE)
-            ++used1;
-        else if (age <= 2 * sim::MINUTE)
-            ++used2;
-        else if (age <= 5 * sim::MINUTE)
-            ++used5;
-        else
-            break;
-    }
     IdleBreakdown breakdown;
-    if (total == 0)
+    if (live == 0)
         return breakdown;
-    const auto t = static_cast<double>(total);
-    breakdown.used1min = static_cast<double>(used1) / t;
-    breakdown.used2min = static_cast<double>(used2) / t;
-    breakdown.used5min = static_cast<double>(used5) / t;
+    const auto t = static_cast<double>(live);
+    breakdown.used1min = static_cast<double>(used1min) / t;
+    breakdown.used2min = static_cast<double>(used2min) / t;
+    breakdown.used5min = static_cast<double>(used5min) / t;
     breakdown.cold =
         std::max(0.0, 1.0 - breakdown.used1min - breakdown.used2min -
                           breakdown.used5min);
     return breakdown;
+}
+
+IdleBreakdown
+MemoryManager::idleBreakdown(const cgroup::Cgroup &cg,
+                             sim::SimTime now) const
+{
+    const MemCg &mcg = memcgOf(cg);
+    if (!idleFresh_ || idleNow_ != now) {
+        // One pass serves every memcg: a profiler polls them all at
+        // this instant.
+        idleCounts_.assign(memcgs_.size(), IdleCounts{});
+        for (const Page &page : pages_)
+            if (page.memcg != 0xffff) // free slot
+                idleCounts_[page.memcg].add(page.lastAccess, now);
+        idleNow_ = now;
+        idleFresh_ = true;
+    }
+    return idleCounts_[mcg.index].fractions();
 }
 
 sim::SimTime
@@ -749,7 +747,7 @@ void
 MemoryManager::losePage(MemCg &mcg, PageIdx idx)
 {
     // Drop the dead copy's accounting but keep the logical page alive
-    // (still on the age list): the loss is explicit — the next access
+    // (still owned by its cgroup): the loss is explicit — the next access
     // is a hard major fault, never silent corruption. Addressed by
     // index across the virtual release() call, like every other path
     // that talks to a backend.

@@ -21,7 +21,6 @@
 
 #include "backend/backend.hpp"
 #include "cgroup/cgroup.hpp"
-#include "mem/age_list.hpp"
 #include "mem/lru.hpp"
 #include "mem/page.hpp"
 #include "sim/rng.hpp"
@@ -150,6 +149,34 @@ struct IdleBreakdown {
     double cold = 0.0;     ///< untouched for > 5 min (incl. offloaded)
 };
 
+/** Page counts behind one cgroup's IdleBreakdown. */
+struct IdleCounts {
+    /** Every live page, resident or not. */
+    std::uint64_t live = 0;
+    std::uint64_t used1min = 0; ///< idle for at most 1 min
+    std::uint64_t used2min = 0; ///< idle for (1, 2] min
+    std::uint64_t used5min = 0; ///< idle for (2, 5] min
+
+    /** Count one live page last touched at @p last_access. A stamp
+     *  later than @p now counts as just touched. */
+    void
+    add(sim::SimTime last_access, sim::SimTime now)
+    {
+        const sim::SimTime age = now >= last_access ? now - last_access : 0;
+        ++live;
+        if (age <= 1 * sim::MINUTE)
+            ++used1min;
+        else if (age <= 2 * sim::MINUTE)
+            ++used2min;
+        else if (age <= 5 * sim::MINUTE)
+            ++used5min;
+    }
+
+    /** The counts as fractions of the live pages (all zero when the
+     *  cgroup has none). */
+    IdleBreakdown fractions() const;
+};
+
 /**
  * Per-cgroup memory state (the kernel's mem_cgroup + lruvec).
  * Exposed for tests and the reclaim implementation.
@@ -161,9 +188,6 @@ struct MemCg {
      *  the same value). */
     std::uint16_t index = 0;
     LruVec lru;
-    /** All live pages of this cgroup by lastAccess, most recent first
-     *  (incremental idle-age accounting; see AgeList). */
-    AgeList ages;
     /** Offload backend for anon pages (zswap pool, swap partition,
      *  or a TierChain); nullptr = file-only mode (no swapping). When
      *  anonChain is set this aliases it, so controllers keep reading
@@ -371,10 +395,16 @@ class MemoryManager
     CgMemInfo info(const cgroup::Cgroup &cg) const;
 
     /**
-     * Idle-age breakdown of a cgroup's pages (Fig. 2). Served from
-     * the per-memcg age list: cost is O(pages touched within the
-     * 5-minute horizon), not O(all pages) — cheap enough for the
-     * working-set profiler to poll every interval.
+     * Idle-age breakdown of a cgroup's pages by Page::lastAccess
+     * (Fig. 2), exact. One pass over the page table counts every
+     * memcg's pages at once, because profilers poll all containers
+     * at the same instant.
+     *
+     * Reuse rule: a later call at the same @p now serves those counts
+     * without a pass, until the next attach(), newPage(), access() or
+     * freePage(). Each of them invalidates the counts; nothing else
+     * changes a page's lastAccess or owner. A caller that writes
+     * lastAccess or memcg through pages() must query at a new @p now.
      */
     IdleBreakdown idleBreakdown(const cgroup::Cgroup &cg,
                                 sim::SimTime now) const;
@@ -490,7 +520,7 @@ class MemoryManager
     /**
      * Cold SoA companion to pages_ (same indexing): shadow entries for
      * refault detection. Touched only on eviction and refault, so the
-     * hot reclaim scan stays within the 40-byte Page line.
+     * hot reclaim scan stays within the 32-byte Page.
      */
     std::vector<std::uint64_t> shadowAges_;
     /** Recycled page-table slots (freed pages). */
@@ -524,6 +554,14 @@ class MemoryManager
     obs::TraceRing *trace_ = nullptr;
     std::uint64_t residentPages_ = 0;
     std::uint64_t oomEvents_ = 0;
+    /**
+     * idleBreakdown()'s counts per memcg index, taken at idleNow_;
+     * valid while idleFresh_. Mutable: a const query fills them, and
+     * the page mutators clear idleFresh_ (see the reuse rule there).
+     */
+    mutable std::vector<IdleCounts> idleCounts_;
+    mutable sim::SimTime idleNow_ = 0;
+    mutable bool idleFresh_ = false;
 };
 
 } // namespace tmo::mem

@@ -83,7 +83,7 @@ lruIsActive(LruKind kind)
 }
 
 /**
- * One logical page — the *hot* per-page state only. Kept small (40
+ * One logical page — the *hot* per-page state only. Kept small (32
  * bytes, pinned below) because hosts hold millions of them and reclaim
  * walks them by the cache line. Cold, rarely-touched state lives in
  * parallel arrays owned by the MemoryManager (SoA layout): the shadow
@@ -94,14 +94,6 @@ struct Page {
     /** LRU linkage (indices into the host page array). */
     PageIdx prev = NO_PAGE;
     PageIdx next = NO_PAGE;
-    /**
-     * Age-list linkage: every live page of a cgroup sits on one
-     * intrusive list ordered by lastAccess (most recent first), so the
-     * idle-age breakdown walks only the warm prefix instead of the
-     * whole page table (incremental working-set accounting).
-     */
-    PageIdx agePrev = NO_PAGE;
-    PageIdx ageNext = NO_PAGE;
     /** Owning memory-cgroup id (index into the manager's table). */
     std::uint16_t memcg = 0;
     std::uint8_t flags = 0;
@@ -115,7 +107,7 @@ struct Page {
      * Saturating hotness counter for tiered placement (TPP-style):
      * bumped on faults and activations, halved per elapsed decay
      * epoch (see decayedHeat). Lives in what used to be struct
-     * padding, so the Page stays 40 bytes.
+     * padding, so it costs the Page no bytes.
      */
     std::uint8_t heat = 0;
     /** Decay epoch heat was last normalized to (wrapping uint8; a
@@ -123,7 +115,9 @@ struct Page {
     std::uint8_t heatEpoch = 0;
     /** Bytes occupied in the offload backend while offloaded. */
     std::uint32_t storedBytes = 0;
-    /** Last access time, for idle/coldness tracking (Fig. 2). */
+    /** Last access time, for idle/coldness tracking (Fig. 2): the
+     *  page's one recency stamp outside the LRU order, written by
+     *  every access and read by MemoryManager::idleBreakdown. */
     sim::SimTime lastAccess = 0;
 
     bool isAnon() const { return flags & PG_ANON; }
@@ -132,12 +126,12 @@ struct Page {
 };
 
 /**
- * Fleet-scale footprint pin: 16 bytes of LRU/age linkage, 8 bytes of
+ * Fleet-scale footprint pin: 8 bytes of LRU linkage, 8 bytes of
  * packed ids and state, 4 bytes storedBytes (+4 padding), 8 bytes
  * lastAccess. A size bump here multiplies across every page of every
  * host — split new cold fields into a manager-side array instead.
  */
-static_assert(sizeof(Page) == 40, "Page grew past 40 bytes; "
+static_assert(sizeof(Page) == 32, "Page grew past 32 bytes; "
                                   "move cold fields to SoA arrays");
 
 /** Decay epoch at @p now for the given decay period. */

@@ -78,11 +78,12 @@ std::uint64_t
 Rng::uniformInt(std::uint64_t n)
 {
     assert(n > 0);
-    // Rejection sampling to avoid modulo bias.
-    const std::uint64_t threshold = (0 - n) % n;
+    // Rejection sampling to avoid modulo bias: reject r below
+    // (2^64 - n) % n. That threshold is below n, so any r >= n is
+    // accepted without the divide computing it.
     for (;;) {
-        std::uint64_t r = next();
-        if (r >= threshold)
+        const std::uint64_t r = next();
+        if (r >= n || r >= (0 - n) % n)
             return r % n;
     }
 }

@@ -237,35 +237,22 @@ AppModel::touchCriticalPages(std::uint64_t touches, sim::SimTime now,
     // set. A touch landing on an offloaded page eats the fault stall
     // in its own completion latency AND feeds PSI via the critical
     // stall bucket — the §4.4 coupling, now per request.
-    std::uint64_t total = 0;
-    for (const auto &region : regions_)
-        if (region.spec.critical)
-            total += region.pages.size();
-    if (total == 0)
+    if (criticalPages_.empty())
         return 0;
     sim::SimTime stall = 0;
     for (std::uint64_t i = 0; i < touches; ++i) {
-        std::uint64_t pick = rng_.uniformInt(total);
-        for (auto &region : regions_) {
-            if (!region.spec.critical)
-                continue;
-            if (pick >= region.pages.size()) {
-                pick -= region.pages.size();
-                continue;
-            }
-            const auto result = mm_.access(region.pages[pick], now);
-            ++lastTick_.touches;
-            ++lastTick_.criticalTouches;
-            if (result.faulted)
-                ++lastTick_.faults;
-            if (result.refault)
-                ++lastTick_.refaults;
-            accumulate(result, critical);
-            // Wall-clock cost to the request: mem and IO stalls of
-            // one access overlap, so the longer one dominates.
-            stall += std::max(result.memStall, result.ioStall);
-            break;
-        }
+        const auto result = mm_.access(
+            criticalPages_[rng_.uniformInt(criticalPages_.size())], now);
+        ++lastTick_.touches;
+        ++lastTick_.criticalTouches;
+        if (result.faulted)
+            ++lastTick_.faults;
+        if (result.refault)
+            ++lastTick_.refaults;
+        accumulate(result, critical);
+        // Wall-clock cost to the request: mem and IO stalls of one
+        // access overlap, so the longer one dominates.
+        stall += std::max(result.memStall, result.ioStall);
     }
     return stall;
 }
@@ -299,6 +286,11 @@ AppModel::serveRequests(sim::SimTime start, Stalls &critical)
                               ? profile_.traffic.fanout
                               : profile_.touchesPerRequest;
     const auto touches = static_cast<std::uint64_t>(fanout);
+    criticalPages_.clear();
+    for (const auto &region : regions_)
+        if (region.spec.critical)
+            criticalPages_.insert(criticalPages_.end(), region.pages.begin(),
+                                  region.pages.end());
 
     std::uint64_t arrivals = 0;
     std::uint64_t served = 0;

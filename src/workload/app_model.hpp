@@ -168,8 +168,8 @@ class AppModel
     /** Open-loop per-request serving (traffic enabled). Returns
      *  completed requests this tick. */
     double serveRequests(sim::SimTime start, Stalls &critical);
-    /** One request's page fan-out into the critical working set;
-     *  returns the request's fault-stall wall time. */
+    /** One request's page fan-out into criticalPages_; returns the
+     *  request's fault-stall wall time. */
     sim::SimTime touchCriticalPages(std::uint64_t touches,
                                     sim::SimTime now, Stalls &critical);
     void rollLatencyWindow(sim::SimTime now);
@@ -204,6 +204,11 @@ class AppModel
     /** Worker pool + admission queue; persists across ticks so a
      *  surge backlog drains realistically. */
     std::unique_ptr<RequestServer> server_;
+    /** The critical regions' pages, concatenated in regions_ order:
+     *  refilled once per serving tick (region sizes only change
+     *  before serving), so a request's touch is one uniform draw into
+     *  it — the page a prefix walk over the regions would select. */
+    std::vector<mem::PageIdx> criticalPages_;
     RequestStats requests_;
     /** Samples of the currently open latency window. */
     stats::Histogram window_{0.1, 1e7, 20};

@@ -351,33 +351,19 @@ TEST_F(MemoryManagerTest, AttachIndexMatchesAttachOrder)
     }
 }
 
-TEST_F(MemoryManagerTest, IdleBreakdownMatchesBruteForceRecount)
+namespace
 {
-    // The incremental age list must agree with a brute-force recount
-    // over every live page, under a deliberately messy history:
-    // out-of-order access times, offloaded pages, and frees.
-    mm.attach(*cg, &zswap, &fs, 4.0);
-    std::vector<mem::PageIdx> live;
-    sim::Rng rng(11);
-    const auto now = 20 * sim::MINUTE;
-    for (int i = 0; i < 200; ++i)
-        live.push_back(mm.newPage(*cg, i % 2 == 0, true, 0));
-    for (int round = 0; round < 400; ++round) {
-        const auto pick = live[rng.uniformInt(live.size())];
-        // Access times jump around within [0, 20min] — NOT monotone.
-        mm.access(pick, static_cast<sim::SimTime>(rng.uniformInt(
-                            static_cast<std::uint64_t>(now))));
-    }
-    mm.reclaim(*cg, 40 * PAGE, now); // some pages offloaded/evicted
-    for (int i = 0; i < 30; ++i) {
-        const auto victim = rng.uniformInt(live.size());
-        mm.freePage(live[victim]);
-        live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
-    }
 
+/** Expect @p cg's idleBreakdown at @p now to equal a brute-force
+ *  recount over @p live, the test's own list of its live pages. */
+void
+expectIdleRecount(const mem::MemoryManager &mm, const cgroup::Cgroup &cg,
+                  const std::vector<mem::PageIdx> &live, sim::SimTime now)
+{
     std::uint64_t used1 = 0, used2 = 0, used5 = 0;
     for (const auto idx : live) {
-        const auto age = now - mm.pages()[idx].lastAccess;
+        const auto last = mm.pages()[idx].lastAccess;
+        const auto age = now > last ? now - last : 0;
         if (age <= 1 * sim::MINUTE)
             ++used1;
         else if (age <= 2 * sim::MINUTE)
@@ -385,12 +371,96 @@ TEST_F(MemoryManagerTest, IdleBreakdownMatchesBruteForceRecount)
         else if (age <= 5 * sim::MINUTE)
             ++used5;
     }
+    const auto breakdown = mm.idleBreakdown(cg, now);
+    if (live.empty()) {
+        const double sum = breakdown.used1min + breakdown.used2min +
+                           breakdown.used5min + breakdown.cold;
+        EXPECT_EQ(sum, 0.0) << cg.name();
+        return;
+    }
     const auto t = static_cast<double>(live.size());
-    const auto breakdown = mm.idleBreakdown(*cg, now);
-    EXPECT_NEAR(breakdown.used1min, static_cast<double>(used1) / t, 1e-12);
-    EXPECT_NEAR(breakdown.used2min, static_cast<double>(used2) / t, 1e-12);
-    EXPECT_NEAR(breakdown.used5min, static_cast<double>(used5) / t, 1e-12);
-    EXPECT_NEAR(breakdown.cold,
-                1.0 - static_cast<double>(used1 + used2 + used5) / t,
-                1e-12);
+    const auto fraction = [t](std::uint64_t n) {
+        return static_cast<double>(n) / t;
+    };
+    EXPECT_NEAR(breakdown.used1min, fraction(used1), 1e-12) << cg.name();
+    EXPECT_NEAR(breakdown.used2min, fraction(used2), 1e-12) << cg.name();
+    EXPECT_NEAR(breakdown.used5min, fraction(used5), 1e-12) << cg.name();
+    EXPECT_NEAR(breakdown.cold, 1.0 - fraction(used1 + used2 + used5), 1e-12)
+        << cg.name();
+}
+
+} // namespace
+
+TEST_F(MemoryManagerTest, IdleBreakdownMatchesBruteForceRecount)
+{
+    // One sweep of the page table fills every memcg's counts, so each
+    // of three cgroups must agree with a brute-force recount over its
+    // own live pages, under a deliberately messy history:
+    // out-of-order access times, offloaded pages, and frees.
+    std::vector<cgroup::Cgroup *> cgs = {cg};
+    for (const char *name : {"b", "c"})
+        cgs.push_back(&tree.create(name));
+    for (auto *c : cgs)
+        mm.attach(*c, &zswap, &fs, 4.0);
+    std::vector<std::vector<mem::PageIdx>> live(cgs.size());
+    sim::Rng rng(11);
+    const auto now = 20 * sim::MINUTE;
+    // Uneven sizes (150/100/50), interleaved in the page table.
+    for (int i = 0; i < 300; ++i) {
+        const auto slot = static_cast<std::size_t>(i % 6);
+        const std::size_t c = slot < 3 ? 0 : (slot < 5 ? 1 : 2);
+        live[c].push_back(mm.newPage(*cgs[c], i % 2 == 0, true, 0));
+    }
+    for (int round = 0; round < 600; ++round) {
+        const auto &pages = live[rng.uniformInt(live.size())];
+        // Access times jump around within [0, 20min] — NOT monotone.
+        mm.access(pages[rng.uniformInt(pages.size())], rng.uniformInt(now));
+    }
+    for (auto *c : cgs)
+        mm.reclaim(*c, 15 * PAGE, now); // some pages offloaded/evicted
+    for (int i = 0; i < 30; ++i) {
+        auto &pages = live[static_cast<std::size_t>(i % 3)];
+        const auto victim = rng.uniformInt(pages.size());
+        mm.freePage(pages[victim]);
+        pages.erase(pages.begin() + static_cast<std::ptrdiff_t>(victim));
+    }
+    for (std::size_t c = 0; c < cgs.size(); ++c)
+        expectIdleRecount(mm, *cgs[c], live[c], now);
+}
+
+TEST_F(MemoryManagerTest, IdleBreakdownReuseEndsAtEveryPageChange)
+{
+    // Queries at one instant reuse one sweep. An attach, access,
+    // newPage or freePage at that same instant must end the reuse:
+    // each step below changes the counts a stale reuse would serve.
+    mm.attach(*cg, &zswap, &fs, 4.0);
+    std::vector<mem::PageIdx> live;
+    for (int i = 0; i < 40; ++i)
+        live.push_back(mm.newPage(*cg, true, true, 0));
+    const auto now = 10 * sim::MINUTE;
+    expectIdleRecount(mm, *cg, live, now); // all 40 pages cold
+
+    mm.access(live[0], now);
+    expectIdleRecount(mm, *cg, live, now);
+
+    live.push_back(mm.newPage(*cg, true, true, now));
+    expectIdleRecount(mm, *cg, live, now);
+
+    mm.freePage(live[0]);
+    live.erase(live.begin());
+    expectIdleRecount(mm, *cg, live, now);
+
+    // A memcg attached after the sweep has no counts in it.
+    auto &late = tree.create("late");
+    mm.attach(late, &zswap, &fs, 4.0);
+    expectIdleRecount(mm, late, {}, now);
+    expectIdleRecount(mm, *cg, live, now);
+    std::vector<mem::PageIdx> late_live;
+    late_live.push_back(mm.newPage(late, true, true, now));
+    expectIdleRecount(mm, late, late_live, now);
+    expectIdleRecount(mm, *cg, live, now);
+
+    // A later instant sweeps again with no page change: the pages
+    // touched at now have aged into the (1, 2] minute bucket.
+    expectIdleRecount(mm, *cg, live, now + 2 * sim::MINUTE);
 }

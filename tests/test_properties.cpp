@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <tuple>
 
 #include "core/senpai.hpp"
@@ -167,6 +168,15 @@ struct SenpaiSweepParam {
     bool zswap;
     char ssd;
 };
+
+// Names each case by its contents (e.g. "feed-zswap-C"). Without this,
+// gtest prints the raw bytes, which hold the string pointer, so the
+// listed test names would change with every run's address layout.
+void
+PrintTo(const SenpaiSweepParam &param, std::ostream *out)
+{
+    *out << param.app << (param.zswap ? "-zswap-" : "-swap-") << param.ssd;
+}
 
 class SenpaiPropertyTest
     : public ::testing::TestWithParam<SenpaiSweepParam>

@@ -73,6 +73,42 @@ TEST(RngTest, UniformIntBounds)
         EXPECT_NEAR(c, 10000, 600);
 }
 
+namespace
+{
+
+/** uniformInt as first written: the rejection threshold is computed,
+ *  with a second divide, on every call. */
+std::uint64_t
+referenceUniformInt(sim::Rng &rng, std::uint64_t n)
+{
+    const std::uint64_t threshold = (0 - n) % n;
+    for (;;) {
+        const std::uint64_t r = rng.next();
+        if (r >= threshold)
+            return r % n;
+    }
+}
+
+} // namespace
+
+TEST(RngTest, UniformIntMatchesTwoDivideReference)
+{
+    // uniformInt must accept exactly the draws the reference accepts,
+    // so every simulated sequence stays bit-identical. The n above
+    // 2^32 make r < n common, the only case that computes the
+    // threshold.
+    const std::uint64_t p32 = 1ull << 32, p63 = 1ull << 63;
+    const std::uint64_t ns[] = {1, 2, 3, 6151, p32 + 15, p63, p63 + 1, ~0ull};
+    for (const std::uint64_t n : ns) {
+        sim::Rng rng(99), reference(99);
+        for (int i = 0; i < 100000; ++i)
+            ASSERT_EQ(rng.uniformInt(n), referenceUniformInt(reference, n))
+                << "n = " << n << ", draw " << i;
+        // Same number of rejected draws: the streams stay aligned.
+        EXPECT_EQ(rng.next(), reference.next()) << "n = " << n;
+    }
+}
+
 TEST(RngTest, ChanceExtremes)
 {
     sim::Rng rng(4);

@@ -589,6 +589,36 @@ TEST(InvariantAuditorTest, PlantedCorruptionIsReported)
     EXPECT_TRUE(fault::auditHost(rig.machine).empty());
 }
 
+TEST(InvariantAuditorTest, StaleIdleBreakdownReuseIsReported)
+{
+    ChainRig rig;
+    rig.simulation.runUntil(rig.simulation.now() + 6 * sim::MINUTE);
+    auto &pages = rig.machine.memory().pages();
+    const sim::SimTime now = rig.simulation.now();
+
+    // The clean audit leaves idleBreakdown() counts taken at now. A
+    // direct lastAccess write is a page change nothing invalidates —
+    // what a missed invalidation looks like — so the counts reused
+    // at the same instant go stale, and the recount must say so.
+    EXPECT_TRUE(fault::auditHost(rig.machine).empty());
+    mem::PageIdx cold = mem::NO_PAGE;
+    for (mem::PageIdx i = 0; i < pages.size(); ++i)
+        if (pages[i].memcg != 0xffff &&
+            now - pages[i].lastAccess > 5 * sim::MINUTE) {
+            cold = i;
+            break;
+        }
+    ASSERT_NE(cold, mem::NO_PAGE);
+    const sim::SimTime saved = pages[cold].lastAccess;
+    pages[cold].lastAccess = now;
+    const auto violations = fault::auditHost(rig.machine);
+    ASSERT_EQ(violations.size(), 1u);
+    EXPECT_NE(violations[0].find("idleBreakdown"), std::string::npos)
+        << violations[0];
+    pages[cold].lastAccess = saved;
+    EXPECT_TRUE(fault::auditHost(rig.machine).empty());
+}
+
 // --- the acceptance scenario ---------------------------------------------
 
 TEST(SelfHealingAcceptanceTest, CrashAndTierOutagePlanHealsCompletely)
