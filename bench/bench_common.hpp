@@ -108,14 +108,15 @@ class ShapeChecker
         ++total_;
     }
 
-    /** Print the verdict; returns the process exit code. */
+    /** Print the verdict; returns the process exit code: 1 on any
+     *  [MISS], so ctest's `paper` label gates paper fidelity. */
     int
     verdict() const
     {
         std::cout << (failures_ == 0 ? "SHAPE OK" : "SHAPE MISMATCH")
                   << " (" << (total_ - failures_) << "/" << total_
                   << " checks)\n";
-        return 0; // benches always exit 0; the verdict line carries it
+        return failures_ == 0 ? 0 : 1;
     }
 
   private:

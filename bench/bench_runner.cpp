@@ -495,7 +495,7 @@ runFigWorkload(Report &report, sim::SimTime minutes)
         host::Host machine(simulation, config);
         auto &app = machine.addApp(
             workload::appPreset("feed", 512ull << 20),
-            host::AnonMode::ZSWAP);
+            tier::TierChainSpec::parse("zswap"));
         machine.start();
         app.start();
         core::Senpai senpai(simulation, machine.memory(),
@@ -544,7 +544,8 @@ runServingBench(Report &report, sim::SimTime minutes)
         auto profile = workload::appPreset("feed", 512ull << 20);
         profile.traffic = workload::TrafficSpec::parse(
             "diurnal:rps=400,amp=0.5,period-min=8");
-        auto &app = machine.addApp(profile, host::AnonMode::ZSWAP);
+        auto &app =
+            machine.addApp(profile, tier::TierChainSpec::parse("zswap"));
         machine.start();
         app.start();
         core::Senpai senpai(simulation, machine.memory(),
@@ -596,7 +597,7 @@ runFleetScaleBench(Report &report, bool quick)
                                 .page_kb(64)
                                 .cpus(8)
                                 .seed(42)
-                                .backend(host::AnonMode::ZSWAP)
+                                .tiers("zswap")
                                 .workload("feed", 96)
                                 .traffic("flat:rps=30")
                                 .controller("senpai")

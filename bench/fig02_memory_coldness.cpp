@@ -33,7 +33,8 @@ main()
         profile.growthSeconds = 0.0;
         for (auto &region : profile.regions)
             region.lazy = false;
-        auto &app = machine.addApp(profile, host::AnonMode::NONE);
+        auto &app =
+            machine.addApp(profile, tier::TierChainSpec::parse("none"));
         machine.start();
         app.start();
         simulation.runUntil(8 * sim::MINUTE);

@@ -29,7 +29,7 @@ main()
     // paper's fleet averages: DC tax ~13%, microservice tax ~7%.
     auto &app = machine.addApp(
         workload::appPreset("feed", 2400ull << 20),
-        host::AnonMode::NONE);
+        tier::TierChainSpec::parse("none"));
     auto &dc_parent = machine.createContainer("dc_tax");
     auto &ms_parent = machine.createContainer("ms_tax");
 
@@ -49,7 +49,7 @@ main()
     for (const auto &sc : sidecars) {
         auto &model = machine.addApp(
             workload::sidecarPreset(sc.preset, sc.mb << 20),
-            host::AnonMode::NONE, sc.parent);
+            tier::TierChainSpec::parse("none"), sc.parent);
         apps.push_back(&model);
     }
     machine.start();

@@ -24,7 +24,7 @@ measure(const workload::AppProfile &profile_in)
     profile.growthSeconds = 0.0;
     for (auto &region : profile.regions)
         region.lazy = false;
-    auto &app = machine.addApp(profile, host::AnonMode::NONE);
+    auto &app = machine.addApp(profile, tier::TierChainSpec::parse("none"));
     machine.start();
     app.start();
     simulation.runUntil(30 * sim::SEC);

@@ -24,7 +24,7 @@ main()
     host::Host machine(simulation, bench::standardHost());
     auto &app = machine.addApp(
         workload::appPreset("feed", 1ull << 30),
-        host::AnonMode::ZSWAP);
+        tier::TierChainSpec::parse("zswap"));
     machine.start();
     app.start();
     simulation.runUntil(30 * sim::SEC);

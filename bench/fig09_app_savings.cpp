@@ -48,9 +48,8 @@ run(const std::string &name, bool use_ssd)
     profile.growthSeconds = 0.0;
     for (auto &region : profile.regions)
         region.lazy = false;
-    auto &app = machine.addApp(profile, use_ssd
-                                            ? host::AnonMode::SWAP_SSD
-                                            : host::AnonMode::ZSWAP);
+    auto &app = machine.addApp(
+        profile, tier::TierChainSpec::parse(use_ssd ? "ssd" : "zswap"));
     machine.start();
     app.start();
     simulation.runUntil(30 * sim::SEC);

@@ -32,7 +32,7 @@ run(bool with_tmo)
 
     auto &app = machine.addApp(
         workload::appPreset("feed", 2400ull << 20),
-        host::AnonMode::NONE);
+        tier::TierChainSpec::parse("none"));
     auto &dc_parent = machine.createContainer("dc_tax");
     auto &ms_parent = machine.createContainer("ms_tax");
 
@@ -52,7 +52,7 @@ run(bool with_tmo)
     for (const auto &sc : sidecars) {
         auto &model = machine.addApp(
             workload::sidecarPreset(sc.preset, sc.mb << 20),
-            host::AnonMode::ZSWAP, sc.parent);
+            tier::TierChainSpec::parse("zswap"), sc.parent);
         model.cgroup().setPriority(cgroup::Priority::LOW);
         models.push_back(&model);
     }

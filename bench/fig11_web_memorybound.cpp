@@ -34,17 +34,17 @@ struct Tier {
 };
 
 Tier
-makeTier(sim::Simulation &simulation, host::AnonMode mode,
+makeTier(sim::Simulation &simulation, const std::string &tiers,
          std::uint64_t seed)
 {
     Tier tier;
     auto config = bench::standardHost('C', RAM, seed);
     tier.host = std::make_unique<host::Host>(
-        simulation, config,
-        mode == host::AnonMode::NONE ? "baseline" : "tmo");
+        simulation, config, tiers == "none" ? "baseline" : "tmo");
     auto profile = workload::appPreset("web", 1200ull << 20);
     profile.growthSeconds = sim::toSeconds(PHASE) * 0.75;
-    tier.app = &tier.host->addApp(profile, mode);
+    tier.app =
+        &tier.host->addApp(profile, tier::TierChainSpec::parse(tiers));
     tier.app->cgroup().setMemMax(RAM);
     tier.host->start();
     tier.app->start();
@@ -60,8 +60,8 @@ main()
                   "Web on memory-bound hosts: baseline vs TMO phases");
 
     sim::Simulation simulation;
-    auto baseline = makeTier(simulation, host::AnonMode::NONE, 42);
-    auto treated = makeTier(simulation, host::AnonMode::SWAP_SSD, 42);
+    auto baseline = makeTier(simulation, "none", 42);
+    auto treated = makeTier(simulation, "ssd", 42);
 
     stats::TimeSeries rps_base("rps_baseline"), rps_tmo("rps_tmo");
     stats::TimeSeries mem_base("resident_baseline"),
@@ -94,8 +94,8 @@ main()
     // Phase 3: code push (restart) and switch to compressed memory.
     treated.app->restart();
     baseline.app->restart();
-    treated.host->setAnonMode(treated.app->cgroup(),
-                              host::AnonMode::ZSWAP);
+    treated.host->setTiers(treated.app->cgroup(),
+                           tier::TierChainSpec::parse("zswap"));
     // The restarted app regrows before converging, so give this
     // phase twice the time.
     const auto stall_at_switch = treated.app->cgroup().psi().totalSome(

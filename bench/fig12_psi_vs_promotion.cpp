@@ -59,7 +59,7 @@ main()
         for (auto &region : profile.regions)
             region.lazy = false;
         tiers[i].app = &tiers[i].host->addApp(
-            profile, host::AnonMode::SWAP_SSD);
+            profile, tier::TierChainSpec::parse("ssd"));
         tiers[i].host->start();
         tiers[i].app->start();
         tiers[i].senpai = std::make_unique<core::Senpai>(

@@ -60,7 +60,7 @@ main()
         for (auto &region : profile.regions)
             region.lazy = false;
         tiers[i].app = &tiers[i].host->addApp(
-            profile, host::AnonMode::ZSWAP);
+            profile, tier::TierChainSpec::parse("zswap"));
         tiers[i].host->start();
         tiers[i].app->start();
     }

@@ -79,7 +79,7 @@ main()
                 // keeps offload writes flowing for days (the
                 // endurance hazard).
                 profile.churnBytesPerSec = 4e6;
-                builder.app(profile, host::AnonMode::SWAP_SSD);
+                builder.app(profile, tier::TierChainSpec::parse("ssd"));
             })
             .build();
     fleet.start();

@@ -37,7 +37,7 @@ runReclaimMode(mem::ReclaimMode mode)
     config.mem.mode = mode;
     host::Host machine(simulation, config);
     auto profile = workload::appPreset("feed", 1ull << 30);
-    auto &app = machine.addApp(profile, host::AnonMode::ZSWAP);
+    auto &app = machine.addApp(profile, tier::TierChainSpec::parse("zswap"));
     machine.start();
     app.start();
     core::Senpai senpai(simulation, machine.memory(), app.cgroup(),
@@ -80,7 +80,7 @@ runGrowth(bool stateless_knob)
     host::Host machine(simulation, bench::standardHost());
     auto profile = workload::appPreset("web", 1ull << 30);
     profile.growthSeconds = 1200; // rapid expansion
-    auto &app = machine.addApp(profile, host::AnonMode::ZSWAP);
+    auto &app = machine.addApp(profile, tier::TierChainSpec::parse("zswap"));
     machine.start();
     app.start();
 
@@ -130,7 +130,7 @@ runIoGuard(bool guard_enabled)
     profile.growthSeconds = 0.0;
     for (auto &region : profile.regions)
         region.lazy = false;
-    auto &app = machine.addApp(profile, host::AnonMode::ZSWAP);
+    auto &app = machine.addApp(profile, tier::TierChainSpec::parse("zswap"));
     machine.start();
     app.start();
     // Aggressive reclaim on a zswap backend: memory-PSI feedback sees

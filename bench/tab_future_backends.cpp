@@ -32,7 +32,7 @@ struct Result {
 };
 
 Result
-run(const std::string &label, host::AnonMode mode,
+run(const std::string &label, const std::string &tiers,
     const std::string &nvm_preset = "optane")
 {
     sim::Simulation simulation;
@@ -43,7 +43,8 @@ run(const std::string &label, host::AnonMode mode,
     profile.growthSeconds = 0.0;
     for (auto &region : profile.regions)
         region.lazy = false;
-    auto &app = machine.addApp(profile, mode);
+    auto &app =
+        machine.addApp(profile, tier::TierChainSpec::parse(tiers));
     machine.start();
     app.start();
     core::Senpai senpai(simulation, machine.memory(), app.cgroup(),
@@ -78,11 +79,11 @@ main()
                   "backend outlook: SSD / zswap / tiered / NVM / CXL");
 
     std::vector<Result> results = {
-        run("ssd-C", host::AnonMode::SWAP_SSD),
-        run("zswap", host::AnonMode::ZSWAP),
-        run("tiered(zswap+ssd)", host::AnonMode::TIERED),
-        run("nvm-optane", host::AnonMode::NVM, "optane"),
-        run("cxl-dram", host::AnonMode::NVM, "cxl-dram"),
+        run("ssd-C", "ssd"),
+        run("zswap", "zswap"),
+        run("tiered(zswap+ssd)", "zswap+ssd;placement=workingset"),
+        run("nvm-optane", "nvm", "optane"),
+        run("cxl-dram", "nvm", "cxl-dram"),
     };
 
     stats::Table table;

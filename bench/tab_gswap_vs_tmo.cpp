@@ -39,7 +39,7 @@ run(bool use_tmo, char ssd_class)
     profile.growthSeconds = 0.0;
     for (auto &region : profile.regions)
         region.lazy = false;
-    auto &app = machine.addApp(profile, host::AnonMode::SWAP_SSD);
+    auto &app = machine.addApp(profile, tier::TierChainSpec::parse("ssd"));
     machine.start();
     app.start();
 

@@ -36,7 +36,7 @@ run(double ratio_mult, double threshold_mult)
     sim::Simulation simulation;
     host::Host machine(simulation, bench::standardHost());
     auto profile = workload::appPreset("feed", 1ull << 30);
-    auto &app = machine.addApp(profile, host::AnonMode::ZSWAP);
+    auto &app = machine.addApp(profile, tier::TierChainSpec::parse("zswap"));
     machine.start();
     app.start();
 

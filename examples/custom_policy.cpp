@@ -91,7 +91,7 @@ main()
     host::Host machine(simulation, config, "custom");
     auto &app = machine.addApp(
         workload::appPreset("analytics", 900ull << 20),
-        host::AnonMode::ZSWAP);
+        tier::TierChainSpec::parse("zswap"));
     machine.start();
     app.start();
 

@@ -26,18 +26,19 @@ main()
     struct Node {
         const char *app;
         char ssd;
-        host::AnonMode mode;
+        const char *tiers;
     };
     // A small heterogeneous slice of the fleet: mixed workloads,
     // mixed SSD generations, backend matched to compressibility.
     const Node nodes[] = {
-        {"feed", 'C', host::AnonMode::ZSWAP},
-        {"web", 'D', host::AnonMode::ZSWAP},
-        {"ads_a", 'B', host::AnonMode::SWAP_SSD},
-        {"ads_b", 'C', host::AnonMode::SWAP_SSD},
-        {"warehouse", 'E', host::AnonMode::ZSWAP},
-        {"ml_reader", 'G', host::AnonMode::SWAP_SSD},
+        {"feed", 'C', "zswap"},
+        {"web", 'D', "zswap"},
+        {"ads_a", 'B', "ssd"},
+        {"ads_b", 'C', "ssd"},
+        {"warehouse", 'E', "zswap"},
+        {"ml_reader", 'G', "ssd"},
     };
+    const auto zswap = tier::TierChainSpec::parse("zswap");
 
     host::Fleet fleet =
         host::FleetSpec{}
@@ -55,13 +56,14 @@ main()
                 profile.growthSeconds = 0.0;
                 for (auto &region : profile.regions)
                     region.lazy = false;
-                builder.app(profile, node.mode);
+                builder.app(profile,
+                            tier::TierChainSpec::parse(node.tiers));
                 builder.app(
                     workload::sidecarPreset("dc_logging", 192ull << 20),
-                    host::AnonMode::ZSWAP, cgroup::Priority::LOW);
+                    zswap, cgroup::Priority::LOW);
                 builder.app(
                     workload::sidecarPreset("ms_proxy", 128ull << 20),
-                    host::AnonMode::ZSWAP, cgroup::Priority::LOW);
+                    zswap, cgroup::Priority::LOW);
             })
             .build();
     fleet.start();
@@ -86,7 +88,7 @@ main()
         const auto &tick = machine.apps().front()->lastTick();
         table.addRow(
             {machine.name(), machine.ssd().spec().name,
-             nodes[i].mode == host::AnonMode::ZSWAP ? "zswap" : "ssd",
+             nodes[i].tiers,
              stats::fmt((1.0 - resident / allocated) * 100.0, 1),
              stats::fmtPercent(tick.completedRps /
                                    std::max(1.0, tick.offeredRps),

@@ -37,7 +37,7 @@ main()
     // Run the "feed" workload (Fig. 2: 50% hot, 30% cold) with zswap
     // as the anon offload backend.
     auto profile = workload::appPreset("feed", 3ull << 30);
-    auto &app = machine.addApp(profile, host::AnonMode::ZSWAP);
+    auto &app = machine.addApp(profile, tier::TierChainSpec::parse("zswap"));
     app.start();
 
     // Let the workload reach steady state without TMO.

@@ -27,7 +27,7 @@ struct Tier {
 };
 
 Tier
-makeTier(sim::Simulation &simulation, host::AnonMode mode,
+makeTier(sim::Simulation &simulation, const std::string &tiers,
          const std::string &name)
 {
     host::HostConfig config;
@@ -38,7 +38,8 @@ makeTier(sim::Simulation &simulation, host::AnonMode mode,
     tier.host = std::make_unique<host::Host>(simulation, config, name);
     auto profile = workload::appPreset("web", 1100ull << 20);
     profile.growthSeconds = 1800;
-    tier.app = &tier.host->addApp(profile, mode);
+    tier.app =
+        &tier.host->addApp(profile, tier::TierChainSpec::parse(tiers));
     tier.app->cgroup().setMemMax(1ull << 30);
     tier.host->start();
     tier.app->start();
@@ -51,10 +52,8 @@ int
 main()
 {
     sim::Simulation simulation;
-    auto control = makeTier(simulation, host::AnonMode::NONE,
-                            "control");
-    auto treatment = makeTier(simulation, host::AnonMode::ZSWAP,
-                              "treatment");
+    auto control = makeTier(simulation, "none", "control");
+    auto treatment = makeTier(simulation, "zswap", "treatment");
 
     // TMO on the treatment tier only.
     core::Senpai senpai(simulation, treatment.host->memory(),

@@ -55,9 +55,7 @@ Fleet::buildShard(Shard &shard)
             : shard.builder.hostName();
     shard.host = std::make_unique<Host>(*shard.sim, config, name);
     for (auto &spec : shard.builder.resolvedApps()) {
-        auto &app = spec.useTiers
-                        ? shard.host->addApp(spec.profile, spec.tiers)
-                        : shard.host->addApp(spec.profile, spec.mode);
+        auto &app = shard.host->addApp(spec.profile, spec.tiers);
         app.cgroup().setPriority(spec.priority);
     }
     if (shard.builder.controllerFactory()) {
@@ -190,15 +188,6 @@ Fleet::metricSeries()
         for (auto &series : part)
             merged.push_back(std::move(series));
     return merged;
-}
-
-Host &
-Fleet::addHost(HostConfig config, const std::string &name_prefix)
-{
-    HostBuilder builder;
-    builder.config(config).name(name_prefix +
-                                std::to_string(shards_.size()));
-    return addHost(builder);
 }
 
 void

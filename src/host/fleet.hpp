@@ -55,10 +55,6 @@ class Fleet
      */
     Host &addHost(const HostBuilder &builder);
 
-    /** @deprecated Configure hosts through HostBuilder / FleetSpec. */
-    [[deprecated("use addHost(const HostBuilder &) or FleetSpec")]]
-    Host &addHost(HostConfig config, const std::string &name_prefix);
-
     /** Start host services, workloads, and controllers everywhere. */
     void start();
 

@@ -22,8 +22,7 @@ HostBuilder::workload(const std::string &preset,
     }
     AppSpec spec;
     spec.profile = std::move(profile);
-    spec.mode = defaultMode_;
-    spec.useDefaultMode = true;
+    spec.useDefaultTiers = true;
     apps_.push_back(std::move(spec));
     return *this;
 }
@@ -45,14 +44,8 @@ HostBuilder::resolvedApps() const
         if (traffic_.enabled() && app.profile.offeredRps > 0.0 &&
             !app.profile.traffic.enabled())
             app.profile.traffic = traffic_;
-        if (!app.useDefaultMode)
-            continue;
-        if (useDefaultTiers_) {
+        if (app.useDefaultTiers)
             app.tiers = defaultTiers_;
-            app.useTiers = true;
-        } else {
-            app.mode = defaultMode_;
-        }
     }
     return apps;
 }

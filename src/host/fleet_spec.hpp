@@ -66,17 +66,13 @@ struct RestartPolicy {
 /** Declarative description of one container on a host. */
 struct AppSpec {
     workload::AppProfile profile;
-    /** @deprecated Legacy backend selection; tiers wins when set. */
-    AnonMode mode = AnonMode::ZSWAP;
     cgroup::Priority priority = cgroup::Priority::NORMAL;
-    /** True when the spec should take the builder's default backend
-     *  (set via backend()/tiers()), resolved at build time so fluent
-     *  order does not matter. */
-    bool useDefaultMode = false;
-    /** Tier chain for anon pages; consulted when useTiers is set. */
+    /** Tier chain for anon pages. */
     tier::TierChainSpec tiers;
-    /** True when tiers (not mode) describes the anon backend. */
-    bool useTiers = false;
+    /** True when the spec should take the builder's default chain
+     *  (set via tiers()), resolved at build time so fluent order does
+     *  not matter. */
+    bool useDefaultTiers = false;
 };
 
 /** Fluent description of a single host. */
@@ -165,25 +161,12 @@ class HostBuilder
 
     // --- containers ------------------------------------------------------
 
-    /** Default anon backend for workload()-declared apps.
-     *  @deprecated Use tiers() — an AnonMode is the shim for a one- or
-     *  two-tier chain (see shimChainSpec()). Calling backend() after
-     *  tiers() reverts the default to the legacy mode. */
-    HostBuilder &
-    backend(AnonMode mode)
-    {
-        defaultMode_ = mode;
-        useDefaultTiers_ = false;
-        return *this;
-    }
-
-    /** Default tier chain for workload()-declared apps
+    /** Default tier chain for workload()-declared apps [zswap]
      *  (e.g. "zswap:256mb+ssd"; "none" disables anon offloading). */
     HostBuilder &
     tiers(const tier::TierChainSpec &spec)
     {
         defaultTiers_ = spec;
-        useDefaultTiers_ = true;
         return *this;
     }
 
@@ -224,20 +207,6 @@ class HostBuilder
         return traffic(workload::TrafficSpec::parse(spec));
     }
 
-    /** Add a fully specified container.
-     *  @deprecated Prefer the TierChainSpec overload. */
-    HostBuilder &
-    app(workload::AppProfile profile, AnonMode mode,
-        cgroup::Priority priority = cgroup::Priority::NORMAL)
-    {
-        AppSpec spec;
-        spec.profile = std::move(profile);
-        spec.mode = mode;
-        spec.priority = priority;
-        apps_.push_back(std::move(spec));
-        return *this;
-    }
-
     /** Add a fully specified container on a tier chain. */
     HostBuilder &
     app(workload::AppProfile profile, const tier::TierChainSpec &tiers,
@@ -247,7 +216,6 @@ class HostBuilder
         spec.profile = std::move(profile);
         spec.priority = priority;
         spec.tiers = tiers;
-        spec.useTiers = true;
         apps_.push_back(std::move(spec));
         return *this;
     }
@@ -278,15 +246,13 @@ class HostBuilder
         return controller_;
     }
 
-    /** The declared containers with default backends resolved. */
+    /** The declared containers with default chains resolved. */
     std::vector<AppSpec> resolvedApps() const;
 
   private:
     HostConfig config_{};
     std::string name_;
-    AnonMode defaultMode_ = AnonMode::ZSWAP;
-    tier::TierChainSpec defaultTiers_;
-    bool useDefaultTiers_ = false;
+    tier::TierChainSpec defaultTiers_ = tier::TierChainSpec::parse("zswap");
     /** Applied to every request-serving app in resolvedApps(). */
     workload::TrafficSpec traffic_;
     std::vector<AppSpec> apps_;
@@ -352,13 +318,11 @@ class FleetSpec
     FleetSpec &swap_bytes(std::uint64_t b) { proto_.swap_bytes(b); return *this; }
     FleetSpec &seed(std::uint64_t s) { proto_.seed(s); return *this; }
     FleetSpec &app_tick(sim::SimTime t) { proto_.app_tick(t); return *this; }
-    FleetSpec &backend(AnonMode mode) { proto_.backend(mode); return *this; } ///< @deprecated see HostBuilder::backend
     FleetSpec &tiers(const tier::TierChainSpec &spec) { proto_.tiers(spec); return *this; }
     FleetSpec &tiers(const std::string &spec) { proto_.tiers(spec); return *this; }
     FleetSpec &workload(const std::string &preset, std::uint64_t footprint_mb = 1024) { proto_.workload(preset, footprint_mb); return *this; }
     FleetSpec &traffic(const workload::TrafficSpec &spec) { proto_.traffic(spec); return *this; }
     FleetSpec &traffic(const std::string &spec) { proto_.traffic(spec); return *this; }
-    FleetSpec &app(workload::AppProfile profile, AnonMode mode, cgroup::Priority priority = cgroup::Priority::NORMAL) { proto_.app(std::move(profile), mode, priority); return *this; } ///< @deprecated see HostBuilder::app
     FleetSpec &app(workload::AppProfile profile, const tier::TierChainSpec &t, cgroup::Priority priority = cgroup::Priority::NORMAL) { proto_.app(std::move(profile), t, priority); return *this; }
     FleetSpec &controller(ControllerFactory factory) { proto_.controller(std::move(factory)); return *this; }
     FleetSpec &controller(const std::string &name) { proto_.controller(name); return *this; }

@@ -158,11 +158,7 @@ Host::enableMetrics(sim::SimTime interval)
         // rates and inter-tier latency. The probes read through the
         // memcg so they stay correct across setTiers() phase changes.
         const mem::MemCg *m = &mm_.memcgOf(*cg);
-        const tier::TierChain *chain = m->anonChain;
-        // Legacy AnonMode shims are excluded so their metric output
-        // stays identical to pre-chain builds.
-        if (chain && chain->config().placement ==
-                         tier::TierPlacement::HOTNESS) {
+        if (const tier::TierChain *chain = m->anonChain) {
             for (std::size_t t = 0; t < chain->size(); ++t) {
                 const std::string tp =
                     prefix + "tier." + std::to_string(t) + ".";
@@ -214,26 +210,8 @@ Host::enableMetrics(sim::SimTime interval)
     return *metrics_;
 }
 
-tier::TierChainSpec
-shimChainSpec(AnonMode mode)
-{
-    switch (mode) {
-      case AnonMode::NONE:
-        return {};
-      case AnonMode::SWAP_SSD:
-        return tier::TierChainSpec::parse("ssd");
-      case AnonMode::ZSWAP:
-        return tier::TierChainSpec::parse("zswap");
-      case AnonMode::NVM:
-        return tier::TierChainSpec::parse("nvm");
-      case AnonMode::TIERED:
-        return tier::TierChainSpec::parse("zswap+ssd");
-    }
-    return {};
-}
-
 tier::TierChain *
-Host::buildChain(const tier::TierChainSpec &spec, bool legacy)
+Host::buildChain(const tier::TierChainSpec &spec)
 {
     if (spec.empty())
         return nullptr;
@@ -268,10 +246,9 @@ Host::buildChain(const tier::TierChainSpec &spec, bool legacy)
         }
     }
     tier::TierChainConfig chain_config;
-    if (legacy) {
-        chain_config.placement = tier::TierPlacement::WORKINGSET;
+    chain_config.placement = spec.placement;
+    if (spec.placement == tier::TierPlacement::WORKINGSET)
         chain_config.moveBudgetBytes = 0; // no background events
-    }
     chains_.push_back(std::make_unique<tier::TierChain>(
         spec.toString(), std::move(tiers), chain_config, spec.tiers));
     return chains_.back().get();
@@ -298,8 +275,6 @@ Host::scheduleTierMaintenance(cgroup::Cgroup &cg,
         if (scheduled == &cg)
             return;
     maintScheduled_.push_back(&cg);
-    // Legacy shims never reach here (budget 0), so AnonMode runs keep
-    // an event queue bit-identical to pre-chain builds.
     sim_.every(chain->config().movePeriod, [this, &cg] {
         mm_.tierMaintain(cg, sim_.now());
         return true;
@@ -307,9 +282,10 @@ Host::scheduleTierMaintenance(cgroup::Cgroup &cg,
 }
 
 workload::AppModel &
-Host::addAppOnChain(const workload::AppProfile &profile,
-                    tier::TierChain *chain, cgroup::Cgroup *parent)
+Host::addApp(const workload::AppProfile &profile,
+             const tier::TierChainSpec &tiers, cgroup::Cgroup *parent)
 {
+    tier::TierChain *chain = buildChain(tiers);
     cgroup::Cgroup &cg = createContainer(profile.name, parent);
     if (chain) {
         mm_.attachChain(cg, chain, &fs_, profile.compressibility);
@@ -329,24 +305,6 @@ Host::addAppOnChain(const workload::AppProfile &profile,
         config_.seed ^ (apps_.size() + 1) * 0x9e37u, config_.appTick,
         &cpu_));
     return *apps_.back();
-}
-
-workload::AppModel &
-Host::addApp(const workload::AppProfile &profile,
-             const tier::TierChainSpec &tiers, cgroup::Cgroup *parent)
-{
-    return addAppOnChain(profile, buildChain(tiers, /*legacy=*/false),
-                         parent);
-}
-
-workload::AppModel &
-Host::addApp(const workload::AppProfile &profile, AnonMode mode,
-             cgroup::Cgroup *parent)
-{
-    return addAppOnChain(profile,
-                         buildChain(shimChainSpec(mode),
-                                    /*legacy=*/true),
-                         parent);
 }
 
 core::Controller *
@@ -402,24 +360,13 @@ Host::watchdogTick()
 void
 Host::setTiers(cgroup::Cgroup &cg, const tier::TierChainSpec &tiers)
 {
-    tier::TierChain *chain = buildChain(tiers, /*legacy=*/false);
+    tier::TierChain *chain = buildChain(tiers);
     if (chain) {
         mm_.setAnonChain(cg, chain);
         scheduleTierMaintenance(cg, chain);
     } else {
         mm_.setAnonBackend(cg, nullptr);
     }
-}
-
-void
-Host::setAnonMode(cgroup::Cgroup &cg, AnonMode mode)
-{
-    tier::TierChain *chain =
-        buildChain(shimChainSpec(mode), /*legacy=*/true);
-    if (chain)
-        mm_.setAnonChain(cg, chain);
-    else
-        mm_.setAnonBackend(cg, nullptr);
 }
 
 } // namespace tmo::host

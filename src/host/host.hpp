@@ -37,34 +37,6 @@
 namespace tmo::host
 {
 
-/**
- * Which offload backend a container's anon pages use.
- *
- * @deprecated Superseded by tier::TierChainSpec ("zswap:256mb+ssd"),
- * which composes arbitrary chains; every AnonMode maps onto a one- or
- * two-tier chain with the legacy placement policy (see
- * shimChainSpec()), so existing call sites behave byte-identically.
- * Prefer addApp(profile, TierChainSpec) / FleetSpec::tiers().
- */
-enum class AnonMode {
-    /** No swapping: file-cache-only reclaim (TMO's first deployment
-     *  mode, §5.1). */
-    NONE,
-    /** SSD swap partition. */
-    SWAP_SSD,
-    /** Compressed memory pool. */
-    ZSWAP,
-    /** Byte-addressable NVM / CXL memory (§2.5 outlook). */
-    NVM,
-    /** Two-tier hierarchy: zswap for warm pages, SSD swap for cold or
-     *  incompressible ones (§5.2). Equivalent to the "zswap+ssd"
-     *  chain under the legacy working-set placement. */
-    TIERED,
-};
-
-/** The tier chain an AnonMode shims onto ("none" for NONE). */
-tier::TierChainSpec shimChainSpec(AnonMode mode);
-
 class Host;
 
 /**
@@ -109,9 +81,12 @@ class Host
                                     cgroup::Cgroup *parent = nullptr);
 
     /**
-     * Create a container running the given workload on a composable
-     * tier chain (hotness-driven placement with budgeted background
-     * promotion/demotion). An empty spec means no anon offloading.
+     * Create a container running the given workload on a tier chain
+     * ("zswap", "ssd", "zswap:256mb+ssd", ...). Hotness placement
+     * comes with budgeted background promotion/demotion;
+     * "zswap+ssd;placement=workingset" is the §5.2 two-tier hierarchy
+     * with no background movement. An empty spec means no anon
+     * offloading (file-only reclaim, TMO's first deployment, §5.1).
      *
      * @param profile Workload description.
      * @param tiers Ordered tier chain, fastest first.
@@ -121,30 +96,10 @@ class Host
                                const tier::TierChainSpec &tiers,
                                cgroup::Cgroup *parent = nullptr);
 
-    /**
-     * Create a container running the given workload.
-     *
-     * @deprecated AnonMode shim: maps onto the equivalent one- or
-     * two-tier chain with the legacy placement policy and no
-     * background movement (byte-identical to pre-chain behaviour).
-     * Prefer the TierChainSpec overload.
-     *
-     * @param profile Workload description.
-     * @param mode Anon offload backend selection.
-     * @param parent Parent container.
-     */
-    workload::AppModel &addApp(const workload::AppProfile &profile,
-                               AnonMode mode,
-                               cgroup::Cgroup *parent = nullptr);
-
-    /** Switch a container onto a tier chain (phase changes with
-     *  tiering). Pages offloaded under the old configuration stay in
-     *  their backend until faulted back. */
+    /** Switch a container onto a tier chain (Fig. 11 phase changes).
+     *  Pages offloaded under the old configuration stay in their
+     *  backend until faulted back. */
     void setTiers(cgroup::Cgroup &cg, const tier::TierChainSpec &tiers);
-
-    /** Switch a container's anon backend (Fig. 11 phase changes).
-     *  @deprecated AnonMode shim of setTiers(); see addApp. */
-    void setAnonMode(cgroup::Cgroup &cg, AnonMode mode);
 
     /**
      * Give the host its userspace controller (replaces any previous
@@ -247,16 +202,9 @@ class Host
      * "zswap"/"ssd"/"nvm" tiers use the shared host singletons (so
      * fault injection and machine.zswap()-style introspection keep
      * working), capped zswap tiers get a dedicated pool owned by the
-     * host. @p legacy selects the WORKINGSET placement with a zero
-     * movement budget (AnonMode shims).
+     * host. A WORKINGSET spec gets a zero movement budget.
      */
-    tier::TierChain *buildChain(const tier::TierChainSpec &spec,
-                                bool legacy);
-
-    /** Attach chain + app bookkeeping shared by both addApp forms. */
-    workload::AppModel &addAppOnChain(const workload::AppProfile &profile,
-                                      tier::TierChain *chain,
-                                      cgroup::Cgroup *parent);
+    tier::TierChain *buildChain(const tier::TierChainSpec &spec);
 
     /** Schedule periodic tierMaintain for @p cg (once per cgroup,
      *  only for chains with a movement budget). */

@@ -28,8 +28,6 @@ MemoryManager::MemoryManager(MemoryConfig config, std::uint64_t seed)
     assert(config_.heatDecayPeriod > 0);
 }
 
-MemoryManager::~MemoryManager() = default;
-
 MemCg &
 MemoryManager::attach(cgroup::Cgroup &cg,
                       backend::OffloadBackend *anon_backend,
@@ -79,8 +77,8 @@ MemoryManager::attachChain(cgroup::Cgroup &cg, tier::TierChain *chain,
                            double compressibility)
 {
     // Register the tiers in chain order before the file backend, so a
-    // one-tier chain produces the same registry layout as the raw
-    // attach() it shims.
+    // one-tier chain produces the same registry layout as a raw
+    // attach() of its tier.
     MemCg &mcg = attach(cg, chain ? chain->tier(0) : nullptr,
                         file_backend, compressibility);
     if (chain)
@@ -118,25 +116,6 @@ MemoryManager::setAnonChain(cgroup::Cgroup &cg, tier::TierChain *chain)
         registerBackend(chain->tier(i));
     mcg.tierLists.assign(chain->size(), LruList{});
     mcg.tierBytes.assign(chain->size(), 0);
-}
-
-void
-MemoryManager::setAnonTiering(cgroup::Cgroup &cg,
-                              backend::OffloadBackend *anon_backend,
-                              backend::OffloadBackend *cold_backend)
-{
-    // Legacy two-tier hierarchy: now a stock chain with the
-    // working-set placement rule and no background movement, which
-    // reproduces the historical warm/cold fall-through byte for byte.
-    tier::TierChainConfig config;
-    config.placement = tier::TierPlacement::WORKINGSET;
-    config.moveBudgetBytes = 0;
-    ownedChains_.push_back(std::make_unique<tier::TierChain>(
-        "tiered",
-        std::vector<backend::OffloadBackend *>{anon_backend,
-                                               cold_backend},
-        config));
-    setAnonChain(cg, ownedChains_.back().get());
 }
 
 void

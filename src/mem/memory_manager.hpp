@@ -195,7 +195,7 @@ struct MemCg {
     backend::OffloadBackend *anonBackend = nullptr;
     /** The tier chain behind anonBackend, or nullptr for a raw
      *  single backend. Reclaim then places pages by hotness (or the
-     *  legacy working-set rule) and falls through rejected stores
+     *  working-set rule) and falls through rejected stores
      *  down the chain (§5.2). */
     tier::TierChain *anonChain = nullptr;
     /**
@@ -249,7 +249,6 @@ class MemoryManager
 {
   public:
     MemoryManager(MemoryConfig config, std::uint64_t seed = 3);
-    ~MemoryManager(); // out of line: ownedChains_ holds incomplete type
 
     MemoryManager(const MemoryManager &) = delete;
     MemoryManager &operator=(const MemoryManager &) = delete;
@@ -290,17 +289,6 @@ class MemoryManager
      *  Pages offloaded under the old configuration drop off the
      *  movement lists and stay put until faulted back. */
     void setAnonChain(cgroup::Cgroup &cg, tier::TierChain *chain);
-
-    /**
-     * @deprecated Pre-chain two-tier hierarchy (§5.2). Builds an
-     * internally owned two-tier TierChain with the legacy working-set
-     * placement and a zero movement budget — byte-identical to the
-     * historical anonColdBackend behaviour. Use attachChain() /
-     * setAnonChain() for new code.
-     */
-    void setAnonTiering(cgroup::Cgroup &cg,
-                        backend::OffloadBackend *anon_backend,
-                        backend::OffloadBackend *cold_backend);
 
     // --- page lifecycle -------------------------------------------------
 
@@ -356,7 +344,7 @@ class MemoryManager
      * their current tier, promote pages stuck below their warmth
      * (fall-through victims), both bounded by the chain's
      * moveBudgetBytes and scanBatch. No-op without a chain or with a
-     * zero budget (legacy shims). The Host schedules this per
+     * zero budget (working-set chains). The Host schedules this per
      * movePeriod; movement cost is returned so callers can charge it.
      */
     TierMaintainOutcome tierMaintain(cgroup::Cgroup &cg,
@@ -549,8 +537,6 @@ class MemoryManager
     std::unordered_map<const cgroup::Cgroup *, std::vector<std::uint16_t>>
         subtree_;
     std::vector<backend::OffloadBackend *> backends_;
-    /** Chains built internally for the deprecated setAnonTiering(). */
-    std::vector<std::unique_ptr<tier::TierChain>> ownedChains_;
     obs::TraceRing *trace_ = nullptr;
     std::uint64_t residentPages_ = 0;
     std::uint64_t oomEvents_ = 0;

@@ -100,9 +100,9 @@ MemoryManager::shrinkMemCg(MemCg &mcg, std::uint64_t target_bytes,
 
     auto evict_anon = [&](PageIdx idx) -> bool {
         // Tiered placement (§5.2): the chain picks an entry tier from
-        // the page's decayed heat (or the legacy working-set rule for
-        // AnonMode shims) and a rejected store — incompressible data,
-        // pool cap, full partition — falls through down the chain.
+        // the page's decayed heat (or the working-set rule under
+        // placement=workingset) and a rejected store — incompressible
+        // data, pool cap, full partition — falls through down the chain.
         // The victim is addressed by index only: the virtual store()
         // below may allocate pages and reallocate the page table, so
         // no Page reference is held across it.

@@ -162,17 +162,6 @@ TierChain::tierToken(std::size_t i) const
 }
 
 void
-TierChain::setTierOffline(std::size_t i, bool offline)
-{
-    if (i >= offline_.size())
-        return;
-    // Clock-less transition: instant in both directions, no
-    // evacuation mark and no readmission ramp (legacy semantics).
-    offline_[i] = offline;
-    health_[i] = TierHealth{};
-}
-
-void
 TierChain::setTierOffline(std::size_t i, bool offline, sim::SimTime now)
 {
     if (i >= offline_.size())

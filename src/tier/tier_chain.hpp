@@ -11,19 +11,18 @@
  * (Page::store / storedBytes) points at the accepting tier, so loads
  * and releases hit the right device with no indirection.
  *
- * Placement policies:
- *  - HOTNESS (spec-built chains): the page's decay-aged heat counter
- *    picks the start tier — hot pages enter high (fast) tiers, cold
- *    pages enter low ones. Background maintenance (see
+ * Placement policies (the spec's `placement` key):
+ *  - HOTNESS (default): the page's decay-aged heat counter picks the
+ *    start tier — hot pages enter high (fast) tiers, cold pages enter
+ *    low ones. Background maintenance (see
  *    MemoryManager::tierMaintain) demotes pages whose heat decayed
  *    below their tier and promotes pages stuck below their warmth,
  *    budgeted per Senpai tick so movement cost is bounded and charged
  *    through the cost model.
- *  - Legacy WORKINGSET (AnonMode shims): working-set pages start at
- *    tier 0, cold pages at the last tier, reproducing the historical
- *    two-tier AnonMode::TIERED behaviour byte for byte. Shim chains
- *    run with a zero movement budget, so no background events fire
- *    and legacy runs stay bit-identical to pre-chain builds.
+ *  - WORKINGSET ("zswap+ssd;placement=workingset"): working-set pages
+ *    start at tier 0, cold pages at the last tier — the §5.2 two-tier
+ *    hierarchy. The Host builds these chains with a zero movement
+ *    budget, so no background events fire.
  *
  * Aggregate status is FAILED only when every tier is FAILED (or
  * offline): as long as one tier accepts pages the chain degrades to
@@ -44,23 +43,14 @@
 namespace tmo::tier
 {
 
-/** How a chain picks the entry tier for an evicted page. */
-enum class TierPlacement {
-    /** Decay-aged per-page heat chooses the tier (TPP-style). */
-    HOTNESS,
-    /** Legacy shim: working-set pages to tier 0, others to the last
-     *  tier (pre-chain AnonMode::TIERED semantics). */
-    WORKINGSET,
-};
-
 /** Tunables of one chain. */
 struct TierChainConfig {
     TierPlacement placement = TierPlacement::HOTNESS;
     /**
      * Byte budget for background demotion/promotion per maintenance
-     * tick; 0 disables movement entirely (legacy shims). The budget
-     * counts uncompressed page bytes, so movement cost scales with
-     * the configured page size.
+     * tick; 0 disables movement entirely (working-set chains). The
+     * budget counts uncompressed page bytes, so movement cost scales
+     * with the configured page size.
      */
     std::uint64_t moveBudgetBytes = 8ull << 20;
     /** Maintenance cadence (aligned with Senpai's 6 s tick). */
@@ -196,15 +186,11 @@ class TierChain : public backend::OffloadBackend
 
     // --- fault injection ----------------------------------------------
 
-    /** Mark one tier offline: placement and fall-through skip it and
-     *  it reports FAILED into the aggregate status. Pages already
-     *  stored there stay until faulted back or evacuated. This
-     *  clock-less overload transitions instantly (no readmission
-     *  ramp) — kept for tests and legacy callers. */
-    void setTierOffline(std::size_t i, bool offline);
-
-    /** setTierOffline() on the shard clock: going offline starts the
-     *  evacuation drain at the next maintenance pass; coming back
+    /** Mark one tier offline (or back online) at @p now: placement
+     *  and fall-through skip an offline tier and it reports FAILED
+     *  into the aggregate status. Pages already stored there stay
+     *  until faulted back or evacuated; going offline starts the
+     *  evacuation drain at the next maintenance pass, and coming back
      *  online starts the gradual readmission ramp at @p now. */
     void setTierOffline(std::size_t i, bool offline, sim::SimTime now);
 

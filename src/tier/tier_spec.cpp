@@ -69,6 +69,50 @@ parseTier(const std::string &token)
     return spec;
 }
 
+/** Apply the ";key=value" options that follow the chain in @p text
+ *  (@p keys is the text after the first ';'). */
+void
+parseKeys(const std::string &text, const std::string &keys,
+          TierChainSpec &spec)
+{
+    if (spec.empty())
+        throw std::invalid_argument("bad tier chain '" + text +
+                                    "': 'none' takes no keys");
+    bool placement_seen = false;
+    std::size_t start = 0;
+    while (start <= keys.size()) {
+        std::size_t semi = keys.find(';', start);
+        if (semi == std::string::npos)
+            semi = keys.size();
+        const std::string option = keys.substr(start, semi - start);
+        start = semi + 1;
+        const std::size_t eq = option.find('=');
+        const std::string key = option.substr(0, eq);
+        const std::string value =
+            eq == std::string::npos ? "" : option.substr(eq + 1);
+        if (key != "placement")
+            throw std::invalid_argument(
+                "bad tier chain '" + text + "': unknown key '" + key +
+                "' (expected placement)");
+        if (placement_seen)
+            throw std::invalid_argument("bad tier chain '" + text +
+                                        "': duplicate key 'placement'");
+        placement_seen = true;
+        if (value.empty())
+            throw std::invalid_argument(
+                "bad tier chain '" + text +
+                "': placement needs a value (hotness or workingset)");
+        if (value == "hotness")
+            spec.placement = TierPlacement::HOTNESS;
+        else if (value == "workingset")
+            spec.placement = TierPlacement::WORKINGSET;
+        else
+            throw std::invalid_argument(
+                "bad tier chain '" + text + "': unknown placement '" +
+                value + "' (expected hotness or workingset)");
+    }
+}
+
 } // namespace
 
 const char *
@@ -117,6 +161,8 @@ TierChainSpec::toString() const
             text += '+';
         text += tier.token();
     }
+    if (placement == TierPlacement::WORKINGSET)
+        text += ";placement=workingset";
     return text;
 }
 
@@ -124,25 +170,25 @@ TierChainSpec
 TierChainSpec::parse(const std::string &text)
 {
     TierChainSpec spec;
-    if (text.empty() || text == "none")
-        return spec;
+    const std::size_t semi = text.find(';');
+    const std::string chain = text.substr(0, semi);
     std::size_t start = 0;
-    while (start <= text.size()) {
-        std::size_t plus = text.find('+', start);
+    while (!chain.empty() && chain != "none" && start <= chain.size()) {
+        std::size_t plus = chain.find('+', start);
         if (plus == std::string::npos)
-            plus = text.size();
-        const std::string token = text.substr(start, plus - start);
+            plus = chain.size();
+        const std::string token = chain.substr(start, plus - start);
         if (token.empty())
             throw std::invalid_argument("bad tier chain '" + text +
                                         "': empty tier token");
         spec.tiers.push_back(parseTier(token));
         start = plus + 1;
-        if (plus == text.size())
-            break;
     }
     if (spec.tiers.size() > 8)
         throw std::invalid_argument("bad tier chain '" + text +
                                     "': at most 8 tiers");
+    if (semi != std::string::npos)
+        parseKeys(text, text.substr(semi + 1), spec);
     return spec;
 }
 

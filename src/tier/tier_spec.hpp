@@ -4,12 +4,11 @@
  *
  * A TierChainSpec describes an ordered list of offload tiers for anon
  * pages — fastest first — e.g. "zswap:256mb+ssd" is a 256 MiB
- * compressed warm tier in front of the SSD swap partition. The spec is
- * a pure value type: parsing and validation happen here, materializing
- * the actual backends (host singletons or dedicated capped pools) is
- * the Host's job. This replaces the hard-coded host::AnonMode switch;
- * AnonMode survives only as a deprecated shim mapping onto one- and
- * two-tier chains.
+ * compressed warm tier in front of the SSD swap partition — plus the
+ * placement policy that picks a page's entry tier. The spec is a pure
+ * value type: parsing and validation happen here, materializing the
+ * actual backends (host singletons or dedicated capped pools) is the
+ * Host's job. It is the only way to configure where anon pages go.
  */
 
 #pragma once
@@ -34,6 +33,17 @@ enum class TierKind {
 /** Spec name of a kind ("zswap", "ssd", "nvm"). */
 const char *tierKindName(TierKind kind);
 
+/** How a chain picks the entry tier for an evicted page. */
+enum class TierPlacement {
+    /** Decay-aged per-page heat chooses the tier (TPP-style), with
+     *  budgeted background promotion/demotion. The default. */
+    HOTNESS,
+    /** Working-set pages to tier 0, all others to the last tier, with
+     *  no background movement: the §5.2 two-tier zswap+SSD hierarchy
+     *  that keeps warm pages compressed and sends cold ones to swap. */
+    WORKINGSET,
+};
+
 /** One tier of a chain. */
 struct TierSpec {
     TierKind kind = TierKind::ZSWAP;
@@ -52,26 +62,33 @@ struct TierSpec {
 };
 
 /**
- * An ordered chain of tiers, fastest first. Empty = no anon
- * offloading (file-only reclaim, AnonMode::NONE).
+ * An ordered chain of tiers, fastest first, and its placement policy.
+ * Empty = no anon offloading (file-only reclaim).
  */
 struct TierChainSpec {
     std::vector<TierSpec> tiers;
+    TierPlacement placement = TierPlacement::HOTNESS;
 
     bool empty() const { return tiers.empty(); }
     std::size_t size() const { return tiers.size(); }
 
-    /** Canonical string form ("zswap:256mb+ssd", "none" when empty). */
+    /** Canonical string form ("zswap:256mb+ssd", "none" when empty);
+     *  the placement key is printed only for WORKINGSET
+     *  ("zswap+ssd;placement=workingset"). */
     std::string toString() const;
 
     /**
-     * Parse "tier[+tier...]" where each tier is
-     * `zswap|ssd|nvm|cxl[:<cap>]` and cap is an integer with a
+     * Parse "tier[+tier...][;placement=hotness|workingset]" where each
+     * tier is `zswap|ssd|nvm|cxl[:<cap>]` and cap is an integer with a
      * kb/mb/gb suffix (e.g. "zswap:256mb+ssd"). "none" or "" parses
-     * to the empty chain. "cxl" is an alias for "nvm" (the host's NVM
-     * preset decides the device model).
+     * to the empty chain, which takes no keys. "cxl" is an alias for
+     * "nvm" (the host's NVM preset decides the device model).
+     * Placement defaults to hotness; it only matters for chains of two
+     * or more tiers.
      *
-     * @throws std::invalid_argument naming the offending token.
+     * @throws std::invalid_argument naming the offending token: an
+     * unknown tier, key or value, a duplicate key, an empty value, or
+     * a key on the empty chain.
      */
     static TierChainSpec parse(const std::string &text);
 

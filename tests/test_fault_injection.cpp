@@ -40,7 +40,7 @@ fleetSpec(std::size_t hosts, std::uint64_t seed)
         .ram_mb(256)
         .page_kb(64)
         .seed(seed)
-        .backend(host::AnonMode::SWAP_SSD)
+        .tiers("ssd")
         .workload("feed", 192)
         .controller("senpai");
 }

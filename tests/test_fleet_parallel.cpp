@@ -41,7 +41,7 @@ fleetSpec(std::uint64_t seed, sim::SimTime epoch)
         .page_kb(64)
         .cpus(8)
         .seed(seed)
-        .backend(host::AnonMode::ZSWAP)
+        .tiers("zswap")
         .workload("feed", 192)
         .controller("senpai");
 }
@@ -172,7 +172,7 @@ aggregationDigest(unsigned jobs)
                             .page_kb(64)
                             .cpus(8)
                             .seed(2024)
-                            .backend(host::AnonMode::ZSWAP)
+                            .tiers("zswap")
                             .workload("feed", 128)
                             .traffic("flat:rps=40")
                             .controller("senpai")
@@ -447,7 +447,7 @@ TEST(FleetSpecTest, BackendAppliesRegardlessOfFluentOrder)
                             .ram_mb(256)
                             .page_kb(64)
                             .workload("ads_a", 128)
-                            .backend(host::AnonMode::SWAP_SSD)
+                            .tiers("ssd")
                             .build();
     fleet.start();
     fleet.run(5 * sim::SEC);

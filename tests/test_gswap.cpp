@@ -31,7 +31,7 @@ TEST(GswapTest, ReclaimsWhilePromotionsBelowTarget)
     host::Host machine(simulation, hostConfig());
     auto &app = machine.addApp(
         workload::appPreset("feed", 1ull << 30),
-        host::AnonMode::ZSWAP);
+        tier::TierChainSpec::parse("zswap"));
     machine.start();
     app.start();
     simulation.runUntil(10 * sim::SEC);
@@ -52,7 +52,7 @@ TEST(GswapTest, BacksOffAboveTarget)
     host::Host machine(simulation, hostConfig());
     auto &app = machine.addApp(
         workload::appPreset("cache_b", 1ull << 30), // hot
-        host::AnonMode::ZSWAP);
+        tier::TierChainSpec::parse("zswap"));
     machine.start();
     app.start();
 
@@ -81,10 +81,10 @@ TEST(GswapTest, StaticTargetIgnoresDeviceSpeed)
 
     auto &slow_app = slow_host.addApp(
         workload::appPreset("feed", 512ull << 20),
-        host::AnonMode::SWAP_SSD);
+        tier::TierChainSpec::parse("ssd"));
     auto &fast_app = fast_host.addApp(
         workload::appPreset("feed", 512ull << 20),
-        host::AnonMode::SWAP_SSD);
+        tier::TierChainSpec::parse("ssd"));
     slow_host.start();
     fast_host.start();
     slow_app.start();
@@ -120,7 +120,7 @@ TEST(GswapTest, StopHalts)
     host::Host machine(simulation, hostConfig());
     auto &app = machine.addApp(
         workload::appPreset("feed", 512ull << 20),
-        host::AnonMode::ZSWAP);
+        tier::TierChainSpec::parse("zswap"));
     machine.start();
     app.start();
     baseline::GswapController gswap(simulation, machine.memory(),

@@ -44,19 +44,19 @@ TEST(HostTest, AddAppCreatesContainer)
     host::Host machine(simulation, smallHost());
     auto &app = machine.addApp(
         workload::appPreset("feed", 256ull << 20),
-        host::AnonMode::ZSWAP);
+        tier::TierChainSpec::parse("zswap"));
     EXPECT_EQ(app.cgroup().name(), "feed");
     EXPECT_EQ(machine.apps().size(), 1u);
     EXPECT_EQ(machine.cgroups().find("feed"), &app.cgroup());
 }
 
-TEST(HostTest, AnonModeNoneMeansNoSwap)
+TEST(HostTest, NoneTiersMeanNoSwap)
 {
     sim::Simulation simulation;
     host::Host machine(simulation, smallHost());
     auto &app = machine.addApp(
         workload::appPreset("feed", 256ull << 20),
-        host::AnonMode::NONE);
+        tier::TierChainSpec::parse("none"));
     machine.start();
     app.start();
     simulation.runUntil(5 * sim::SEC);
@@ -65,13 +65,13 @@ TEST(HostTest, AnonModeNoneMeansNoSwap)
     EXPECT_EQ(app.cgroup().stats().pswpout, 0u);
 }
 
-TEST(HostTest, AnonModeSwapUsesSsd)
+TEST(HostTest, SsdTierUsesSsd)
 {
     sim::Simulation simulation;
     host::Host machine(simulation, smallHost());
     auto &app = machine.addApp(
         workload::appPreset("ads_a", 256ull << 20),
-        host::AnonMode::SWAP_SSD);
+        tier::TierChainSpec::parse("ssd"));
     machine.start();
     app.start();
     simulation.runUntil(5 * sim::SEC);
@@ -81,13 +81,13 @@ TEST(HostTest, AnonModeSwapUsesSsd)
     EXPECT_GT(machine.ssd().bytesWritten(), 0u);
 }
 
-TEST(HostTest, AnonModeZswapFillsPool)
+TEST(HostTest, ZswapTierFillsPool)
 {
     sim::Simulation simulation;
     host::Host machine(simulation, smallHost());
     auto &app = machine.addApp(
         workload::appPreset("web", 256ull << 20),
-        host::AnonMode::ZSWAP);
+        tier::TierChainSpec::parse("zswap"));
     machine.start();
     app.start();
     simulation.runUntil(5 * sim::SEC);
@@ -105,7 +105,7 @@ TEST(HostTest, PsiAveragingRuns)
     host::Host machine(simulation, smallHost());
     auto &app = machine.addApp(
         workload::appPreset("feed", 700ull << 20),
-        host::AnonMode::ZSWAP);
+        tier::TierChainSpec::parse("zswap"));
     machine.start();
     app.start();
     // Force heavy eviction so sweeps fault continuously.
@@ -117,17 +117,17 @@ TEST(HostTest, PsiAveragingRuns)
     EXPECT_GT(pressure.avg10, 0.0);
 }
 
-TEST(HostTest, SetAnonModeSwitchesBackend)
+TEST(HostTest, SetTiersSwitchesBackend)
 {
     sim::Simulation simulation;
     host::Host machine(simulation, smallHost());
     auto &app = machine.addApp(
         workload::appPreset("feed", 256ull << 20),
-        host::AnonMode::NONE);
+        tier::TierChainSpec::parse("none"));
     machine.start();
     app.start();
     simulation.runUntil(2 * sim::SEC);
-    machine.setAnonMode(app.cgroup(), host::AnonMode::ZSWAP);
+    machine.setTiers(app.cgroup(), tier::TierChainSpec::parse("zswap"));
     machine.memory().reclaim(app.cgroup(), 220ull << 20,
                              simulation.now());
     EXPECT_GT(machine.zswap().usedBytes(), 0u);
@@ -140,7 +140,7 @@ TEST(FleetTest, HostsAdvanceInLockstepOnPrivateClocks)
                             .config(smallHost())
                             .name_prefix("node")
                             .workload("feed", 128)
-                            .backend(host::AnonMode::ZSWAP)
+                            .tiers("zswap")
                             .build();
     EXPECT_EQ(fleet.size(), 4u);
     fleet.start();
@@ -197,13 +197,13 @@ TEST(HostTest, CrossAppCpuContentionMakesCpuPressure)
         config.cpus = 2;
         host::Host machine(simulation, config);
         auto &a = machine.addApp(make_profile("a"),
-                                 host::AnonMode::NONE);
+                                 tier::TierChainSpec::parse("none"));
         a.start();
         if (second_app) {
             auto &b = machine.addApp(make_profile("b"),
-                                     host::AnonMode::NONE);
+                                     tier::TierChainSpec::parse("none"));
             auto &c = machine.addApp(make_profile("c"),
-                                     host::AnonMode::NONE);
+                                     tier::TierChainSpec::parse("none"));
             b.start();
             c.start();
         }

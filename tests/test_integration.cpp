@@ -39,10 +39,10 @@ TEST(IntegrationTest, SavingsComeFromColdMemory)
     host::Host machine_b(simulation, hostConfig(), "b");
     auto &cold_app = machine_a.addApp(
         workload::appPreset("web", 1ull << 30), // 62% cold
-        host::AnonMode::ZSWAP);
+        tier::TierChainSpec::parse("zswap"));
     auto &hot_app = machine_b.addApp(
         workload::appPreset("cache_b", 1ull << 30), // 19% cold
-        host::AnonMode::ZSWAP);
+        tier::TierChainSpec::parse("zswap"));
     machine_a.start();
     machine_b.start();
     cold_app.start();
@@ -76,10 +76,10 @@ TEST(IntegrationTest, FasterBackendAllowsMoreOffloading)
     host::Host fast_host(simulation, hostConfig('C'), "fast");
     auto &slow_app = slow_host.addApp(
         workload::appPreset("web", 1ull << 30),
-        host::AnonMode::SWAP_SSD);
+        tier::TierChainSpec::parse("ssd"));
     auto &fast_app = fast_host.addApp(
         workload::appPreset("web", 1ull << 30),
-        host::AnonMode::SWAP_SSD);
+        tier::TierChainSpec::parse("ssd"));
     slow_host.start();
     fast_host.start();
     slow_app.start();
@@ -105,7 +105,7 @@ TEST(IntegrationTest, FileOnlyModeSavesWithoutSwap)
     host::Host machine(simulation, hostConfig());
     auto &app = machine.addApp(
         workload::appPreset("analytics", 1ull << 30),
-        host::AnonMode::NONE);
+        tier::TierChainSpec::parse("none"));
     machine.start();
     app.start();
     simulation.runUntil(20 * sim::SEC);
@@ -130,7 +130,7 @@ TEST(IntegrationTest, TmoReclaimBeatsLegacyOnPaging)
         host::Host machine(simulation, config);
         auto &app = machine.addApp(
             workload::appPreset("feed", 1ull << 30),
-            host::AnonMode::ZSWAP);
+            tier::TierChainSpec::parse("zswap"));
         machine.start();
         app.start();
         core::Senpai senpai(simulation, machine.memory(), app.cgroup(),
@@ -159,10 +159,10 @@ TEST(IntegrationTest, PsiBeatsGswapOnSlowDevice)
     host::Host gsw_host(simulation, hostConfig('B'), "gswap");
     auto &psi_app = psi_host.addApp(
         workload::appPreset("web", 1ull << 30),
-        host::AnonMode::SWAP_SSD);
+        tier::TierChainSpec::parse("ssd"));
     auto &gsw_app = gsw_host.addApp(
         workload::appPreset("web", 1ull << 30),
-        host::AnonMode::SWAP_SSD);
+        tier::TierChainSpec::parse("ssd"));
     psi_host.start();
     gsw_host.start();
     psi_app.start();
@@ -198,13 +198,13 @@ TEST(IntegrationTest, HolisticOffloadCoversAppAndTax)
     host::Host machine(simulation, hostConfig('C', 3ull << 30));
     auto &app = machine.addApp(
         workload::appPreset("feed", 1536ull << 20),
-        host::AnonMode::ZSWAP);
+        tier::TierChainSpec::parse("zswap"));
     auto &dc_tax = machine.addApp(
         workload::sidecarPreset("dc_logging", 256ull << 20),
-        host::AnonMode::ZSWAP);
+        tier::TierChainSpec::parse("zswap"));
     auto &ms_tax = machine.addApp(
         workload::sidecarPreset("ms_proxy", 160ull << 20),
-        host::AnonMode::ZSWAP);
+        tier::TierChainSpec::parse("zswap"));
     dc_tax.cgroup().setPriority(cgroup::Priority::LOW);
     ms_tax.cgroup().setPriority(cgroup::Priority::LOW);
     machine.start();
@@ -244,9 +244,9 @@ TEST(IntegrationTest, MemoryBoundWebRecoversWithTmo)
         host::Host machine(simulation, hostConfig('C', 1ull << 30));
         auto profile = workload::appPreset("web", 1200ull << 20);
         profile.growthSeconds = 900; // grow within the test horizon
-        auto &app = machine.addApp(profile,
-                                   enable_tmo ? host::AnonMode::ZSWAP
-                                              : host::AnonMode::NONE);
+        auto &app = machine.addApp(
+            profile,
+            tier::TierChainSpec::parse(enable_tmo ? "zswap" : "none"));
         app.cgroup().setMemMax(1ull << 30);
         machine.start();
         app.start();

@@ -275,7 +275,7 @@ TEST(MetricsTest, SamplerAlignsWithSenpaiInterval)
     host::Host machine(simulation, config);
     auto &app = machine.addApp(
         workload::appPreset("feed", 256ull << 20),
-        host::AnonMode::ZSWAP);
+        tier::TierChainSpec::parse("zswap"));
     auto *controller =
         machine.setController(std::make_unique<core::Senpai>(
             simulation, machine.memory(), app.cgroup(),
@@ -328,7 +328,7 @@ runFleet(unsigned jobs, bool with_faults)
                      .ram_mb(512)
                      .page_kb(64)
                      .seed(99)
-                     .backend(host::AnonMode::SWAP_SSD)
+                     .tiers("ssd")
                      .workload("feed", 256)
                      .controller(host::controllerFactoryFor("senpai",
                                                             {}))
@@ -404,7 +404,7 @@ TEST(ObsFleetTest, TracedRunMatchesUntracedState)
                          .ram_mb(512)
                          .page_kb(64)
                          .seed(7)
-                         .backend(host::AnonMode::ZSWAP)
+                         .tiers("zswap")
                          .workload("feed", 256)
                          .controller(host::controllerFactoryFor(
                              "senpai", {}))

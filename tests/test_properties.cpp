@@ -91,7 +91,7 @@ TEST_P(ReclaimPropertyTest, BoundsAndConservation)
     host::Host machine(simulation, config);
     auto &app = machine.addApp(
         workload::appPreset("feed", param.footprint_mb << 20),
-        param.zswap ? host::AnonMode::ZSWAP : host::AnonMode::SWAP_SSD);
+        tier::TierChainSpec::parse(param.zswap ? "zswap" : "ssd"));
     app.start();
     machine.start();
     simulation.runUntil(5 * sim::SEC);
@@ -193,7 +193,7 @@ TEST_P(SenpaiPropertyTest, MildPressureAndRealSavings)
     host::Host machine(simulation, config);
     auto &app = machine.addApp(
         workload::appPreset(param.app, 1ull << 30),
-        param.zswap ? host::AnonMode::ZSWAP : host::AnonMode::SWAP_SSD);
+        tier::TierChainSpec::parse(param.zswap ? "zswap" : "ssd"));
     machine.start();
     app.start();
     simulation.runUntil(30 * sim::SEC);

@@ -205,7 +205,7 @@ TEST(ServingModelTest, LegacyCompletedNeverExceedsOffered)
     sim::Simulation simulation;
     host::Host machine(simulation, hostConfig());
     auto &app = machine.addApp(workload::appPreset("feed", 512ull << 20),
-                               host::AnonMode::ZSWAP);
+                               tier::TierChainSpec::parse("zswap"));
     machine.start();
     app.start();
     for (int tick = 1; tick <= 180; ++tick) {
@@ -225,7 +225,7 @@ TEST(ServingModelTest, IdleTickReportsNoLatencySample)
     sim::Simulation simulation;
     host::Host machine(simulation, hostConfig());
     auto &app = machine.addApp(workload::appPreset("feed", 256ull << 20),
-                               host::AnonMode::ZSWAP);
+                               tier::TierChainSpec::parse("zswap"));
     app.setOfferedRps(0.0);
     machine.start();
     app.start();
@@ -246,7 +246,7 @@ TEST(ServingModelTest, DiurnalTroughTicksAreNoSample)
     auto profile = workload::appPreset("feed", 256ull << 20);
     profile.traffic = workload::TrafficSpec::parse(
         "diurnal:rps=50,amp=1.0,period-min=4");
-    auto &app = machine.addApp(profile, host::AnonMode::ZSWAP);
+    auto &app = machine.addApp(profile, tier::TierChainSpec::parse("zswap"));
     machine.start();
     app.start();
     ASSERT_TRUE(app.servingRequests());
@@ -275,7 +275,7 @@ TEST(ServingModelTest, ServesTheOfferedLoad)
     host::Host machine(simulation, hostConfig());
     auto profile = workload::appPreset("feed", 256ull << 20);
     profile.traffic = workload::TrafficSpec::parse("flat:rps=200");
-    auto &app = machine.addApp(profile, host::AnonMode::ZSWAP);
+    auto &app = machine.addApp(profile, tier::TierChainSpec::parse("zswap"));
     machine.start();
     app.start();
     simulation.runUntil(3 * sim::MINUTE);
@@ -363,7 +363,7 @@ struct SloFixture {
     host::Host machine{simulation, hostConfig(512)};
     workload::AppModel &app = machine.addApp(
         workload::appPreset("feed", 256ull << 20),
-        host::AnonMode::ZSWAP);
+        tier::TierChainSpec::parse("zswap"));
     double probeValue = -1.0;
     std::unique_ptr<core::SloSenpai> controller;
     sim::SimTime clock = 0;
@@ -504,7 +504,7 @@ runSurge(bool slo, double target_us)
     auto profile = workload::appPreset("web", 400ull << 20);
     profile.traffic = workload::TrafficSpec::parse(
         "flat:rps=300,spike-mult=2.5,spike-at-min=3,spike-dur-min=3");
-    auto &app = machine.addApp(profile, host::AnonMode::ZSWAP);
+    auto &app = machine.addApp(profile, tier::TierChainSpec::parse("zswap"));
     machine.start();
     app.start();
 

@@ -116,7 +116,7 @@ TEST(ChurnTest, FootprintConstantWhileAllocating)
     host::Host machine(simulation, config);
     auto profile = workload::appPreset("ads_b", 512ull << 20);
     profile.churnBytesPerSec = 8e6;
-    auto &app = machine.addApp(profile, host::AnonMode::ZSWAP);
+    auto &app = machine.addApp(profile, tier::TierChainSpec::parse("zswap"));
     machine.start();
     app.start();
     simulation.runUntil(10 * sim::SEC);
@@ -183,7 +183,7 @@ TEST(MisagingTest, ZeroRateProtectsWorkingSetExactly)
     config.mem.lruMisagingRate = 0.0;
     host::Host machine(simulation, config);
     auto profile = workload::appPreset("feed", 512ull << 20);
-    auto &app = machine.addApp(profile, host::AnonMode::ZSWAP);
+    auto &app = machine.addApp(profile, tier::TierChainSpec::parse("zswap"));
     machine.start();
     app.start();
     // Let the working set activate, then reclaim a moderate amount:

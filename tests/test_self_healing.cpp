@@ -65,7 +65,7 @@ fleetSpec(std::size_t hosts, std::uint64_t seed)
         .ram_mb(256)
         .page_kb(64)
         .seed(seed)
-        .backend(host::AnonMode::SWAP_SSD)
+        .tiers("ssd")
         .workload("feed", 192)
         .controller("senpai");
 }
@@ -392,11 +392,12 @@ TEST(TierEvacuationTest, OfflineTierStillServesLoads)
     rig.offloadCold(200ull << 20);
     ASSERT_GT(rig.machine.swap().usedBytes(), 0u);
 
-    // Legacy clock-less offline: no evacuation, pages stay put. The
-    // chain only excludes the tier from placement — the device is
-    // still reachable, so faults load from it normally (pinned
-    // behaviour; a truly dead device is SSD_OFFLINE).
-    rig.chain->setTierOffline(1, true);
+    // Offline with no maintenance pass yet: the evacuation drain has
+    // not started, so pages stay put. The chain only excludes the
+    // tier from placement — the device is still reachable, so faults
+    // load from it normally (pinned behaviour; a truly dead device is
+    // SSD_OFFLINE).
+    rig.chain->setTierOffline(1, true, rig.simulation.now());
 
     auto &mm = rig.machine.memory();
     const auto &pages = mm.pages();

@@ -113,7 +113,7 @@ TEST(SenpaiTest, ReclaimsIdleMemory)
     host::Host machine(simulation, hostConfig());
     auto &app = machine.addApp(
         workload::appPreset("feed", 1ull << 30),
-        host::AnonMode::ZSWAP);
+        tier::TierChainSpec::parse("zswap"));
     machine.start();
     app.start();
     simulation.runUntil(30 * sim::SEC);
@@ -133,7 +133,7 @@ TEST(SenpaiTest, StepIsBoundedByFormula)
     host::Host machine(simulation, hostConfig());
     auto &app = machine.addApp(
         workload::appPreset("feed", 1ull << 30),
-        host::AnonMode::ZSWAP);
+        tier::TierChainSpec::parse("zswap"));
     machine.start();
     app.start();
     core::Senpai senpai(simulation, machine.memory(), app.cgroup());
@@ -153,7 +153,7 @@ TEST(SenpaiTest, PressureAboveThresholdStopsReclaim)
     host::Host machine(simulation, hostConfig());
     auto &app = machine.addApp(
         workload::appPreset("cache_b", 1ull << 30), // hot workload
-        host::AnonMode::ZSWAP);
+        tier::TierChainSpec::parse("zswap"));
     machine.start();
     app.start();
 
@@ -183,7 +183,7 @@ TEST(SenpaiTest, ConvergesToMildSteadyStatePressure)
     host::Host machine(simulation, hostConfig());
     auto &app = machine.addApp(
         workload::appPreset("feed", 1ull << 30),
-        host::AnonMode::ZSWAP);
+        tier::TierChainSpec::parse("zswap"));
     machine.start();
     app.start();
     core::Senpai senpai(simulation, machine.memory(), app.cgroup());
@@ -206,7 +206,7 @@ TEST(SenpaiTest, WriteRegulationCapsSwapOutRate)
     host::Host machine(simulation, hostConfig());
     auto &app = machine.addApp(
         workload::appPreset("ads_b", 1ull << 30),
-        host::AnonMode::SWAP_SSD);
+        tier::TierChainSpec::parse("ssd"));
     machine.start();
     app.start();
 
@@ -236,7 +236,7 @@ TEST(SenpaiTest, ZeroWindowTickKeepsPressureBaseline)
     host::Host machine(simulation, hostConfig());
     auto &app = machine.addApp(
         workload::appPreset("feed", 512ull << 20),
-        host::AnonMode::ZSWAP);
+        tier::TierChainSpec::parse("zswap"));
     auto &cg = app.cgroup();
 
     core::Senpai senpai(simulation, machine.memory(), cg);
@@ -267,7 +267,7 @@ TEST(SenpaiTest, StopHaltsControl)
     host::Host machine(simulation, hostConfig());
     auto &app = machine.addApp(
         workload::appPreset("feed", 512ull << 20),
-        host::AnonMode::ZSWAP);
+        tier::TierChainSpec::parse("zswap"));
     machine.start();
     app.start();
     core::Senpai senpai(simulation, machine.memory(), app.cgroup());

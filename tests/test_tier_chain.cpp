@@ -4,9 +4,9 @@
  * and round-trips, per-page hotness decays and saturates correctly,
  * placement maps heat onto chain positions, stores fall through caps
  * and offline tiers, background maintenance demotes cooled pages and
- * promotes reheated ones under the movement budget, the deprecated
- * AnonMode shims stay byte-identical to spec-built one-tier chains,
- * tier faults degrade (not fail) the aggregate status, and a
+ * promotes reheated ones under the movement budget, placement is
+ * invisible on one-tier chains, every chain exports per-tier
+ * metrics, tier faults degrade (not fail) the aggregate status, and a
  * three-tier fleet run is bit-identical for any --jobs.
  */
 
@@ -69,15 +69,38 @@ TEST(TierSpecTest, ParsesChainsAndRoundTrips)
     EXPECT_TRUE(tier::TierChainSpec::parse("").empty());
     EXPECT_TRUE(tier::TierChainSpec::parse("none").empty());
     EXPECT_EQ(tier::TierChainSpec{}.toString(), "none");
+
+    // The placement key: hotness is the default and prints no key,
+    // workingset prints it; every form round-trips.
+    const auto ws =
+        tier::TierChainSpec::parse("zswap+ssd;placement=workingset");
+    EXPECT_EQ(ws.placement, tier::TierPlacement::WORKINGSET);
+    EXPECT_EQ(ws.tiers, tier::TierChainSpec::parse("zswap+ssd").tiers);
+    EXPECT_NE(ws, tier::TierChainSpec::parse("zswap+ssd"));
+    EXPECT_EQ(ws.toString(), "zswap+ssd;placement=workingset");
+    const auto hot =
+        tier::TierChainSpec::parse("zswap:64mb+ssd;placement=hotness");
+    EXPECT_EQ(hot.placement, tier::TierPlacement::HOTNESS);
+    EXPECT_EQ(hot, tier::TierChainSpec::parse("zswap:64mb+ssd"));
+    EXPECT_EQ(hot.toString(), "zswap:64mb+ssd");
+    for (const char *text :
+         {"zswap", "ssd;placement=workingset", "cxl;placement=hotness",
+          "zswap:1gb+nvm;placement=workingset", "none"}) {
+        const auto spec = tier::TierChainSpec::parse(text);
+        EXPECT_EQ(tier::TierChainSpec::parse(spec.toString()), spec)
+            << text;
+    }
 }
 
 TEST(TierSpecTest, RejectsMalformedSpecs)
 {
-    const auto bad = [](const std::string &text) {
+    const auto bad = [](const std::string &text,
+                        const std::string &named = "") {
         std::string error;
         const bool ok = tier::isValidTierChainSpec(text, &error);
         EXPECT_FALSE(ok) << text;
         EXPECT_FALSE(error.empty()) << text;
+        EXPECT_NE(error.find(named), std::string::npos) << error;
         EXPECT_THROW(tier::TierChainSpec::parse(text),
                      std::invalid_argument)
             << text;
@@ -89,6 +112,16 @@ TEST(TierSpecTest, RejectsMalformedSpecs)
     bad("zswap:0mb");       // zero cap
     bad("zswap++ssd");      // empty token
     bad("zswap+zswap+zswap+zswap+zswap+zswap+zswap+zswap+ssd"); // 9 tiers
+    bad("zswap+ssd;placement=lru", "unknown placement 'lru'");
+    bad("zswap+ssd;move=0", "unknown key 'move'");
+    bad("zswap+ssd;placement=workingset;placement=hotness",
+        "duplicate key 'placement'");
+    bad("zswap+ssd;placement=", "placement needs a value");
+    bad("zswap+ssd;placement", "placement needs a value");
+    bad("zswap+ssd;", "unknown key ''");
+    bad("none;placement=workingset", "'none' takes no keys");
+    bad(";placement=hotness", "'none' takes no keys");
+    bad("zswap+;placement=hotness", "empty tier token");
 
     std::string error;
     EXPECT_TRUE(
@@ -168,13 +201,13 @@ TEST(TierChainTest, PlacementIndexMapsHeatAcrossTiers)
         last = idx;
     }
 
-    // Legacy shim placement ignores heat entirely.
-    tier::TierChainConfig legacy;
-    legacy.placement = tier::TierPlacement::WORKINGSET;
-    legacy.moveBudgetBytes = 0;
-    tier::TierChain shim("shim", {a.get(), c.get()}, legacy);
-    EXPECT_EQ(shim.placementIndex(0, true), 0);
-    EXPECT_EQ(shim.placementIndex(7, false), 1);
+    // Working-set placement ignores heat entirely.
+    tier::TierChainConfig ws_config;
+    ws_config.placement = tier::TierPlacement::WORKINGSET;
+    ws_config.moveBudgetBytes = 0;
+    tier::TierChain ws("ws", {a.get(), c.get()}, ws_config);
+    EXPECT_EQ(ws.placementIndex(0, true), 0);
+    EXPECT_EQ(ws.placementIndex(7, false), 1);
 }
 
 TEST(TierChainTest, StoreFallsThroughCapsAndOfflineTiers)
@@ -189,14 +222,14 @@ TEST(TierChainTest, StoreFallsThroughCapsAndOfflineTiers)
     EXPECT_EQ(chain.storeFrom(0, PAGE, 1.0, 0).tierIndex, 1);
 
     // An offline middle tier is skipped by the fall-through.
-    chain.setTierOffline(1, true);
+    chain.setTierOffline(1, true, 0);
     const auto skipped = chain.storeFrom(0, PAGE, 1.0, 0);
     EXPECT_TRUE(skipped.result.accepted);
     EXPECT_EQ(skipped.tierIndex, 2);
 
     // Everything offline: nothing attempted, store rejected.
-    chain.setTierOffline(0, true);
-    chain.setTierOffline(2, true);
+    chain.setTierOffline(0, true, 0);
+    chain.setTierOffline(2, true, 0);
     const auto none = chain.storeFrom(0, PAGE, 1.0, 0);
     EXPECT_FALSE(none.result.accepted);
     EXPECT_EQ(none.tier, nullptr);
@@ -230,11 +263,13 @@ TEST(TierChainTest, AggregatesStatusUtilizationAndOverhead)
                               cold->utilization()));
 
     // One tier down degrades the chain; all tiers down fail it.
-    chain.setTierOffline(1, true);
+    chain.setTierOffline(1, true, 0);
     EXPECT_EQ(chain.status(), backend::BackendStatus::DEGRADED);
-    chain.setTierOffline(0, true);
+    chain.setTierOffline(0, true, 0);
     EXPECT_EQ(chain.status(), backend::BackendStatus::FAILED);
-    chain.setTierOffline(1, false);
+    // Back online: the readmission ramp throttles store admission
+    // only, so the status recovers at once.
+    chain.setTierOffline(1, false, 0);
     EXPECT_EQ(chain.status(), backend::BackendStatus::DEGRADED);
 }
 
@@ -366,7 +401,7 @@ TEST(TierMaintainTest, MovementRespectsTheByteBudget)
               machine.chains().front()->config().moveBudgetBytes);
 }
 
-// --- AnonMode shim equivalence ----------------------------------------------
+// --- one-tier placement equivalence ----------------------------------------
 
 namespace
 {
@@ -391,14 +426,14 @@ hostDigest(host::Host &machine)
     };
 }
 
-template <typename Backend>
 std::vector<double>
-runShimHost(const Backend &backend_choice)
+runOneTierHost(const std::string &tiers)
 {
     sim::Simulation simulation;
     host::Host machine(simulation, hostConfig());
     auto profile = workload::appPreset("feed", 512ull << 20);
-    auto &app = machine.addApp(profile, backend_choice);
+    auto &app =
+        machine.addApp(profile, tier::TierChainSpec::parse(tiers));
     machine.start();
     app.start();
     core::Senpai senpai(simulation, machine.memory(), app.cgroup());
@@ -409,16 +444,18 @@ runShimHost(const Backend &backend_choice)
 
 } // namespace
 
-TEST(ShimEquivalenceTest, AnonModeMatchesOneTierChainByteForByte)
+TEST(OneTierPlacementTest, WorkingSetMatchesHotnessByteForByte)
 {
-    // The deprecated AnonMode::ZSWAP shim and the spec-built "zswap"
-    // chain must be indistinguishable: a one-tier chain has a single
-    // placement target and no maintenance, so only the plumbing
-    // differs — and plumbing must not show up in results.
-    EXPECT_EQ(runShimHost(host::AnonMode::ZSWAP),
-              runShimHost(tier::TierChainSpec::parse("zswap")));
-    EXPECT_EQ(runShimHost(host::AnonMode::SWAP_SSD),
-              runShimHost(tier::TierChainSpec::parse("ssd")));
+    // A one-tier chain has a single placement target and never
+    // schedules maintenance, so the placement key must not show up in
+    // results. This is what lets one-tier call sites drop the key.
+    for (const std::string tiers : {"zswap", "ssd"}) {
+        const auto hotness = runOneTierHost(tiers);
+        EXPECT_EQ(hotness,
+                  runOneTierHost(tiers + ";placement=workingset"))
+            << tiers;
+        EXPECT_GT(hotness[2], 0.0) << tiers << ": nothing swapped out";
+    }
 }
 
 // --- per-tier observability --------------------------------------------------
@@ -453,6 +490,27 @@ TEST(TierMetricsTest, SpecChainsExportPerTierSeries)
     ASSERT_NE(pages0, nullptr);
     ASSERT_FALSE(pages0->samples().empty());
     EXPECT_GT(pages0->samples().back().value, 0.0);
+
+    // Every chain exports these series, whatever its length or
+    // placement; an app without a chain exports none.
+    for (const std::string tiers :
+         {"zswap", "zswap+ssd;placement=workingset", "none"}) {
+        const auto spec = tier::TierChainSpec::parse(tiers);
+        sim::Simulation other_sim;
+        host::Host other(other_sim, hostConfig());
+        const std::string other_prefix =
+            "app." + other.addApp(profile, spec).cgroup().name() + ".";
+        other.enableMetrics(6 * sim::SEC);
+        other.sampler()->sampleOnce();
+        const auto has = [&](const std::string &name) {
+            return other.sampler()->find(other_prefix + name) != nullptr;
+        };
+        EXPECT_EQ(has("tier.0.pages"), spec.size() >= 1) << tiers;
+        EXPECT_EQ(has("tier.1.bytes"), spec.size() >= 2) << tiers;
+        EXPECT_FALSE(has("tier.2.pages")) << tiers;
+        EXPECT_EQ(has("tier.demoted"), !spec.empty()) << tiers;
+        EXPECT_EQ(has("tier.promote_p99_us"), !spec.empty()) << tiers;
+    }
 }
 
 // --- tier faults -------------------------------------------------------------

@@ -27,6 +27,14 @@ hostConfig()
     return config;
 }
 
+/** The §5.2 hierarchy: working-set pages to the zswap warm tier, all
+ *  others to the SSD cold tier, with no background movement. */
+tier::TierChainSpec
+tiered()
+{
+    return tier::TierChainSpec::parse("zswap+ssd;placement=workingset");
+}
+
 } // namespace
 
 // --- NVM backend -------------------------------------------------------------
@@ -86,13 +94,13 @@ TEST(NvmBackendTest, CapacityEnforced)
     EXPECT_DOUBLE_EQ(nvm.utilization(), 1.0);
 }
 
-TEST(NvmBackendTest, HostAnonModeNvm)
+TEST(NvmBackendTest, HostNvmTier)
 {
     sim::Simulation simulation;
     host::Host machine(simulation, hostConfig());
     auto &app = machine.addApp(
         workload::appPreset("ads_a", 512ull << 20),
-        host::AnonMode::NVM);
+        tier::TierChainSpec::parse("nvm"));
     machine.start();
     app.start();
     simulation.runUntil(5 * sim::SEC);
@@ -110,7 +118,7 @@ TEST(TieredTest, ColdPagesGoToSsdWarmToZswap)
     sim::Simulation simulation;
     host::Host machine(simulation, hostConfig());
     auto profile = workload::appPreset("feed", 512ull << 20);
-    auto &app = machine.addApp(profile, host::AnonMode::TIERED);
+    auto &app = machine.addApp(profile, tiered());
     machine.start();
     app.start();
     simulation.runUntil(5 * sim::SEC);
@@ -146,7 +154,7 @@ TEST(TieredTest, IncompressibleFallsThroughToSsd)
     // Incompressible workload: the zswap tier rejects; the tiered
     // policy must still make progress through the SSD.
     auto profile = workload::appPreset("ads_b", 512ull << 20);
-    auto &app = machine.addApp(profile, host::AnonMode::TIERED);
+    auto &app = machine.addApp(profile, tiered());
     machine.memory().memcgOf(app.cgroup()).compressibility = 1.0;
     machine.start();
     app.start();
@@ -169,7 +177,7 @@ TEST(TieredTest, PoolCapBoundsZswapDram)
     config.zswap.maxPoolBytes = 8ull << 20; // tiny warm tier
     host::Host machine(simulation, config);
     auto profile = workload::appPreset("feed", 512ull << 20);
-    auto &app = machine.addApp(profile, host::AnonMode::TIERED);
+    auto &app = machine.addApp(profile, tiered());
     machine.start();
     app.start();
     simulation.runUntil(5 * sim::SEC);
@@ -186,7 +194,7 @@ TEST(TieredTest, LoadsResolveFromTheRightTier)
     sim::Simulation simulation;
     host::Host machine(simulation, hostConfig());
     auto profile = workload::appPreset("feed", 256ull << 20);
-    auto &app = machine.addApp(profile, host::AnonMode::TIERED);
+    auto &app = machine.addApp(profile, tiered());
     machine.start();
     app.start();
     simulation.runUntil(5 * sim::SEC);
@@ -219,7 +227,7 @@ TEST(TieredTest, SenpaiWorksUnchangedOnTieredBackend)
     sim::Simulation simulation;
     host::Host machine(simulation, hostConfig());
     auto profile = workload::appPreset("feed", 512ull << 20);
-    auto &app = machine.addApp(profile, host::AnonMode::TIERED);
+    auto &app = machine.addApp(profile, tiered());
     machine.start();
     app.start();
     core::Senpai senpai(simulation, machine.memory(), app.cgroup());

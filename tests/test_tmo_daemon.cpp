@@ -60,10 +60,10 @@ TEST(TmoDaemonTest, ManagesMultipleContainers)
 
     auto &app = machine.addApp(
         workload::appPreset("feed", 512ull << 20),
-        host::AnonMode::ZSWAP);
+        tier::TierChainSpec::parse("zswap"));
     auto &tax = machine.addApp(
         workload::sidecarPreset("dc_logging", 128ull << 20),
-        host::AnonMode::ZSWAP);
+        tier::TierChainSpec::parse("zswap"));
     tax.cgroup().setPriority(cgroup::Priority::LOW);
 
     machine.start();
@@ -95,10 +95,10 @@ TEST(TmoDaemonTest, LowPriorityTaxYieldsMoreRelativeSavings)
     auto profile = workload::sidecarPreset("dc_profiling",
                                            256ull << 20);
     profile.name = "tax";
-    auto &tax = machine.addApp(profile, host::AnonMode::ZSWAP);
+    auto &tax = machine.addApp(profile, tier::TierChainSpec::parse("zswap"));
     tax.cgroup().setPriority(cgroup::Priority::LOW);
     profile.name = "svc";
-    auto &svc = machine.addApp(profile, host::AnonMode::ZSWAP);
+    auto &svc = machine.addApp(profile, tier::TierChainSpec::parse("zswap"));
     svc.cgroup().setPriority(cgroup::Priority::HIGH);
 
     machine.start();

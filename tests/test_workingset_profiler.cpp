@@ -44,7 +44,7 @@ TEST(WorkingsetProfilerTest, SamplesResidentAndPressure)
     host::Host machine(simulation, hostConfig());
     auto &app = machine.addApp(
         workload::appPreset("feed", 1ull << 30),
-        host::AnonMode::ZSWAP);
+        tier::TierChainSpec::parse("zswap"));
     machine.start();
     app.start();
     core::WorkingsetProfiler profiler(simulation, app.cgroup());
@@ -68,7 +68,7 @@ TEST(WorkingsetProfilerTest, ColdSeriesSampledWhenMemoryAttached)
     host::Host machine(simulation, hostConfig());
     auto &app = machine.addApp(
         workload::appPreset("analytics", 1ull << 30), // 56% cold
-        host::AnonMode::ZSWAP);
+        tier::TierChainSpec::parse("zswap"));
     machine.start();
     app.start();
     core::WorkingsetProfiler profiler(simulation, app.cgroup());
@@ -103,7 +103,7 @@ TEST(WorkingsetProfilerTest, RevealsOverprovisioningUnderSenpai)
     host::Host machine(simulation, hostConfig());
     auto &app = machine.addApp(
         workload::appPreset("analytics", 1ull << 30), // 56% cold
-        host::AnonMode::ZSWAP);
+        tier::TierChainSpec::parse("zswap"));
     machine.start();
     app.start();
 

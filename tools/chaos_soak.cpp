@@ -199,7 +199,7 @@ main(int argc, char **argv)
                              .ram_mb(512)
                              .page_kb(64)
                              .seed(seed)
-                             .backend(host::AnonMode::SWAP_SSD)
+                             .tiers("ssd")
                              .workload("feed", 256)
                              .controller(host::controllerFactoryFor(
                                  "senpai", {}))

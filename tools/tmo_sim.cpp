@@ -3,14 +3,15 @@
  * tmo_sim — command-line scenario driver.
  *
  * Runs one workload on a simulated host — or a sharded fleet of them —
- * under a chosen offload backend and controller, printing a per-minute
- * series and a final summary. Handy for exploring configurations
- * without writing code:
+ * under a chosen offload tier chain and controller, printing a
+ * per-minute series and a final summary. Handy for exploring
+ * configurations without writing code:
  *
- *   tmo_sim --app web --backend zswap --controller senpai --minutes 60
- *   tmo_sim --app ads_b --backend ssd --ssd-class B --csv
+ *   tmo_sim --app web --tiers zswap --controller senpai --minutes 60
+ *   tmo_sim --app ads_b --tiers ssd --ssd-class B --csv
+ *   tmo_sim --app web --tiers "zswap+ssd;placement=workingset"
  *   tmo_sim --hosts 64 --jobs 8 --minutes 60        # fleet percentiles
- *   tmo_sim --backend ssd --fault-plan faults.txt   # scripted bad day
+ *   tmo_sim --tiers ssd --fault-plan faults.txt     # scripted bad day
  *   tmo_sim --hosts 16 --chaos 7                    # random faults/host
  *
  * With --hosts > 1 each host runs on its own shard clock (seeded by
@@ -21,12 +22,12 @@
  *   --app NAME           workload preset [feed]
  *   --footprint-mb N     workload footprint [1024]
  *   --ram-mb N           host DRAM [2048]
- *   --tiers SPEC         anon tier chain, fastest first, e.g.
- *                        zswap:256mb+ssd or zswap+zswap:1gb+nvm
- *                        ("none" disables anon offloading)
- *   --backend B          none|ssd|zswap|nvm|cxl|tiered [zswap]
- *                        (deprecated; use --tiers — each mode is a
- *                        one- or two-tier chain)
+ *   --tiers SPEC         anon tier chain, fastest first [zswap], e.g.
+ *                        ssd, zswap:256mb+ssd or zswap+zswap:1gb+nvm
+ *                        ("none" disables anon offloading); append
+ *                        ";placement=workingset" for the two-tier
+ *                        working-set hierarchy without background
+ *                        movement (default placement=hotness)
  *   --ssd-class C        SSD device class A-G [C]
  *   --zswap-compressor C lzo|lz4|zstd [zstd]
  *   --zswap-allocator A  zbud|z3fold|zsmalloc [zsmalloc]
@@ -91,9 +92,8 @@ struct Options {
     /** Simulated page size; smaller pages scale the per-host page
      *  count up without scaling footprint (fleet-scale smoke). */
     std::uint64_t pageKb = 64;
-    std::string backend = "zswap";
-    /** Tier chain spec ("zswap:256mb+ssd"); empty = use backend. */
-    std::string tiers;
+    /** Tier chain spec ("zswap:256mb+ssd"), validated at parse time. */
+    std::string tiers = "zswap";
     char ssdClass = 'C';
     std::string zswapCompressor = "zstd";
     std::string zswapAllocator = "zsmalloc";
@@ -132,9 +132,8 @@ usage()
     std::cerr
         << "usage: tmo_sim [--app NAME] [--footprint-mb N] "
            "[--ram-mb N] [--page-kb N]\n"
-           "               [--tiers SPEC e.g. zswap:256mb+ssd]\n"
-           "               [--backend none|ssd|zswap|nvm|cxl|tiered "
-           "(deprecated; use --tiers)]\n"
+           "               [--tiers SPEC e.g. zswap:256mb+ssd or "
+           "zswap+ssd;placement=workingset]\n"
            "               [--ssd-class A-G]\n"
            "               [--controller "
            "none|senpai|senpai-aggressive|senpai-slo|tmo|gswap]\n"
@@ -153,22 +152,6 @@ usage()
            "[--metrics-interval-sec N]\n"
            "               [--restart-max N] "
            "[--restart-backoff-sec N]\n";
-}
-
-std::optional<host::AnonMode>
-backendMode(const std::string &name)
-{
-    if (name == "none")
-        return host::AnonMode::NONE;
-    if (name == "ssd")
-        return host::AnonMode::SWAP_SSD;
-    if (name == "zswap")
-        return host::AnonMode::ZSWAP;
-    if (name == "nvm" || name == "cxl")
-        return host::AnonMode::NVM;
-    if (name == "tiered")
-        return host::AnonMode::TIERED;
-    return std::nullopt;
 }
 
 bool
@@ -203,20 +186,9 @@ parse(int argc, char **argv, Options &options)
                 std::cerr << "tmo_sim: --page-kb must be >= 1\n";
                 return false;
             }
-        } else if (flag == "--backend") {
-            // Validate now, not after the fleet is built: a typo must
-            // fail fast with a named error.
-            options.backend = value;
-            if (!backendMode(options.backend)) {
-                std::cerr << "tmo_sim: unknown backend '"
-                          << options.backend
-                          << "' (expected none|ssd|zswap|nvm|cxl|"
-                             "tiered)\n";
-                return false;
-            }
         } else if (flag == "--tiers") {
-            // Same fail-fast rule: a malformed chain spec dies here
-            // with the parser's named error, never mid-build.
+            // Validate now, not after the fleet is built: a malformed
+            // chain spec dies here with the parser's named error.
             options.tiers = value;
             std::string error;
             if (!tier::isValidTierChainSpec(options.tiers, &error)) {
@@ -482,10 +454,7 @@ printSingleHostSummary(host::Fleet &fleet, host::Host &machine,
     stats::Table table("summary");
     table.setHeader({"metric", "value"});
     table.addRow({"app", options.app});
-    table.addRow(options.tiers.empty()
-                     ? std::vector<std::string>{"backend",
-                                                options.backend}
-                     : std::vector<std::string>{"tiers", options.tiers});
+    table.addRow({"tiers", options.tiers});
     table.addRow({"controller", machine.controller()
                                     ? machine.controller()->name()
                                     : "none"});
@@ -557,10 +526,7 @@ printFleetSummary(
     table.setHeader({"metric", "value"});
     table.addRow({"hosts", std::to_string(fleet.size())});
     table.addRow({"app", options.app});
-    table.addRow(options.tiers.empty()
-                     ? std::vector<std::string>{"backend",
-                                                options.backend}
-                     : std::vector<std::string>{"tiers", options.tiers});
+    table.addRow({"tiers", options.tiers});
     table.addRow({"controller", fleet.host(0).controller()
                                     ? fleet.host(0).controller()->name()
                                     : "none"});
@@ -661,12 +627,8 @@ main(int argc, char **argv)
     base_config.zswap.allocator =
         backend::allocatorPreset(options.zswapAllocator);
 
-    // --tiers wins over the deprecated --backend when both are given;
-    // "cxl" anywhere in the selection picks the CXL-DRAM NVM preset.
-    const bool use_tiers = !options.tiers.empty();
-    const bool wants_cxl =
-        use_tiers ? options.tiers.find("cxl") != std::string::npos
-                  : options.backend == "cxl";
+    // "cxl" anywhere in the chain picks the CXL-DRAM NVM preset.
+    const bool wants_cxl = options.tiers.find("cxl") != std::string::npos;
 
     host::Fleet fleet;
     try {
@@ -682,13 +644,10 @@ main(int argc, char **argv)
                 .ssd_class(options.ssdClass)
                 .nvm_preset(wants_cxl ? "cxl-dram" : "optane")
                 .seed(options.seed)
+                .tiers(options.tiers)
                 .workload(options.app, options.footprintMb)
                 .controller(host::controllerFactoryFor(
                     options.controller, controller_options));
-        if (use_tiers)
-            spec.tiers(options.tiers);
-        else
-            spec.backend(*backendMode(options.backend));
         if (!options.traceRps.empty())
             spec.traffic(options.traceRps);
         fleet = spec.build();
