@@ -338,7 +338,7 @@ MemoryManager::newPage(cgroup::Cgroup &cg, bool anon, bool resident,
 }
 
 AccessResult
-MemoryManager::access(PageIdx idx, sim::SimTime now)
+MemoryManager::accessSlow(PageIdx idx, sim::SimTime now)
 {
     AccessResult result;
     Page &page = pages_[idx];
@@ -347,30 +347,18 @@ MemoryManager::access(PageIdx idx, sim::SimTime now)
     idleFresh_ = false;
 
     if (page.where == Where::RAM) {
-        // Hit: second-chance / activation bookkeeping.
-        if (page.lru == LruKind::INACTIVE_ANON ||
-            page.lru == LruKind::INACTIVE_FILE) {
-            if (page.referenced()) {
-                // Second touch while inactive: promote.
-                const LruKind active = page.isAnon()
-                                           ? LruKind::ACTIVE_ANON
-                                           : LruKind::ACTIVE_FILE;
-                mcg.lru.detach(pages_, idx);
-                mcg.lru.attachHead(pages_, idx, active);
-                page.flags &= ~PG_REFERENCED;
-                ++mcg.cg->stats().pgactivate;
-                // Activation is the cheap warmth signal feeding
-                // tiered placement (a fault later adds more heat).
-                if (page.isAnon() && mcg.anonChain)
-                    touchHeat(page,
-                              heatEpochAt(now, config_.heatDecayPeriod),
-                              1);
-            } else {
-                page.flags |= PG_REFERENCED;
-            }
-        } else {
-            page.flags |= PG_REFERENCED;
-        }
+        // Second touch while inactive: promote. access() took every
+        // other resident touch.
+        const LruKind active =
+            page.isAnon() ? LruKind::ACTIVE_ANON : LruKind::ACTIVE_FILE;
+        mcg.lru.detach(pages_, idx);
+        mcg.lru.attachHead(pages_, idx, active);
+        page.flags &= ~PG_REFERENCED;
+        ++mcg.cg->stats().pgactivate;
+        // Activation is the cheap warmth signal feeding tiered
+        // placement (a fault later adds more heat).
+        if (page.isAnon() && mcg.anonChain)
+            touchHeat(page, heatEpochAt(now, config_.heatDecayPeriod), 1);
         return result;
     }
 

@@ -315,8 +315,27 @@ class MemoryManager
     /**
      * Touch a page: LRU bookkeeping on hit, full fault path on miss
      * (backend read, refault detection, residency charge).
+     *
+     * Inline for the common case, a resident page that stays on its
+     * list: an active page, or an inactive one on its first touch
+     * since the last scan. It only gets its stamp and the referenced
+     * bit and ends idleBreakdown()'s reuse, at no stall. A second
+     * touch while inactive (activation) and every non-resident page
+     * take accessSlow().
      */
-    AccessResult access(PageIdx idx, sim::SimTime now);
+    AccessResult
+    access(PageIdx idx, sim::SimTime now)
+    {
+        Page &page = pages_[idx];
+        const bool inactive = page.lru == LruKind::INACTIVE_ANON ||
+                              page.lru == LruKind::INACTIVE_FILE;
+        if (page.where != Where::RAM || (inactive && page.referenced()))
+            return accessSlow(idx, now);
+        page.lastAccess = now;
+        page.flags |= PG_REFERENCED;
+        idleFresh_ = false;
+        return AccessResult{};
+    }
 
     /** Release a page entirely (workload freed the memory). */
     void freePage(PageIdx idx);
@@ -445,6 +464,10 @@ class MemoryManager
 
   private:
     friend struct ReclaimPass;
+
+    /** access() for a touch that moves the page: the activation of a
+     *  referenced inactive page, or the fault of a non-resident one. */
+    AccessResult accessSlow(PageIdx idx, sim::SimTime now);
 
     /** Direct-reclaim path: make room for @p bytes of new residency. */
     sim::SimTime ensureRoom(std::uint64_t bytes, sim::SimTime now);

@@ -22,12 +22,6 @@ splitmix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t s)
@@ -44,48 +38,10 @@ Rng::seed(std::uint64_t s)
     hasCachedNormal_ = false;
 }
 
-std::uint64_t
-Rng::next()
-{
-    // xoshiro256** core step.
-    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const std::uint64_t t = state_[1] << 17;
-
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-
-    return result;
-}
-
-double
-Rng::uniform()
-{
-    // 53 random mantissa bits -> [0, 1).
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
 double
 Rng::uniform(double lo, double hi)
 {
     return lo + (hi - lo) * uniform();
-}
-
-std::uint64_t
-Rng::uniformInt(std::uint64_t n)
-{
-    assert(n > 0);
-    // Rejection sampling to avoid modulo bias: reject r below
-    // (2^64 - n) % n. That threshold is below n, so any r >= n is
-    // accepted without the divide computing it.
-    for (;;) {
-        const std::uint64_t r = next();
-        if (r >= n || r >= (0 - n) % n)
-            return r % n;
-    }
 }
 
 bool

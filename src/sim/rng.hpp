@@ -12,6 +12,7 @@
 
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -31,17 +32,48 @@ class Rng
     /** Re-seed the generator, resetting all state. */
     void seed(std::uint64_t seed);
 
-    /** Next raw 64-bit value. */
-    std::uint64_t next();
+    /** Next raw 64-bit value (the xoshiro256** core step). */
+    std::uint64_t
+    next()
+    {
+        const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+        const std::uint64_t t = state_[1] << 17;
+
+        state_[2] ^= state_[0];
+        state_[3] ^= state_[1];
+        state_[1] ^= state_[2];
+        state_[0] ^= state_[3];
+        state_[2] ^= t;
+        state_[3] = rotl(state_[3], 45);
+
+        return result;
+    }
 
     /** Uniform double in [0, 1). */
-    double uniform();
+    double
+    uniform()
+    {
+        // 53 random mantissa bits -> [0, 1).
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** Uniform double in [lo, hi). */
     double uniform(double lo, double hi);
 
     /** Uniform integer in [0, n). Requires n > 0. */
-    std::uint64_t uniformInt(std::uint64_t n);
+    std::uint64_t
+    uniformInt(std::uint64_t n)
+    {
+        assert(n > 0);
+        // Rejection sampling to avoid modulo bias: reject r below
+        // (2^64 - n) % n. That threshold is below n, so any r >= n is
+        // accepted without the divide computing it.
+        for (;;) {
+            const std::uint64_t r = next();
+            if (r >= n || r >= (0 - n) % n)
+                return r % n;
+        }
+    }
 
     /** Bernoulli trial with success probability p. */
     bool chance(double p);
@@ -66,6 +98,12 @@ class Rng
     double lognormalMedianP99(double median, double p99_over_median);
 
   private:
+    static std::uint64_t
+    rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     std::uint64_t state_[4];
     double cachedNormal_;
     bool hasCachedNormal_;

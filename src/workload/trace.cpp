@@ -112,6 +112,14 @@ TraceWorkload::tick()
 std::vector<TraceRecord>
 synthesizeTrace(const TraceSynthesisConfig &config, std::uint64_t seed)
 {
+    // An empty address space has no page to scan, and a working set
+    // larger than it puts the shifted phase below page 0.
+    if (config.pages == 0)
+        throw std::invalid_argument("synthesizeTrace: pages must be > 0");
+    if (!(config.workingSetFraction > 0.0 &&
+          config.workingSetFraction <= 1.0))
+        throw std::invalid_argument(
+            "synthesizeTrace: workingSetFraction must be in (0, 1]");
     sim::Rng rng(seed);
     const auto ws_pages = std::max<std::uint64_t>(
         1, static_cast<std::uint64_t>(

@@ -124,6 +124,9 @@ struct TraceSynthesisConfig {
  * Generate a synthetic trace: Zipf-skewed accesses over a working set
  * plus a uniform scan tail, with an optional mid-trace working-set
  * shift. Sorted by time, deterministic for a given seed.
+ *
+ * @throws std::invalid_argument when pages is 0 or
+ *         workingSetFraction is outside (0, 1].
  */
 std::vector<TraceRecord> synthesizeTrace(const TraceSynthesisConfig &config,
                                          std::uint64_t seed);

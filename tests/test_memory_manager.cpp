@@ -6,12 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "backend/filesystem.hpp"
 #include "backend/ssd.hpp"
 #include "backend/swap_backend.hpp"
 #include "backend/zswap.hpp"
 #include "cgroup/cgroup.hpp"
 #include "mem/memory_manager.hpp"
+#include "tier/tier_chain.hpp"
 
 using namespace tmo;
 
@@ -119,6 +123,133 @@ TEST_F(MemoryManagerTest, SecondTouchActivates)
     mm.access(idx, 2 * sim::SEC);   // promotes
     EXPECT_EQ(mm.pages()[idx].lru, mem::LruKind::ACTIVE_ANON);
     EXPECT_EQ(cg->stats().pgactivate, 1u);
+}
+
+namespace
+{
+
+/** One row of the access() transition table: the state of a page
+ *  before one touch, and what the touch leaves. The page is a file
+ *  page on the file lists and in FS, and anonymous everywhere else. */
+struct AccessRow {
+    const char *state;
+    // Before the touch.
+    mem::Where where;
+    /** NONE unless resident. */
+    mem::LruKind lru;
+    bool referenced;
+    /** Evicted earlier, so the page holds a shadow entry. */
+    bool shadow;
+    // After it. The touch also makes the page resident and stamps
+    // it; it faults exactly when the page was not resident, and
+    // counts an activation exactly when a resident page moves lists.
+    mem::LruKind lruAfter;
+    std::uint8_t flagsAfter;
+    bool refault;
+};
+
+} // namespace
+
+TEST_F(MemoryManagerTest, AccessTransitionTable)
+{
+    // One touch from every state a page can be in. The expected
+    // transitions are those of access() as one function, before its
+    // hit path moved inline: the inline path and accessSlow() must
+    // split them without changing any.
+    using enum mem::Where;
+    constexpr auto IA = mem::LruKind::INACTIVE_ANON;
+    constexpr auto AA = mem::LruKind::ACTIVE_ANON;
+    constexpr auto IF = mem::LruKind::INACTIVE_FILE;
+    constexpr auto AF = mem::LruKind::ACTIVE_FILE;
+    constexpr auto NONE = mem::LruKind::NONE;
+    constexpr std::uint8_t ANON = mem::PG_ANON;
+    constexpr std::uint8_t REF = mem::PG_REFERENCED;
+    constexpr std::uint8_t WS = mem::PG_WORKINGSET;
+    const AccessRow rows[] = {
+        // Resident (+ref: PG_REFERENCED set): the inline hit path,
+        // except a second touch while inactive, which activates.
+        {"inactive anon", RAM, IA, false, false, IA, ANON | REF, false},
+        {"inactive anon+ref", RAM, IA, true, false, AA, ANON, false},
+        {"active anon", RAM, AA, false, false, AA, ANON | REF, false},
+        {"active anon+ref", RAM, AA, true, false, AA, ANON | REF, false},
+        {"inactive file", RAM, IF, false, false, IF, REF, false},
+        {"inactive file+ref", RAM, IF, true, false, AF, 0, false},
+        {"active file", RAM, AF, false, false, AF, REF, false},
+        {"active file+ref", RAM, AF, true, false, AF, REF, false},
+        // Not resident: the fault path. A swap-in or file read within
+        // the reuse distance is a working-set refault.
+        {"zswap", ZSWAP, NONE, false, true, AA, ANON | WS, true},
+        {"swap", SWAP, NONE, false, true, AA, ANON | WS, true},
+        {"fs evicted", FS, NONE, false, true, AF, WS, true},
+        {"fs never read", FS, NONE, false, false, IF, 0, false},
+        {"lost", LOST, NONE, false, false, IA, ANON, false},
+    };
+
+    // Two tiers, so that maintenance evacuates them once both go
+    // offline: the only way a page becomes LOST.
+    tier::TierChain chain("zswap+swap", {&zswap, &swap},
+                          tier::TierChainConfig{});
+    const sim::SimTime now = sim::MINUTE;
+    int n = 0;
+    for (const AccessRow &row : rows) {
+        SCOPED_TRACE(row.state);
+        // A cgroup per row, so that reclaim takes exactly its page.
+        auto &c = tree.create("row" + std::to_string(n++));
+        if (row.where == LOST)
+            mm.attachChain(c, &chain, &fs);
+        else if (row.where == SWAP)
+            mm.attach(c, &swap, &fs);
+        else
+            mm.attach(c, &zswap, &fs);
+
+        mem::PageIdx idx = mem::NO_PAGE;
+        if (row.where == FS && !row.shadow) {
+            idx = mm.newPage(c, false, false, 0);
+        } else {
+            // New pages start inactive and unreferenced.
+            const bool file =
+                row.where == FS || row.lru == IF || row.lru == AF;
+            idx = mm.newPage(c, !file, true, 0);
+            if (mem::lruIsActive(row.lru)) {
+                mm.access(idx, 1 * sim::SEC); // referenced
+                mm.access(idx, 2 * sim::SEC); // activated, bit cleared
+            }
+            if (row.referenced)
+                mm.access(idx, 3 * sim::SEC);
+            if (row.where != RAM) {
+                ASSERT_EQ(mm.reclaim(c, PAGE, 4 * sim::SEC).reclaimedBytes,
+                          PAGE);
+            }
+            if (row.where == LOST) {
+                // Neither tier survives to take the page.
+                chain.setTierOffline(0, true, 5 * sim::SEC);
+                chain.setTierOffline(1, true, 5 * sim::SEC);
+                mm.tierMaintain(c, 5 * sim::SEC);
+            }
+        }
+        const mem::Page &before = mm.pages()[idx];
+        ASSERT_EQ(before.where, row.where);
+        ASSERT_EQ(before.lru, row.lru);
+        ASSERT_EQ(before.referenced(), row.referenced);
+        ASSERT_EQ(mm.shadowAge(idx) != 0, row.shadow);
+
+        const auto activations = c.stats().pgactivate;
+        const auto result = mm.access(idx, now);
+        const mem::Page &after = mm.pages()[idx];
+        EXPECT_EQ(after.where, RAM);
+        EXPECT_EQ(after.lru, row.lruAfter);
+        EXPECT_EQ(static_cast<unsigned>(after.flags),
+                  static_cast<unsigned>(row.flagsAfter));
+        EXPECT_EQ(after.lastAccess, now);
+        const bool activates = row.where == RAM && row.lruAfter != row.lru;
+        EXPECT_EQ(c.stats().pgactivate - activations, activates ? 1u : 0u);
+        EXPECT_EQ(result.faulted, row.where != RAM);
+        EXPECT_EQ(result.refault, row.refault);
+        if (row.where == RAM) {
+            EXPECT_EQ(result.memStall, 0u);
+            EXPECT_EQ(result.ioStall, 0u);
+        }
+    }
 }
 
 TEST_F(MemoryManagerTest, SwapOutAndSwapInSsd)
@@ -430,9 +561,10 @@ TEST_F(MemoryManagerTest, IdleBreakdownMatchesBruteForceRecount)
 
 TEST_F(MemoryManagerTest, IdleBreakdownReuseEndsAtEveryPageChange)
 {
-    // Queries at one instant reuse one sweep. An attach, access,
-    // newPage or freePage at that same instant must end the reuse:
-    // each step below changes the counts a stale reuse would serve.
+    // Queries at one instant reuse one sweep. An attach, access (a
+    // hit, an activation or a fault), newPage or freePage at that same
+    // instant must end the reuse: each step below changes the counts
+    // a stale reuse would serve.
     mm.attach(*cg, &zswap, &fs, 4.0);
     std::vector<mem::PageIdx> live;
     for (int i = 0; i < 40; ++i)
@@ -440,7 +572,29 @@ TEST_F(MemoryManagerTest, IdleBreakdownReuseEndsAtEveryPageChange)
     const auto now = 10 * sim::MINUTE;
     expectIdleRecount(mm, *cg, live, now); // all 40 pages cold
 
-    mm.access(live[0], now);
+    mm.access(live[0], now); // plain hit: the inline path
+    expectIdleRecount(mm, *cg, live, now);
+
+    // A second touch while inactive activates through accessSlow().
+    mm.access(live[1], 0); // referenced, and still cold at now
+    expectIdleRecount(mm, *cg, live, now);
+    mm.access(live[1], now);
+    ASSERT_EQ(mm.pages()[live[1]].lru, mem::LruKind::ACTIVE_ANON);
+    expectIdleRecount(mm, *cg, live, now);
+
+    // So does a swap-in fault. Reclaim itself leaves every stamp, and
+    // with it the counts, as they were.
+    mm.reclaim(*cg, PAGE, now);
+    const auto swapped =
+        std::find_if(live.begin(), live.end(), [this](mem::PageIdx idx) {
+            return mm.pages()[idx].where == mem::Where::ZSWAP;
+        });
+    ASSERT_NE(swapped, live.end());
+    ASSERT_LT(mm.pages()[*swapped].lastAccess, now - sim::MINUTE);
+    expectIdleRecount(mm, *cg, live, now);
+    const auto pswpin = cg->stats().pswpin;
+    mm.access(*swapped, now);
+    ASSERT_EQ(cg->stats().pswpin, pswpin + 1);
     expectIdleRecount(mm, *cg, live, now);
 
     live.push_back(mm.newPage(*cg, true, true, now));

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
 #include "backend/filesystem.hpp"
 #include "backend/ssd.hpp"
 #include "backend/zswap.hpp"
@@ -28,6 +31,21 @@ hostConfig()
     config.mem.ramBytes = 1ull << 30;
     config.mem.pageBytes = PAGE;
     return config;
+}
+
+/** Expect synthesizeTrace(@p config) to throw std::invalid_argument
+ *  whose message names @p field. */
+void
+expectRejects(const workload::TraceSynthesisConfig &config,
+              const std::string &field)
+{
+    try {
+        workload::synthesizeTrace(config, 1);
+        ADD_FAILURE() << "no error naming " << field;
+    } catch (const std::invalid_argument &err) {
+        EXPECT_NE(std::string(err.what()).find(field), std::string::npos)
+            << err.what();
+    }
 }
 
 } // namespace
@@ -79,6 +97,31 @@ TEST(TraceSynthesisTest, PhaseShiftMovesWorkingSet)
         }
     }
     EXPECT_EQ(late_high, late_total); // second phase uses the far region
+}
+
+TEST(TraceSynthesisTest, RejectsEmptyAddressSpace)
+{
+    // With no page to pick, the scan tail would draw from [0, 0).
+    workload::TraceSynthesisConfig config;
+    config.pages = 0;
+    expectRejects(config, "pages");
+}
+
+TEST(TraceSynthesisTest, RejectsWorkingSetFractionOutsideUnitInterval)
+{
+    // A working set larger than the address space would put the
+    // shifted phase below page 0, where the base wraps.
+    workload::TraceSynthesisConfig config;
+    config.phaseShift = true;
+    for (const double fraction : {1.5, 0.0, -0.25, std::nan("")}) {
+        config.workingSetFraction = fraction;
+        expectRejects(config, "workingSetFraction");
+    }
+    // The whole address space is a valid working set.
+    config.workingSetFraction = 1.0;
+    config.duration = sim::MINUTE;
+    for (const auto &record : workload::synthesizeTrace(config, 2))
+        ASSERT_LT(record.page, config.pages);
 }
 
 TEST(TraceWorkloadTest, RejectsMalformedTraces)
