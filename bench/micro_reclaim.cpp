@@ -163,21 +163,24 @@ BENCHMARK(BM_MemcgLookup)->Arg(4)->Arg(64)->Arg(1024);
 void
 BM_IdleBreakdown(benchmark::State &state)
 {
-    // The working-set profiler's per-interval poll of every cgroup:
-    // one page-table sweep per poll instant serves all 64, so cost
-    // tracks the page-table size divided by the cgroup count.
+    // The working-set profiler's per-interval poll of every cgroup at
+    // whole seconds: the generation counts answer each poll by summing
+    // a few hundred generations, whatever the page-table size.
     MultiSetup setup(64, static_cast<std::size_t>(state.range(0)));
     // Touch 1/64th of the pages "now"; the rest stay cold.
-    sim::SimTime now = sim::HOUR;
+    const sim::SimTime now = sim::HOUR;
     for (std::size_t i = 0; i < setup.pages.size() / 64; ++i)
         setup.mm->access(setup.pages[i], now);
+    // The one page-table walk that starts the counts stays untimed.
+    benchmark::DoNotOptimize(setup.mm->idleBreakdown(*setup.cgs[0], now));
     std::size_t c = 0;
     for (auto _ : state) {
-        // A new instant (1 ns later) per round over the cgroups.
-        if (c % setup.cgs.size() == 0)
-            ++now;
+        // One whole second per round over the cgroups, within a minute
+        // of the warm stamps so every bucket has generations to sum.
+        const std::size_t round = c / setup.cgs.size();
+        const sim::SimTime at = now + (1 + round % 60) * sim::SEC;
         benchmark::DoNotOptimize(setup.mm->idleBreakdown(
-            *setup.cgs[c % setup.cgs.size()], now));
+            *setup.cgs[c % setup.cgs.size()], at));
         ++c;
     }
 }

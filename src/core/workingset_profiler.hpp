@@ -85,9 +85,9 @@ class WorkingsetProfiler
 
     /**
      * Also sample the cgroup's idle-age breakdown (Fig. 2 coldness)
-     * every interval from @p mm. Each poll instant costs the memory
-     * manager one page-table sweep, which other cgroups polled at
-     * that instant reuse while no page changes. nullptr detaches.
+     * every interval from @p mm. A poll at a whole second sums the
+     * memory manager's generation counts; one at any other instant
+     * walks its page table. nullptr detaches.
      */
     void attachMemory(mem::MemoryManager *mm) { mm_ = mm; }
 

@@ -1,6 +1,7 @@
 #include "fault/fault_plan.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -38,6 +39,11 @@ constexpr KindName KIND_NAMES[] = {
 static_assert(sizeof(KIND_NAMES) / sizeof(KIND_NAMES[0]) ==
               NUM_FAULT_KINDS);
 
+/** Upper bound of t (about 31.7 years) and of |arg| in any of its
+ *  units (seconds, MiB, microseconds, a tier index): each converts to
+ *  SimTime or bytes far below 2^64. */
+constexpr double MAX_NUMBER = 1e9;
+
 [[noreturn]] void
 parseError(std::size_t line, const std::string &what)
 {
@@ -63,6 +69,9 @@ parseNumber(std::size_t line, const std::string &token,
     }
     if (used != text.size())
         parseError(line, "trailing junk in " + token + "=" + text);
+    if (!std::isfinite(value))
+        parseError(line, token + " must be finite, got " + token + "=" +
+                             text);
     return value;
 }
 
@@ -113,6 +122,9 @@ FaultPlan::parse(std::istream &in)
                 const double sec = parseNumber(line_no, key, value);
                 if (sec < 0.0)
                     parseError(line_no, "t must be >= 0");
+                if (sec > MAX_NUMBER)
+                    parseError(line_no, "t must be <= 1e9 seconds, got t=" +
+                                            value);
                 event.at = sim::fromSeconds(sec);
                 have_time = true;
             } else if (key == "kind") {
@@ -124,6 +136,9 @@ FaultPlan::parse(std::istream &in)
                 have_kind = true;
             } else if (key == "arg") {
                 event.arg = parseNumber(line_no, key, value);
+                if (std::fabs(event.arg) > MAX_NUMBER)
+                    parseError(line_no, "arg must be in [-1e9, 1e9], "
+                                        "got arg=" + value);
             } else {
                 parseError(line_no, "unknown key '" + key + "'");
             }

@@ -100,7 +100,9 @@ struct FaultPlan {
     /**
      * Parse the line-based spec from a stream. Each non-empty,
      * non-comment (#) line is `t=<sec> kind=<event> [arg=<v>]`, in any
-     * token order. Events are sorted by time (stable).
+     * token order. Events are sorted by time (stable). Numbers must be
+     * finite, t in [0, 1e9] seconds and arg in [-1e9, 1e9], so each
+     * converts to SimTime or bytes without overflow.
      *
      * @throws std::invalid_argument naming the offending line and
      *         token for any malformed input.

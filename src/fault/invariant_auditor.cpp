@@ -17,7 +17,7 @@ namespace
 
 /** Counters re-derived from one cgroup's pages. */
 struct Derived {
-    /** Live pages and their idle ages at the host's now. */
+    /** Live pages and their idle ages at the last whole second. */
     mem::IdleCounts idle;
     std::uint64_t resident = 0;
     std::array<std::uint64_t, mem::NUM_LRU_LISTS> perLru{};
@@ -57,6 +57,9 @@ auditHost(host::Host &machine)
     const auto &pages = mm.pages();
     const std::size_t ncg = mm.memcgCount();
     const sim::SimTime now = machine.simulation().now();
+    // idleBreakdown() answers from its generation counts only at a
+    // whole second, so the idle ages are checked at the last one.
+    const sim::SimTime second = now - now % sim::SEC;
 
     // One pass over the page table re-derives every per-cgroup
     // counter the hot paths maintain incrementally.
@@ -71,7 +74,7 @@ auditHost(host::Host &machine)
             continue;
         }
         Derived &d = derived[page.memcg];
-        d.idle.add(page.lastAccess, now);
+        d.idle.add(page.lastAccess, second);
         if (page.flags & mem::PG_TIER_LISTED)
             ++d.tierListed;
         switch (page.where) {
@@ -111,10 +114,11 @@ auditHost(host::Host &machine)
             mcg.cg ? mcg.cg->name() : "memcg" + std::to_string(i);
 
         if (mcg.cg) {
-            // idleBreakdown() reuses an earlier pass at this instant
-            // until a page changes: stale reuse shows up here.
+            // idleBreakdown()'s generation counts move with every
+            // page change: a missed move shows up here.
             const mem::IdleBreakdown want = d.idle.fractions();
-            const mem::IdleBreakdown got = mm.idleBreakdown(*mcg.cg, now);
+            const mem::IdleBreakdown got =
+                mm.idleBreakdown(*mcg.cg, second);
             if (got.used1min != want.used1min ||
                 got.used2min != want.used2min ||
                 got.used5min != want.used5min || got.cold != want.cold) {

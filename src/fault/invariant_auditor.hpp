@@ -13,8 +13,9 @@
  *    byte counters == per-page storedBytes sums, lost pages == pages
  *    parked in Where::LOST, conservation: resident + stored + lost +
  *    on-filesystem == all live pages, and idleBreakdown() at the
- *    host's now == the 1/2/5-minute counts of the live pages'
- *    lastAccess (catches counts reused past a page change);
+ *    last whole second == the 1/2/5-minute counts of the live pages'
+ *    lastAccess (catches a page change its generation counts missed;
+ *    the first audit of a host starts them);
  *  - tier lists: every listed page carries PG_TIER_LISTED, belongs to
  *    the cgroup, maps to the tier it is listed under, and no page is
  *    on two lists; per-tier byte counters match;
@@ -23,7 +24,7 @@
  *    reference (the filesystem is exempt — file contents live there
  *    whether cached or not).
  *
- * The checks are read-only and O(pages); wire into
+ * The checks change no simulated state and are O(pages); wire into
  * Fleet::enableInvariantAudit for continuous checking, or call
  * directly from tests.
  */

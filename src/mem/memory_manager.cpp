@@ -54,7 +54,7 @@ MemoryManager::attach(cgroup::Cgroup &cg,
     registerBackend(anon_backend);
     registerBackend(file_backend);
     memcgs_.push_back(std::move(mcg));
-    idleFresh_ = false;
+    gens_.addMemcg();
     MemCg &ref = *memcgs_.back();
     indexOf_.emplace(&cg, ref.index);
     // Index this memcg under every ancestor, so subtree enumeration
@@ -315,7 +315,7 @@ MemoryManager::newPage(cgroup::Cgroup &cg, bool anon, bool resident,
         page.memcg = mcg.index;
         page.flags = anon ? PG_ANON : 0;
         page.lastAccess = now;
-        idleFresh_ = false;
+        gens_.add(mcg.index, now);
         if (!resident) {
             page.where = Where::FS;
             return idx;
@@ -343,8 +343,7 @@ MemoryManager::accessSlow(PageIdx idx, sim::SimTime now)
     AccessResult result;
     Page &page = pages_[idx];
     MemCg &mcg = *memcgs_[page.memcg];
-    page.lastAccess = now;
-    idleFresh_ = false;
+    stamp(page, now);
 
     if (page.where == Where::RAM) {
         // Second touch while inactive: promote. access() took every
@@ -520,8 +519,8 @@ MemoryManager::freePage(PageIdx idx)
         --mcg.lostPages;
         break;
     }
-    idleFresh_ = false;
     Page &page = pages_[idx];
+    gens_.remove(page.memcg, page.lastAccess);
     page.where = Where::FS;
     page.storedBytes = 0;
     page.store = 0xff;
@@ -618,37 +617,20 @@ MemoryManager::info(const cgroup::Cgroup &cg) const
 }
 
 IdleBreakdown
-IdleCounts::fractions() const
-{
-    IdleBreakdown breakdown;
-    if (live == 0)
-        return breakdown;
-    const auto t = static_cast<double>(live);
-    breakdown.used1min = static_cast<double>(used1min) / t;
-    breakdown.used2min = static_cast<double>(used2min) / t;
-    breakdown.used5min = static_cast<double>(used5min) / t;
-    breakdown.cold =
-        std::max(0.0, 1.0 - breakdown.used1min - breakdown.used2min -
-                          breakdown.used5min);
-    return breakdown;
-}
-
-IdleBreakdown
 MemoryManager::idleBreakdown(const cgroup::Cgroup &cg,
                              sim::SimTime now) const
 {
     const MemCg &mcg = memcgOf(cg);
-    if (!idleFresh_ || idleNow_ != now) {
-        // One pass serves every memcg: a profiler polls them all at
-        // this instant.
-        idleCounts_.assign(memcgs_.size(), IdleCounts{});
-        for (const Page &page : pages_)
-            if (page.memcg != 0xffff) // free slot
-                idleCounts_[page.memcg].add(page.lastAccess, now);
-        idleNow_ = now;
-        idleFresh_ = true;
-    }
-    return idleCounts_[mcg.index].fractions();
+    if (!gens_.active())
+        gens_.start(pages_, memcgs_.size());
+    if (const auto counts = gens_.at(mcg.index, now))
+        return counts->fractions();
+    // Not exact at this instant: count this memcg's pages directly.
+    IdleCounts counts;
+    for (const Page &page : pages_)
+        if (page.memcg == mcg.index)
+            counts.add(page.lastAccess, now);
+    return counts.fractions();
 }
 
 sim::SimTime

@@ -21,6 +21,7 @@
 
 #include "backend/backend.hpp"
 #include "cgroup/cgroup.hpp"
+#include "mem/generations.hpp"
 #include "mem/lru.hpp"
 #include "mem/page.hpp"
 #include "sim/rng.hpp"
@@ -139,42 +140,6 @@ struct CgMemInfo {
     std::uint64_t zswapBytes = 0;  ///< DRAM held by compressed pages
     std::uint64_t swapBytes = 0;   ///< SSD swap slots in use
     std::uint64_t residentBytes = 0;
-};
-
-/** Fraction of a cgroup's pages by idle age (Fig. 2). */
-struct IdleBreakdown {
-    double used1min = 0.0;
-    double used2min = 0.0; ///< additional fraction (1, 2] min
-    double used5min = 0.0; ///< additional fraction (2, 5] min
-    double cold = 0.0;     ///< untouched for > 5 min (incl. offloaded)
-};
-
-/** Page counts behind one cgroup's IdleBreakdown. */
-struct IdleCounts {
-    /** Every live page, resident or not. */
-    std::uint64_t live = 0;
-    std::uint64_t used1min = 0; ///< idle for at most 1 min
-    std::uint64_t used2min = 0; ///< idle for (1, 2] min
-    std::uint64_t used5min = 0; ///< idle for (2, 5] min
-
-    /** Count one live page last touched at @p last_access. A stamp
-     *  later than @p now counts as just touched. */
-    void
-    add(sim::SimTime last_access, sim::SimTime now)
-    {
-        const sim::SimTime age = now >= last_access ? now - last_access : 0;
-        ++live;
-        if (age <= 1 * sim::MINUTE)
-            ++used1min;
-        else if (age <= 2 * sim::MINUTE)
-            ++used2min;
-        else if (age <= 5 * sim::MINUTE)
-            ++used5min;
-    }
-
-    /** The counts as fractions of the live pages (all zero when the
-     *  cgroup has none). */
-    IdleBreakdown fractions() const;
 };
 
 /**
@@ -319,9 +284,11 @@ class MemoryManager
      * Inline for the common case, a resident page that stays on its
      * list: an active page, or an inactive one on its first touch
      * since the last scan. It only gets its stamp and the referenced
-     * bit and ends idleBreakdown()'s reuse, at no stall. A second
-     * touch while inactive (activation) and every non-resident page
-     * take accessSlow().
+     * bit, at no stall; the stamp moves its generation count only
+     * when the old stamp or @p now leaves the newest generation, and
+     * never on a host idleBreakdown() has not queried. A second touch
+     * while inactive (activation) and every non-resident page take
+     * accessSlow().
      */
     AccessResult
     access(PageIdx idx, sim::SimTime now)
@@ -331,9 +298,8 @@ class MemoryManager
                               page.lru == LruKind::INACTIVE_FILE;
         if (page.where != Where::RAM || (inactive && page.referenced()))
             return accessSlow(idx, now);
-        page.lastAccess = now;
+        stamp(page, now);
         page.flags |= PG_REFERENCED;
-        idleFresh_ = false;
         return AccessResult{};
     }
 
@@ -403,15 +369,17 @@ class MemoryManager
 
     /**
      * Idle-age breakdown of a cgroup's pages by Page::lastAccess
-     * (Fig. 2), exact. One pass over the page table counts every
-     * memcg's pages at once, because profilers poll all containers
-     * at the same instant.
+     * (Fig. 2), exact at every @p now.
      *
-     * Reuse rule: a later call at the same @p now serves those counts
-     * without a pass, until the next attach(), newPage(), access() or
-     * freePage(). Each of them invalidates the counts; nothing else
-     * changes a page's lastAccess or owner. A caller that writes
-     * lastAccess or memcg through pages() must query at a new @p now.
+     * Generation rule: the first call walks the page table once and
+     * starts the host's GenerationCounts; from then on attach(),
+     * newPage(), access() and freePage() keep them current, and
+     * nothing else changes a page's lastAccess or owner. A call at a
+     * whole-second @p now (the profilers' cadence) sums at most a few
+     * hundred generations. Any other @p now, or one more than ~200 s
+     * before the newest stamp, walks the page table instead, with the
+     * same result. A caller that writes lastAccess or memcg through
+     * pages() leaves the counts stale; fault::auditHost reports that.
      */
     IdleBreakdown idleBreakdown(const cgroup::Cgroup &cg,
                                 sim::SimTime now) const;
@@ -468,6 +436,17 @@ class MemoryManager
     /** access() for a touch that moves the page: the activation of a
      *  referenced inactive page, or the fault of a non-resident one. */
     AccessResult accessSlow(PageIdx idx, sim::SimTime now);
+
+    /** Set @p page's lastAccess to @p now, moving its generation count
+     *  when that changes one. On a host never queried the one test is
+     *  the never-true active() check. */
+    void
+    stamp(Page &page, sim::SimTime now)
+    {
+        if (gens_.active() && gens_.moves(page.lastAccess, now))
+            gens_.move(page.memcg, page.lastAccess, now);
+        page.lastAccess = now;
+    }
 
     /** Direct-reclaim path: make room for @p bytes of new residency. */
     sim::SimTime ensureRoom(std::uint64_t bytes, sim::SimTime now);
@@ -564,13 +543,11 @@ class MemoryManager
     std::uint64_t residentPages_ = 0;
     std::uint64_t oomEvents_ = 0;
     /**
-     * idleBreakdown()'s counts per memcg index, taken at idleNow_;
-     * valid while idleFresh_. Mutable: a const query fills them, and
-     * the page mutators clear idleFresh_ (see the reuse rule there).
+     * idleBreakdown()'s counts of live pages by generation, per memcg
+     * index; inactive until the first query. Mutable: that const
+     * query starts them (see the generation rule there).
      */
-    mutable std::vector<IdleCounts> idleCounts_;
-    mutable sim::SimTime idleNow_ = 0;
-    mutable bool idleFresh_ = false;
+    mutable GenerationCounts gens_;
 };
 
 } // namespace tmo::mem

@@ -117,7 +117,9 @@ struct Page {
     std::uint32_t storedBytes = 0;
     /** Last access time, for idle/coldness tracking (Fig. 2): the
      *  page's one recency stamp outside the LRU order, written by
-     *  every access and read by MemoryManager::idleBreakdown. */
+     *  every access. Its whole second is the page's generation in
+     *  the GenerationCounts behind MemoryManager::idleBreakdown, so
+     *  only the manager may write it once those counts started. */
     sim::SimTime lastAccess = 0;
 
     bool isAnon() const { return flags & PG_ANON; }

@@ -13,11 +13,19 @@ namespace
 std::uint64_t
 parseCap(const std::string &text, const std::string &token)
 {
+    constexpr std::uint64_t MAX = ~std::uint64_t{0};
+    const auto overflow = [&token] {
+        return std::invalid_argument("bad tier '" + token +
+                                     "': capacity overflows 64-bit bytes");
+    };
     std::size_t pos = 0;
     std::uint64_t value = 0;
     while (pos < text.size() &&
            std::isdigit(static_cast<unsigned char>(text[pos]))) {
-        value = value * 10 + static_cast<std::uint64_t>(text[pos] - '0');
+        const auto digit = static_cast<std::uint64_t>(text[pos] - '0');
+        if (value > (MAX - digit) / 10)
+            throw overflow();
+        value = value * 10 + digit;
         ++pos;
     }
     if (pos == 0)
@@ -40,6 +48,8 @@ parseCap(const std::string &text, const std::string &token)
     if (value == 0)
         throw std::invalid_argument("bad tier '" + token +
                                     "': capacity must be nonzero");
+    if (value > MAX / scale)
+        throw overflow();
     return value * scale;
 }
 

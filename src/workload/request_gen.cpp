@@ -12,6 +12,15 @@ namespace
 
 constexpr double PI = 3.14159265358979323846;
 
+/** Upper bound of every minutes key (about 1.9 years): converted to
+ *  SimTime nanoseconds, and summed with a run's clock, it stays far
+ *  below 2^64. */
+constexpr double MAX_MINUTES = 1e6;
+/** Upper bound of queue-ms (about 11.6 days), for the same reason. */
+constexpr double MAX_QUEUE_MS = 1e9;
+/** Upper bound of fanout: page touches per request. */
+constexpr double MAX_FANOUT = 1e6;
+
 [[noreturn]] void
 fail(const std::string &text, const std::string &what)
 {
@@ -111,32 +120,32 @@ TrafficSpec::parse(const std::string &text)
             spec.amplitude = value;
         } else if (key == "period-min" &&
                    spec.kind == Kind::DIURNAL) {
-            if (value <= 0.0)
-                fail(text, "period-min must be > 0");
+            if (value <= 0.0 || value > MAX_MINUTES)
+                fail(text, "period-min must be in (0, 1e6]");
             spec.period = minutesToSim(value);
         } else if (key == "phase-min" && spec.kind == Kind::DIURNAL) {
-            if (value < 0.0)
-                fail(text, "phase-min must be >= 0");
+            if (value < 0.0 || value > MAX_MINUTES)
+                fail(text, "phase-min must be in [0, 1e6]");
             spec.phase = minutesToSim(value);
         } else if (key == (spike_sugar ? "mult" : "spike-mult")) {
             if (value < 1.0 || value > 1000.0)
                 fail(text, key + " must be in [1, 1000]");
             spec.spikeMult = value;
         } else if (key == (spike_sugar ? "at-min" : "spike-at-min")) {
-            if (value < 0.0)
-                fail(text, key + " must be >= 0");
+            if (value < 0.0 || value > MAX_MINUTES)
+                fail(text, key + " must be in [0, 1e6]");
             spec.spikeAt = minutesToSim(value);
         } else if (key == (spike_sugar ? "dur-min" : "spike-dur-min")) {
-            if (value <= 0.0)
-                fail(text, key + " must be > 0");
+            if (value <= 0.0 || value > MAX_MINUTES)
+                fail(text, key + " must be in (0, 1e6]");
             spec.spikeDuration = minutesToSim(value);
         } else if (key == "fanout") {
-            if (value < 0.0)
-                fail(text, "fanout must be >= 0");
+            if (value < 0.0 || value > MAX_FANOUT)
+                fail(text, "fanout must be in [0, 1e6]");
             spec.fanout = value;
         } else if (key == "queue-ms") {
-            if (value <= 0.0)
-                fail(text, "queue-ms must be > 0");
+            if (value <= 0.0 || value > MAX_QUEUE_MS)
+                fail(text, "queue-ms must be in (0, 1e9]");
             spec.queueLimit = static_cast<sim::SimTime>(
                 value * static_cast<double>(sim::MSEC));
         } else {

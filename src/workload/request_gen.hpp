@@ -80,7 +80,10 @@ struct TrafficSpec {
      *           fanout=F, queue-ms=M
      *
      * Throws std::invalid_argument with a named error on malformed
-     * input (unknown kind/key, missing rps, out-of-range value).
+     * input (unknown kind/key, missing rps, out-of-range value). The
+     * minutes keys are at most 1e6, queue-ms at most 1e9 and fanout
+     * at most 1e6, so each converts to SimTime or a touch count
+     * without overflow.
      */
     static TrafficSpec parse(const std::string &text);
 };

@@ -178,6 +178,44 @@ TEST(FaultPlanTest, MalformedSpecsNameTheLine)
     expectError("t=10 kind=ssd-latency arg=4x\n", "trailing junk");
 }
 
+TEST(FaultPlanTest, NonFiniteAndHugeNumbersAreRejectedByName)
+{
+    // std::stod accepts each of these; converted to SimTime they used
+    // to schedule the fault at t=0 (2^63 ns for nan).
+    const auto expectError = [](const std::string &line,
+                                const std::string &needle) {
+        const std::string text = "t=5 kind=ssd-latency arg=2\n" + line;
+        try {
+            fault::FaultPlan::parseString(text);
+            FAIL() << "expected invalid_argument for: " << line;
+        } catch (const std::invalid_argument &error) {
+            const std::string what = error.what();
+            EXPECT_NE(what.find("line 2"), std::string::npos) << what;
+            EXPECT_NE(what.find(needle), std::string::npos) << what;
+        }
+    };
+    for (const char *t : {"nan", "inf", "-inf"})
+        expectError("t=" + std::string(t) + " kind=ssd-offline",
+                    "t must be finite");
+    for (const char *t : {"1e300", "2e10", "1000000001"})
+        expectError("t=" + std::string(t) + " kind=ssd-offline",
+                    "t must be <= 1e9");
+    for (const char *arg : {"nan", "inf", "-inf"})
+        expectError("t=10 kind=ram-shrink arg=" + std::string(arg),
+                    "arg must be finite");
+    for (const char *arg : {"1e300", "-1e300", "2e9"})
+        expectError("t=10 kind=ram-shrink arg=" + std::string(arg),
+                    "arg must be in [-1e9, 1e9]");
+
+    // The bounds themselves parse.
+    const auto plan = fault::FaultPlan::parseString(
+        "t=1e9 kind=ssd-latency arg=1e9\nt=0 kind=ram-shrink arg=-1e9\n");
+    ASSERT_EQ(plan.size(), 2u);
+    EXPECT_EQ(plan.events[1].at, 1'000'000'000 * sim::SEC);
+    EXPECT_EQ(plan.events[1].arg, 1e9);
+    EXPECT_EQ(plan.events[0].arg, -1e9);
+}
+
 TEST(FaultPlanTest, MissingFileThrows)
 {
     EXPECT_THROW(fault::FaultPlan::fromFile("/nonexistent/plan.txt"),

@@ -559,62 +559,143 @@ TEST_F(MemoryManagerTest, IdleBreakdownMatchesBruteForceRecount)
         expectIdleRecount(mm, *cgs[c], live[c], now);
 }
 
-TEST_F(MemoryManagerTest, IdleBreakdownReuseEndsAtEveryPageChange)
+TEST_F(MemoryManagerTest, IdleGenerationsMatchRecountAfterEveryStep)
 {
-    // Queries at one instant reuse one sweep. An attach, access (a
-    // hit, an activation or a fault), newPage or freePage at that same
-    // instant must end the reuse: each step below changes the counts
-    // a stale reuse would serve.
+    // idleBreakdown() answers a whole-second query from generation
+    // counts that every page change moves, and walks the page table
+    // at any other instant. After each step below, queries at whole
+    // seconds on both sides of every bucket edge, one before the
+    // clock and one at a sub-second instant must all equal a
+    // brute-force recount, over more history than the 512-generation
+    // ring holds.
+    tier::TierChain chain("zswap+swap", {&zswap, &swap},
+                          tier::TierChainConfig{});
+    auto &lossy = tree.create("lossy");
     mm.attach(*cg, &zswap, &fs, 4.0);
-    std::vector<mem::PageIdx> live;
-    for (int i = 0; i < 40; ++i)
-        live.push_back(mm.newPage(*cg, true, true, 0));
-    const auto now = 10 * sim::MINUTE;
-    expectIdleRecount(mm, *cg, live, now); // all 40 pages cold
+    mm.attachChain(lossy, &chain, &fs);
+    struct Group {
+        cgroup::Cgroup *cg;
+        std::vector<mem::PageIdx> live;
+    };
+    std::vector<Group> groups = {{cg, {}}, {&lossy, {}}};
+    groups.reserve(3); // the late memcg's group keeps `live` valid
+    for (int i = 0; i < 60; ++i) {
+        Group &group = groups[i % 3 == 0 ? 1 : 0];
+        group.live.push_back(mm.newPage(*group.cg, true, true, 0));
+    }
+    sim::SimTime clock = 0;
+    const auto check = [&](const char *step) {
+        SCOPED_TRACE(step);
+        for (const Group &group : groups) {
+            for (const sim::SimTime after :
+                 {0, 1, 30, 59, 60, 61, 119, 120, 121, 299, 300, 301, 450})
+                expectIdleRecount(mm, *group.cg, group.live,
+                                  clock + after * sim::SEC);
+            expectIdleRecount(mm, *group.cg, group.live,
+                              clock + 500 * sim::MSEC);
+            if (clock >= 90 * sim::SEC)
+                expectIdleRecount(mm, *group.cg, group.live,
+                                  clock - 90 * sim::SEC);
+        }
+    };
+    check("the first query starts the counts");
 
-    mm.access(live[0], now); // plain hit: the inline path
-    expectIdleRecount(mm, *cg, live, now);
-
-    // A second touch while inactive activates through accessSlow().
-    mm.access(live[1], 0); // referenced, and still cold at now
-    expectIdleRecount(mm, *cg, live, now);
-    mm.access(live[1], now);
+    // The inline hit path, within the stamp's generation and into a
+    // later one; then a second touch activates through accessSlow().
+    auto &live = groups[0].live;
+    mm.access(live[0], 400 * sim::MSEC);
+    check("a hit in the same generation");
+    clock = 3 * sim::SEC;
+    mm.access(live[1], clock);
+    check("a hit in a later generation");
+    mm.access(live[1], clock + 4 * sim::SEC);
     ASSERT_EQ(mm.pages()[live[1]].lru, mem::LruKind::ACTIVE_ANON);
-    expectIdleRecount(mm, *cg, live, now);
+    check("an activation");
 
-    // So does a swap-in fault. Reclaim itself leaves every stamp, and
-    // with it the counts, as they were.
-    mm.reclaim(*cg, PAGE, now);
+    // 700 s of touches at sub-second stamps: the ring wraps, and the
+    // first ten pages of each group, never touched again, leave it.
+    sim::Rng rng(5);
+    for (int round = 1; clock < 700 * sim::SEC; ++round) {
+        clock += 7 * sim::SEC;
+        for (int i = 0; i < 6; ++i) {
+            const auto &pages = groups[rng.uniformInt(2)].live;
+            mm.access(pages[10 + rng.uniformInt(pages.size() - 10)],
+                      clock + rng.uniformInt(sim::SEC));
+        }
+        if (round % 7 == 0)
+            check("700 s of touches");
+    }
+    mm.access(live[3], clock);
+    check("a hit on a page older than the ring");
+
+    // Stamps moving backwards, within the ring and out of it, and one
+    // later than the queries at the clock.
+    mm.access(live[12], clock - 400 * sim::SEC);
+    mm.access(groups[1].live[12], 100 * sim::SEC);
+    check("stamps moved backwards");
+    mm.access(live[13], clock + 5 * sim::SEC);
+    check("a stamp later than the queries");
+
+    // Reclaim moves no stamp; a zswap swap-in does.
+    mm.reclaim(*cg, 8 * PAGE, clock);
     const auto swapped =
         std::find_if(live.begin(), live.end(), [this](mem::PageIdx idx) {
             return mm.pages()[idx].where == mem::Where::ZSWAP;
         });
     ASSERT_NE(swapped, live.end());
-    ASSERT_LT(mm.pages()[*swapped].lastAccess, now - sim::MINUTE);
-    expectIdleRecount(mm, *cg, live, now);
+    check("a reclaim");
     const auto pswpin = cg->stats().pswpin;
-    mm.access(*swapped, now);
+    clock += 2 * sim::SEC;
+    mm.access(*swapped, clock);
     ASSERT_EQ(cg->stats().pswpin, pswpin + 1);
-    expectIdleRecount(mm, *cg, live, now);
+    check("a zswap swap-in");
 
-    live.push_back(mm.newPage(*cg, true, true, now));
-    expectIdleRecount(mm, *cg, live, now);
+    // Both tiers of the chain die under offloaded pages: the next
+    // touch of a LOST page is a hard refault.
+    ASSERT_GT(mm.reclaim(lossy, 4 * PAGE, clock).reclaimedBytes, 0u);
+    chain.setTierOffline(0, true, clock);
+    chain.setTierOffline(1, true, clock);
+    for (int pass = 0; pass < 16 && mm.memcgOf(lossy).lostPages == 0;
+         ++pass)
+        mm.tierMaintain(lossy, clock);
+    const auto &lossy_live = groups[1].live;
+    const auto lost = std::find_if(
+        lossy_live.begin(), lossy_live.end(), [this](mem::PageIdx idx) {
+            return mm.pages()[idx].where == mem::Where::LOST;
+        });
+    ASSERT_NE(lost, lossy_live.end());
+    check("pages lost with their tiers");
+    clock += sim::SEC;
+    mm.access(*lost, clock);
+    ASSERT_EQ(lossy.stats().lostRefault, 1u);
+    check("a LOST refault");
 
-    mm.freePage(live[0]);
-    live.erase(live.begin());
-    expectIdleRecount(mm, *cg, live, now);
+    // A page older than the ring is freed, and its slot is reused by
+    // a page of the other memcg.
+    const mem::PageIdx freed = live[2];
+    mm.freePage(freed);
+    live.erase(live.begin() + 2);
+    check("a free");
+    clock += sim::SEC;
+    const auto reused = mm.newPage(lossy, true, true, clock);
+    ASSERT_EQ(reused, freed);
+    groups[1].live.push_back(reused);
+    check("a reused slot");
 
-    // A memcg attached after the sweep has no counts in it.
+    // A memcg attached after counting began.
     auto &late = tree.create("late");
     mm.attach(late, &zswap, &fs, 4.0);
-    expectIdleRecount(mm, late, {}, now);
-    expectIdleRecount(mm, *cg, live, now);
-    std::vector<mem::PageIdx> late_live;
-    late_live.push_back(mm.newPage(late, true, true, now));
-    expectIdleRecount(mm, late, late_live, now);
-    expectIdleRecount(mm, *cg, live, now);
+    groups.push_back({&late, {}});
+    check("an attach");
+    clock += sim::SEC;
+    groups[2].live.push_back(mm.newPage(late, true, true, clock));
+    check("a page of the late memcg");
 
-    // A later instant sweeps again with no page change: the pages
-    // touched at now have aged into the (1, 2] minute bucket.
-    expectIdleRecount(mm, *cg, live, now + 2 * sim::MINUTE);
+    // A stamp 2000 s ahead pushes every other generation out of the
+    // ring: queries around the clock walk the page table, and those
+    // at the new stamp read the counts.
+    mm.access(groups[0].live[5], clock + 2000 * sim::SEC);
+    check("queries far before the newest stamp");
+    clock += 2000 * sim::SEC;
+    check("queries after the ring moved 2000 generations");
 }

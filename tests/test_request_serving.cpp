@@ -112,6 +112,43 @@ TEST(TrafficSpecTest, RejectsMalformedSpecsWithNamedErrors)
     EXPECT_TRUE(error.empty());
 }
 
+TEST(TrafficSpecTest, RejectsValuesPastTheirConversionRange)
+{
+    // Each of these used to reach an out-of-range float-to-integer
+    // conversion: a flat diurnal curve, a spike at minute 0, a zero
+    // queue limit, requests that touch no page.
+    const auto expectError = [](const std::string &text,
+                                const std::string &key) {
+        std::string error;
+        EXPECT_FALSE(workload::isValidTrafficSpec(text, &error)) << text;
+        EXPECT_NE(error.find(key + " must be in"), std::string::npos)
+            << error;
+    };
+    expectError("diurnal:rps=100,period-min=1e300", "period-min");
+    expectError("diurnal:rps=100,phase-min=1e300", "phase-min");
+    expectError("flat:rps=100,spike-mult=2,spike-at-min=1e300,"
+                "spike-dur-min=1",
+                "spike-at-min");
+    expectError("flat:rps=100,spike-mult=2,spike-at-min=1,"
+                "spike-dur-min=1e300",
+                "spike-dur-min");
+    expectError("spike:rps=100,mult=2,at-min=1e300,dur-min=1", "at-min");
+    expectError("spike:rps=100,mult=2,at-min=1,dur-min=1e7", "dur-min");
+    expectError("flat:rps=100,queue-ms=1e300", "queue-ms");
+    expectError("flat:rps=100,fanout=1e30", "fanout");
+
+    // The bounds themselves parse, and convert exactly.
+    const auto spec = workload::TrafficSpec::parse(
+        "diurnal:rps=100,period-min=1e6,phase-min=1e6,spike-mult=2,"
+        "spike-at-min=1e6,spike-dur-min=1e6,queue-ms=1e9,fanout=1e6");
+    EXPECT_EQ(spec.period, 1'000'000 * sim::MINUTE);
+    EXPECT_EQ(spec.phase, 1'000'000 * sim::MINUTE);
+    EXPECT_EQ(spec.spikeAt, 1'000'000 * sim::MINUTE);
+    EXPECT_EQ(spec.spikeDuration, 1'000'000 * sim::MINUTE);
+    EXPECT_EQ(spec.queueLimit, 1'000'000'000 * sim::MSEC);
+    EXPECT_EQ(spec.fanout, 1e6);
+}
+
 // --- RequestServer -------------------------------------------------------
 
 TEST(RequestServerTest, IdleWorkerServesImmediately)

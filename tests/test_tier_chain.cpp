@@ -110,6 +110,10 @@ TEST(TierSpecTest, RejectsMalformedSpecs)
     bad("zswap:mb");        // capacity needs digits
     bad("zswap:16tb");      // bad unit
     bad("zswap:0mb");       // zero cap
+    // 2^64 bytes once wrapped to an uncapped 0, and a 20-digit count
+    // to a smaller cap.
+    bad("zswap:17592186044416mb", "capacity overflows 64-bit bytes");
+    bad("zswap:99999999999999999999mb", "capacity overflows 64-bit bytes");
     bad("zswap++ssd");      // empty token
     bad("zswap+zswap+zswap+zswap+zswap+zswap+zswap+zswap+ssd"); // 9 tiers
     bad("zswap+ssd;placement=lru", "unknown placement 'lru'");
@@ -127,6 +131,10 @@ TEST(TierSpecTest, RejectsMalformedSpecs)
     EXPECT_TRUE(
         tier::isValidTierChainSpec("zswap:64mb+zswap+ssd", &error));
     EXPECT_TRUE(error.empty());
+    // The largest whole-MiB cap below 2^64 bytes round-trips.
+    EXPECT_EQ(tier::TierChainSpec::parse("zswap:17592186044415mb")
+                  .toString(),
+              "zswap:17592186044415mb");
 }
 
 // --- per-page hotness --------------------------------------------------------
