@@ -117,6 +117,9 @@ Host::enableMetrics(sim::SimTime interval)
     metrics_->addProbe("mm.oom_events", [this] {
         return static_cast<double>(mm_.oomEvents());
     });
+    metrics_->addProbe("sim.events_dispatched", [this] {
+        return static_cast<double>(sim_.dispatched());
+    });
     for (const auto &app : apps_) {
         cgroup::Cgroup *cg = &app->cgroup();
         const std::string prefix = "app." + cg->name() + ".";

@@ -542,7 +542,8 @@ MemoryManager::reclaim(cgroup::Cgroup &cg, std::uint64_t bytes,
     const auto sub = subtree_.find(&cg);
     if (sub == subtree_.end())
         return total;
-    std::vector<MemCg *> targets;
+    std::vector<MemCg *> &targets = reclaimTargets_;
+    targets.clear();
     std::uint64_t resident = 0;
     for (const std::uint16_t index : sub->second) {
         MemCg *mcg = memcgs_[index].get();

@@ -521,6 +521,9 @@ class MemoryManager
      * allocates; sized scanBatch. Single-threaded like everything here.
      */
     std::vector<PageIdx> scanScratch_;
+    /** Scratch for reclaim(): the subtree memcgs it spreads a request
+     *  over. Reclaim never re-enters itself. */
+    std::vector<MemCg *> reclaimTargets_;
     std::vector<std::unique_ptr<MemCg>> memcgs_;
     /**
      * Cgroup -> memcg index, filled at attach time: memcgOf() and the

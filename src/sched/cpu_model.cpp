@@ -5,13 +5,13 @@
 namespace tmo::sched
 {
 
-std::vector<CpuShare>
+void
 allocateCpu(const std::vector<sim::SimTime> &demands, unsigned cpus,
-            sim::SimTime tick_length)
+            sim::SimTime tick_length, std::vector<CpuShare> &shares)
 {
-    std::vector<CpuShare> shares(demands.size());
+    shares.assign(demands.size(), CpuShare{});
     if (demands.empty() || cpus == 0)
-        return shares;
+        return;
 
     sim::SimTime total = 0;
     for (const auto d : demands)
@@ -23,7 +23,7 @@ allocateCpu(const std::vector<sim::SimTime> &demands, unsigned cpus,
     if (total <= capacity) {
         for (std::size_t i = 0; i < demands.size(); ++i)
             shares[i].run = std::min(demands[i], tick_length);
-        return shares;
+        return;
     }
 
     // Oversubscribed: processor sharing stretches everyone equally.
@@ -38,7 +38,6 @@ allocateCpu(const std::vector<sim::SimTime> &demands, unsigned cpus,
         // bounded by the tick.
         shares[i].wait = std::min(want - run, tick_length - run);
     }
-    return shares;
 }
 
 } // namespace tmo::sched

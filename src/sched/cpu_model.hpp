@@ -32,9 +32,11 @@ struct CpuShare {
  * @param demands Per-task desired CPU time within the tick.
  * @param cpus Number of CPUs available to these tasks.
  * @param tick_length Length of the tick.
+ * @param shares Output, one per demand: resized and overwritten. A
+ *        buffer the caller keeps across ticks, so a tick allocates
+ *        nothing once it has grown.
  */
-std::vector<CpuShare> allocateCpu(const std::vector<sim::SimTime> &demands,
-                                  unsigned cpus,
-                                  sim::SimTime tick_length);
+void allocateCpu(const std::vector<sim::SimTime> &demands, unsigned cpus,
+                 sim::SimTime tick_length, std::vector<CpuShare> &shares);
 
 } // namespace tmo::sched

@@ -32,17 +32,12 @@ Task::setState(unsigned state, sim::SimTime now)
 
 void
 replayTimelines(std::vector<TaskTimeline> &timelines,
-                sim::SimTime tick_end)
+                sim::SimTime tick_end, std::vector<Transition> &scratch)
 {
-    // Flatten to (time, task, state) transition events. Each segment
+    // Flatten to (time, task, state) transitions. Each segment
     // produces a transition at its start; a trailing idle transition is
     // added at its end unless the next segment is contiguous.
-    struct Event {
-        sim::SimTime time;
-        Task *task;
-        unsigned state;
-    };
-    std::vector<Event> events;
+    scratch.clear();
     for (auto &tl : timelines) {
         auto &segs = tl.segments;
         std::sort(segs.begin(), segs.end(),
@@ -51,20 +46,24 @@ replayTimelines(std::vector<TaskTimeline> &timelines,
                   });
         for (std::size_t i = 0; i < segs.size(); ++i) {
             const Segment &seg = segs[i];
-            events.push_back({seg.start, tl.task, seg.state});
+            const auto order = static_cast<std::uint32_t>(scratch.size());
+            scratch.push_back({seg.start, order, seg.state, tl.task});
             const sim::SimTime end = seg.start + seg.duration;
             const bool contiguous =
                 i + 1 < segs.size() && segs[i + 1].start <= end;
             if (!contiguous)
-                events.push_back({end, tl.task, 0u});
+                scratch.push_back({end, order + 1, 0u, tl.task});
         }
     }
-    std::stable_sort(events.begin(), events.end(),
-                     [](const Event &a, const Event &b) {
-                         return a.time < b.time;
-                     });
-    for (const Event &event : events)
-        event.task->setState(event.state, std::min(event.time, tick_end));
+    // Ordering by (time, flatten position) is the order a stable sort
+    // by time gives, without its temporary buffer.
+    std::sort(scratch.begin(), scratch.end(),
+              [](const Transition &a, const Transition &b) {
+                  return a.time != b.time ? a.time < b.time
+                                          : a.order < b.order;
+              });
+    for (const Transition &t : scratch)
+        t.task->setState(t.state, std::min(t.time, tick_end));
     // Leave every task idle at the end of the tick.
     for (auto &tl : timelines)
         tl.task->setState(0, tick_end);

@@ -10,6 +10,7 @@
 
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -68,13 +69,30 @@ struct TaskTimeline {
     std::vector<Segment> segments;
 };
 
+/** One task state transition of a replay: replayTimelines()'s
+ *  scratch element. */
+struct Transition {
+    sim::SimTime time = 0;
+    /** Position in the flattened order; breaks ties in time. */
+    std::uint32_t order = 0;
+    /** psi::TaskState bits entered (0 = idle). */
+    unsigned state = 0;
+    Task *task = nullptr;
+};
+
 /**
  * Replay a set of per-task timelines through the PSI state machine in
  * global time order, so concurrent stalls across tasks produce correct
  * some/full accounting. Gaps between segments are idle. All tasks are
- * left idle at @p tick_end.
+ * left idle at @p tick_end. Each timeline's segments are sorted in
+ * place by start.
+ *
+ * @param scratch Buffer for the flattened transitions, overwritten.
+ *        The caller keeps it across ticks, so a replay allocates
+ *        nothing once it has grown.
  */
 void replayTimelines(std::vector<TaskTimeline> &timelines,
-                     sim::SimTime tick_end);
+                     sim::SimTime tick_end,
+                     std::vector<Transition> &scratch);
 
 } // namespace tmo::sched

@@ -1,5 +1,6 @@
 #include "sim/event_queue.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -9,25 +10,56 @@ namespace tmo::sim
 EventId
 EventQueue::schedule(SimTime when, EventFn fn)
 {
-    const EventId id = nextId_++;
-    heap_.push(Entry{when, nextSeq_++, id, std::move(fn)});
-    live_.insert(id);
-    return id;
+    std::uint32_t slot;
+    if (!freeSlots_.empty()) {
+        slot = freeSlots_.back();
+        freeSlots_.pop_back();
+    } else {
+        slot = static_cast<std::uint32_t>(slots_.size());
+        slots_.push_back(Slot{nullptr, FREE_SEQ, 1});
+    }
+    const std::uint64_t seq = nextSeq_++;
+    Slot &s = slots_[slot];
+    s.fn = std::move(fn);
+    s.seq = seq;
+    heap_.push_back(Key{when, seq, slot});
+    std::push_heap(heap_.begin(), heap_.end(), later);
+    ++live_;
+    return (EventId{s.gen} << 32) | slot;
+}
+
+void
+EventQueue::release(std::uint32_t slot)
+{
+    Slot &s = slots_[slot];
+    s.seq = FREE_SEQ;
+    if (++s.gen == 0)
+        s.gen = 1;
+    freeSlots_.push_back(slot);
+    --live_;
 }
 
 void
 EventQueue::cancel(EventId id)
 {
-    // Lazy deletion: drop from the live set; the heap entry is skipped
-    // when it reaches the head. Unknown/already-fired ids are ignored.
-    live_.erase(id);
+    const auto slot = static_cast<std::uint32_t>(id);
+    if (slot >= slots_.size() || slots_[slot].seq == FREE_SEQ ||
+        slots_[slot].gen != static_cast<std::uint32_t>(id >> 32))
+        return;
+    // The callback dies after the slot is consistent again: its
+    // destructor may reach back into this queue. Its heap key stays
+    // until it surfaces, and skipDead() drops it then.
+    const EventFn doomed = std::exchange(slots_[slot].fn, nullptr);
+    release(slot);
 }
 
 void
 EventQueue::skipDead()
 {
-    while (!heap_.empty() && !live_.count(heap_.top().id))
-        heap_.pop();
+    while (!heap_.empty() && !liveKey(heap_.front())) {
+        std::pop_heap(heap_.begin(), heap_.end(), later);
+        heap_.pop_back();
+    }
 }
 
 SimTime
@@ -36,7 +68,7 @@ EventQueue::nextTime()
     skipDead();
     if (heap_.empty())
         throw std::logic_error("EventQueue::nextTime on empty queue");
-    return heap_.top().when;
+    return heap_.front().when;
 }
 
 SimTime
@@ -45,12 +77,16 @@ EventQueue::runNext()
     skipDead();
     if (heap_.empty())
         throw std::logic_error("EventQueue::runNext on empty queue");
-    // Move the entry out before running: the callback may schedule.
-    Entry entry = heap_.top();
-    heap_.pop();
-    live_.erase(entry.id);
-    entry.fn();
-    return entry.when;
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    const Key key = heap_.back();
+    heap_.pop_back();
+    // Move the callback out before running: it may schedule, which can
+    // reuse this slot or grow the table under it.
+    const EventFn fn = std::exchange(slots_[key.slot].fn, nullptr);
+    release(key.slot);
+    ++dispatched_;
+    fn();
+    return key.when;
 }
 
 } // namespace tmo::sim

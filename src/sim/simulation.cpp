@@ -8,10 +8,21 @@ namespace tmo::sim
 void
 Simulation::every(SimTime period, std::function<bool()> fn)
 {
-    // Self-rescheduling wrapper; stops when fn returns false.
-    after(period, [this, period, fn = std::move(fn)]() mutable {
-        if (fn())
-            every(period, std::move(fn));
+    periodics_.push_back(Periodic{period, std::move(fn)});
+    arm(std::prev(periodics_.end()));
+}
+
+void
+Simulation::arm(PeriodicIt it)
+{
+    // Two words: stored inline by EventFn, so a period allocates
+    // nothing. The next period takes its sequence number after fn()
+    // returns, as a fresh after() from inside fn() would have.
+    after(it->period, [this, it] {
+        if (it->fn())
+            arm(it);
+        else
+            periodics_.erase(it);
     });
 }
 

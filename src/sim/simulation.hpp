@@ -5,6 +5,9 @@
 
 #pragma once
 
+#include <functional>
+#include <list>
+
 #include "sim/event_queue.hpp"
 #include "sim/time.hpp"
 
@@ -29,6 +32,9 @@ class Simulation
     /** The underlying event queue. */
     EventQueue &events() { return events_; }
 
+    /** Events run so far (EventQueue::dispatched()). */
+    std::uint64_t dispatched() const { return events_.dispatched(); }
+
     /** Schedule a callback @p delay after now(). */
     EventId
     after(SimTime delay, EventFn fn)
@@ -45,7 +51,10 @@ class Simulation
 
     /**
      * Schedule a callback every @p period, starting one period from now,
-     * until it returns false.
+     * until it returns false. @p fn is stored once, and destroyed when
+     * it returns false or the simulation ends; each period re-arms
+     * after @p fn returns, with a callable that fits EventFn's inline
+     * buffer.
      */
     void every(SimTime period, std::function<bool()> fn);
 
@@ -59,8 +68,23 @@ class Simulation
     void runToCompletion();
 
   private:
+    /** One every() registration. */
+    struct Periodic {
+        SimTime period;
+        std::function<bool()> fn;
+    };
+    using PeriodicIt = std::list<Periodic>::iterator;
+
+    /** Schedule the next period of @p it. */
+    void arm(PeriodicIt it);
+
     SimTime now_ = 0;
     EventQueue events_;
+    /** Live every() registrations; a list, so iterators held by
+     *  pending events stay valid. Declared after events_: destroyed
+     *  first, while the events that point into it only hold
+     *  iterators. */
+    std::list<Periodic> periodics_;
 };
 
 } // namespace tmo::sim

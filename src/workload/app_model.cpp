@@ -22,6 +22,10 @@ AppModel::AppModel(sim::Simulation &simulation, mem::MemoryManager &mm,
         tasks_.push_back(std::make_unique<sched::Task>(
             cg, profile_.name + "/worker" + std::to_string(i)));
     }
+    demands_.resize(tasks_.size());
+    timelines_.resize(tasks_.size());
+    for (std::size_t i = 0; i < tasks_.size(); ++i)
+        timelines_[i].task = tasks_[i].get();
     buildRegions();
 }
 
@@ -51,9 +55,11 @@ void
 AppModel::allocateInitial(sim::SimTime now)
 {
     for (auto &region : regions_) {
+        // Lazy regions too: they grow to targetPages at most, so their
+        // growth never reallocates mid-run.
+        region.pages.reserve(region.targetPages);
         if (region.spec.lazy)
             continue; // grows over time
-        region.pages.reserve(region.targetPages);
         for (std::uint64_t i = 0; i < region.targetPages; ++i) {
             // File pages start resident too: the page cache is assumed
             // warm at container start (Web preloads its cache, §4.2).
@@ -420,10 +426,9 @@ AppModel::tick()
         completed * profile_.cpuUsPerRequest * sim::USEC +
         0.02 * static_cast<double>(tickLen_); // background housekeeping
 
-    std::vector<sim::SimTime> demands(tasks_.size());
-    for (auto &d : demands)
+    for (auto &d : demands_)
         d = static_cast<sim::SimTime>(cpu_total / n);
-    auto shares = sched::allocateCpu(demands, hostCpus_, tickLen_);
+    sched::allocateCpu(demands_, hostCpus_, tickLen_, shares_);
     // Cross-application contention: the host coordinator scales
     // everyone's run time by the host-wide satisfaction ratio; the
     // shortfall becomes runqueue wait (CPU pressure).
@@ -432,7 +437,7 @@ AppModel::tick()
             static_cast<sim::SimTime>(cpu_total), start);
         const double scale = coordinator_->contentionScale(start);
         if (scale < 1.0) {
-            for (auto &share : shares) {
+            for (auto &share : shares_) {
                 const auto cut = static_cast<sim::SimTime>(
                     static_cast<double>(share.run) * (1.0 - scale));
                 share.run -= cut;
@@ -446,14 +451,13 @@ AppModel::tick()
                      critical.memAndIo + background.memAndIo,
                      critical.ioOnly + background.ioOnly};
 
-    std::vector<sched::TaskTimeline> timelines(tasks_.size());
     for (std::size_t i = 0; i < tasks_.size(); ++i) {
-        auto &tl = timelines[i];
-        tl.task = tasks_[i].get();
+        auto &tl = timelines_[i];
+        tl.segments.clear();
         // Per-thread shares of each bucket.
-        sim::SimTime seq[5] = {
-            shares[i].run,
-            shares[i].wait,
+        sim::SimTime seq[TICK_SEGMENTS] = {
+            shares_[i].run,
+            shares_[i].wait,
             static_cast<sim::SimTime>(
                 static_cast<double>(all.memOnly) / n),
             static_cast<sim::SimTime>(
@@ -461,7 +465,7 @@ AppModel::tick()
             static_cast<sim::SimTime>(
                 static_cast<double>(all.ioOnly) / n),
         };
-        const unsigned states[5] = {
+        const unsigned states[TICK_SEGMENTS] = {
             psi::TSK_ONCPU,
             psi::TSK_RUNNABLE,
             psi::TSK_MEMSTALL,
@@ -488,7 +492,7 @@ AppModel::tick()
         const sim::SimTime slack = tickLen_ - used;
         sim::SimTime cursor =
             start + (slack > 0 ? rng_.uniformInt(slack + 1) : 0);
-        for (int s = 0; s < 5; ++s) {
+        for (std::size_t s = 0; s < TICK_SEGMENTS; ++s) {
             if (seq[s] == 0)
                 continue;
             tl.segments.push_back(
@@ -496,7 +500,7 @@ AppModel::tick()
             cursor += seq[s];
         }
     }
-    sched::replayTimelines(timelines, end);
+    sched::replayTimelines(timelines_, end, transitions_);
 
     if (running_)
         scheduleTick();

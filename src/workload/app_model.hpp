@@ -19,6 +19,7 @@
 #include "cgroup/cgroup.hpp"
 #include "mem/memory_manager.hpp"
 #include "sched/cpu_coordinator.hpp"
+#include "sched/cpu_model.hpp"
 #include "sched/task.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulation.hpp"
@@ -189,6 +190,18 @@ class AppModel
 
     std::vector<Region> regions_;
     std::vector<std::unique_ptr<sched::Task>> tasks_;
+
+    /** Segments a tick plans per task: run, runqueue wait, memory
+     *  stall, memory+IO stall, IO stall. */
+    static constexpr std::size_t TICK_SEGMENTS = 5;
+    /** Per-tick scratch, overwritten by every tick: once grown to the
+     *  most segments a tick has planned, ticks allocate nothing.
+     *  Members, not statics: hosts tick concurrently on executor
+     *  lanes. */
+    std::vector<sim::SimTime> demands_;
+    std::vector<sched::CpuShare> shares_;
+    std::vector<sched::TaskTimeline> timelines_;
+    std::vector<sched::Transition> transitions_;
     bool running_ = false;
     sim::EventId tickEvent_ = sim::INVALID_EVENT;
     TickStats lastTick_;

@@ -18,8 +18,9 @@ TraceWorkload::TraceWorkload(sim::Simulation &simulation,
       addressSpacePages_(address_space_pages),
       anonFraction_(anon_fraction), tickLen_(tick),
       mapping_(address_space_pages, mem::NO_PAGE),
-      task_(cg, cg.name() + "/trace")
+      task_(cg, cg.name() + "/trace"), timeline_(1)
 {
+    timeline_[0].task = &task_;
     assert(tickLen_ > 0);
     if (!std::is_sorted(records_.begin(), records_.end(),
                         [](const TraceRecord &a, const TraceRecord &b) {
@@ -90,20 +91,20 @@ TraceWorkload::tick()
 
     // Feed the tick's stalls to PSI through the worker task.
     const sim::SimTime both = std::min(mem_stall, io_stall);
-    std::vector<sched::TaskTimeline> timelines(1);
-    timelines[0].task = &task_;
+    auto &segments = timeline_[0].segments;
+    segments.clear();
     sim::SimTime at = start;
     auto push = [&](sim::SimTime duration, unsigned state) {
         if (duration == 0)
             return;
         duration = std::min(duration, end - at);
-        timelines[0].segments.push_back({at, duration, state});
+        segments.push_back({at, duration, state});
         at += duration;
     };
     push(both, psi::TSK_MEMSTALL | psi::TSK_IOWAIT);
     push(mem_stall - both, psi::TSK_MEMSTALL);
     push(io_stall - both, psi::TSK_IOWAIT);
-    sched::replayTimelines(timelines, end);
+    sched::replayTimelines(timeline_, end, transitions_);
 
     if (!finished())
         sim_.after(tickLen_, [this] { tick(); });

@@ -96,6 +96,10 @@ class TraceWorkload
     std::vector<mem::PageIdx> mapping_;
     std::size_t cursor_ = 0;
     sched::Task task_;
+    /** The worker task's timeline and the replay scratch, kept
+     *  across ticks so that a tick allocates nothing. */
+    std::vector<sched::TaskTimeline> timeline_;
+    std::vector<sched::Transition> transitions_;
     TraceStats stats_;
 };
 

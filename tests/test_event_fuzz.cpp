@@ -7,7 +7,8 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
+#include <functional>
+#include <memory>
 #include <set>
 #include <vector>
 
@@ -22,56 +23,89 @@ class EventFuzzTest : public ::testing::TestWithParam<std::uint64_t>
 
 TEST_P(EventFuzzTest, ScheduleCancelSoup)
 {
+    // A model of the queue checked after every operation: size() is
+    // the number of scheduled, not yet fired or cancelled events, and
+    // each run fires the earliest live event by (when, schedule order).
+    // Cancels pick any id ever issued, fired and cancelled ones
+    // included, so stale ids meet slots that newer events now hold.
     sim::Rng rng(GetParam());
     sim::EventQueue queue;
 
-    struct Pending {
+    enum class State { PENDING, FIRED, CANCELLED };
+    struct Event {
         sim::EventId id;
         sim::SimTime when;
+        State state;
     };
-    std::vector<Pending> pending;
-    std::set<sim::EventId> cancelled;
-    std::vector<sim::SimTime> fired;
-    std::map<sim::EventId, sim::SimTime> expect;
+    std::vector<Event> events; // index = schedule order
+    std::vector<std::size_t> fired;
+    std::size_t live = 0;
+
+    const auto earliest_live = [&] {
+        std::size_t best = events.size();
+        for (std::size_t i = 0; i < events.size(); ++i)
+            if (events[i].state == State::PENDING &&
+                (best == events.size() ||
+                 events[i].when < events[best].when))
+                best = i; // ties keep the earlier schedule
+        return best;
+    };
 
     sim::SimTime now = 0;
     for (int step = 0; step < 3000; ++step) {
         const auto op = rng.uniformInt(10);
-        if (op < 6) {
-            const sim::SimTime when = now + rng.uniformInt(1000) + 1;
+        if (op < 5) {
+            // Coarse times: many events share a timestamp.
+            const sim::SimTime when = now + rng.uniformInt(40);
+            const std::size_t index = events.size();
             const auto id = queue.schedule(
-                when, [&fired, when] { fired.push_back(when); });
-            pending.push_back({id, when});
-            expect[id] = when;
-        } else if (op < 8 && !pending.empty()) {
-            const auto pick = rng.uniformInt(pending.size());
-            // Cancelling twice, or cancelling an already-fired id,
-            // must be harmless.
-            queue.cancel(pending[pick].id);
-            cancelled.insert(pending[pick].id);
-        } else if (!queue.empty()) {
-            const auto t = queue.nextTime();
-            ASSERT_GE(t, now);
-            now = t;
-            queue.runNext();
+                when, [&fired, index] { fired.push_back(index); });
+            ASSERT_NE(id, sim::INVALID_EVENT);
+            events.push_back({id, when, State::PENDING});
+            ++live;
+        } else if (op < 8 && !events.empty()) {
+            Event &victim = events[rng.uniformInt(events.size())];
+            queue.cancel(victim.id);
+            if (victim.state == State::PENDING) {
+                victim.state = State::CANCELLED;
+                --live;
+            }
+        } else if (live > 0) {
+            const std::size_t expect = earliest_live();
+            ASSERT_EQ(queue.nextTime(), events[expect].when);
+            const std::size_t before = fired.size();
+            now = queue.runNext();
+            ASSERT_EQ(fired.size(), before + 1);
+            ASSERT_EQ(fired.back(), expect) << "step " << step;
+            ASSERT_EQ(now, events[expect].when);
+            events[expect].state = State::FIRED;
+            --live;
         }
-        // Size never counts cancelled events.
-        std::size_t live = 0;
-        for (const auto &p : pending)
-            live += !cancelled.count(p.id) &&
-                    (expect.count(p.id) != 0);
-        (void)live; // full reconciliation happens at drain below
+        ASSERT_EQ(queue.size(), live) << "step " << step;
+        ASSERT_EQ(queue.empty(), live == 0) << "step " << step;
     }
 
-    // Drain the queue; every fired time must be nondecreasing.
+    // Drain: every event not cancelled fires exactly once, in (when,
+    // schedule order); no cancelled event fires.
     while (!queue.empty()) {
-        const auto t = queue.nextTime();
-        ASSERT_GE(t, now);
-        now = t;
         queue.runNext();
+        ASSERT_EQ(queue.size(), --live);
     }
-    for (std::size_t i = 1; i < fired.size(); ++i)
-        ASSERT_GE(fired[i], fired[i - 1]);
+    EXPECT_EQ(live, 0u);
+    EXPECT_EQ(queue.dispatched(), fired.size());
+    std::vector<std::size_t> count(events.size(), 0);
+    for (const std::size_t index : fired)
+        ++count[index];
+    for (std::size_t i = 0; i < events.size(); ++i)
+        EXPECT_EQ(count[i], events[i].state == State::CANCELLED ? 0u : 1u)
+            << "event " << i;
+    for (std::size_t k = 1; k < fired.size(); ++k) {
+        const Event &a = events[fired[k - 1]];
+        const Event &b = events[fired[k]];
+        EXPECT_TRUE(a.when < b.when ||
+                    (a.when == b.when && fired[k - 1] < fired[k]))
+            << "fire " << k;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EventFuzzTest,

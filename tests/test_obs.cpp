@@ -308,6 +308,49 @@ TEST(MetricsTest, SamplerAlignsWithSenpaiInterval)
               nullptr);
 }
 
+TEST(MetricsTest, EventDispatchProbeCountsEveryCadence)
+{
+    // One host's event count over 60 s follows from its cadences: the
+    // app tick and kswapd every 1 s (60 + 60), PSI averaging every 2 s
+    // (30), and Senpai, two-tier maintenance and the 6 s sampler every
+    // 6 s (10 + 10 + 10).
+    sim::Simulation simulation;
+    host::HostConfig config;
+    config.mem.ramBytes = 512ull << 20;
+    config.mem.pageBytes = 64 * 1024;
+    host::Host machine(simulation, config);
+    auto &app = machine.addApp(
+        workload::appPreset("feed", 256ull << 20),
+        tier::TierChainSpec::parse("zswap+ssd"));
+    auto *controller =
+        machine.setController(std::make_unique<core::Senpai>(
+            simulation, machine.memory(), app.cgroup(),
+            core::senpaiProductionConfig()));
+    machine.start();
+    app.start();
+    controller->start();
+    auto &registry = machine.enableMetrics(6 * sim::SEC);
+    simulation.runUntil(sim::MINUTE);
+
+    EXPECT_EQ(simulation.dispatched(), 60u + 60u + 30u + 10u + 10u + 10u);
+    double probed = -1.0;
+    registry.visit([&](const std::string &name, double value) {
+        if (name == "sim.events_dispatched")
+            probed = value;
+    });
+    EXPECT_EQ(probed, 180.0);
+    // Each sample reads the count live: it grows by one 6 s window of
+    // events (6 + 6 + 3 + 1 + 1 + 1 = 18) per sample.
+    const auto *series = machine.sampler()->find("sim.events_dispatched");
+    ASSERT_NE(series, nullptr);
+    ASSERT_EQ(series->size(), 10u);
+    for (std::size_t i = 1; i < series->size(); ++i)
+        EXPECT_EQ(series->samples()[i].value -
+                      series->samples()[i - 1].value,
+                  18.0)
+            << "sample " << i;
+}
+
 // --- bit-identity across job counts ---------------------------------------
 
 namespace
@@ -377,6 +420,10 @@ TEST(ObsFleetTest, TraceBitIdenticalSerialVsParallel)
     EXPECT_FALSE(serial.trace.empty());
     EXPECT_EQ(serial.trace, parallel.trace);
     EXPECT_EQ(serial.metrics, parallel.metrics);
+    // The per-host event count is among the series compared: dispatch
+    // on a shard clock does not depend on the lane it runs on.
+    EXPECT_NE(serial.metrics.find("sim.events_dispatched"),
+              std::string::npos);
 }
 
 TEST(ObsFleetTest, TraceBitIdenticalUnderFaultPlans)

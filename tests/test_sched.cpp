@@ -5,9 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "cgroup/cgroup.hpp"
 #include "sched/cpu_model.hpp"
 #include "sched/task.hpp"
+#include "sim/rng.hpp"
 
 using namespace tmo;
 
@@ -65,12 +71,13 @@ TEST(ReplayTest, SingleTaskSegments)
     sched::Task task(cg, "worker");
 
     std::vector<sched::TaskTimeline> timelines(1);
+    std::vector<sched::Transition> scratch;
     timelines[0].task = &task;
     timelines[0].segments = {
         {0, 200 * sim::MSEC, psi::TSK_ONCPU},
         {200 * sim::MSEC, 300 * sim::MSEC, psi::TSK_MEMSTALL},
     };
-    sched::replayTimelines(timelines, sim::SEC);
+    sched::replayTimelines(timelines, sim::SEC, scratch);
 
     EXPECT_EQ(cg.psi().totalSome(psi::Resource::MEM, sim::SEC),
               300 * sim::MSEC);
@@ -84,12 +91,13 @@ TEST(ReplayTest, UnsortedSegmentsAreSorted)
     sched::Task task(cg, "worker");
 
     std::vector<sched::TaskTimeline> timelines(1);
+    std::vector<sched::Transition> scratch;
     timelines[0].task = &task;
     timelines[0].segments = {
         {500 * sim::MSEC, 100 * sim::MSEC, psi::TSK_IOWAIT},
         {100 * sim::MSEC, 100 * sim::MSEC, psi::TSK_MEMSTALL},
     };
-    sched::replayTimelines(timelines, sim::SEC);
+    sched::replayTimelines(timelines, sim::SEC, scratch);
     EXPECT_EQ(cg.psi().totalSome(psi::Resource::MEM, sim::SEC),
               100 * sim::MSEC);
     EXPECT_EQ(cg.psi().totalSome(psi::Resource::IO, sim::SEC),
@@ -104,13 +112,14 @@ TEST(ReplayTest, OverlappingStallsAcrossTasksMakeFull)
 
     // Both tasks stall [100, 300) ms: some == full == 200 ms.
     std::vector<sched::TaskTimeline> timelines(2);
+    std::vector<sched::Transition> scratch;
     timelines[0].task = &a;
     timelines[0].segments = {
         {100 * sim::MSEC, 200 * sim::MSEC, psi::TSK_MEMSTALL}};
     timelines[1].task = &b;
     timelines[1].segments = {
         {100 * sim::MSEC, 200 * sim::MSEC, psi::TSK_MEMSTALL}};
-    sched::replayTimelines(timelines, sim::SEC);
+    sched::replayTimelines(timelines, sim::SEC, scratch);
 
     EXPECT_EQ(cg.psi().totalSome(psi::Resource::MEM, sim::SEC),
               200 * sim::MSEC);
@@ -125,6 +134,7 @@ TEST(ReplayTest, DisjointStallsAreSomeNotFull)
     sched::Task a(cg, "a"), b(cg, "b");
 
     std::vector<sched::TaskTimeline> timelines(2);
+    std::vector<sched::Transition> scratch;
     timelines[0].task = &a;
     timelines[0].segments = {
         {0, 200 * sim::MSEC, psi::TSK_MEMSTALL},
@@ -134,18 +144,79 @@ TEST(ReplayTest, DisjointStallsAreSomeNotFull)
         {0, 200 * sim::MSEC, psi::TSK_ONCPU},
         {200 * sim::MSEC, 200 * sim::MSEC, psi::TSK_MEMSTALL},
         {400 * sim::MSEC, 600 * sim::MSEC, psi::TSK_ONCPU}};
-    sched::replayTimelines(timelines, sim::SEC);
+    sched::replayTimelines(timelines, sim::SEC, scratch);
 
     EXPECT_EQ(cg.psi().totalSome(psi::Resource::MEM, sim::SEC),
               400 * sim::MSEC);
     EXPECT_EQ(cg.psi().totalFull(psi::Resource::MEM, sim::SEC), 0u);
 }
 
+TEST(ReplayTest, TransitionOrderMatchesStableSortByTime)
+{
+    // The replay sorts by (time, flatten position); that must be the
+    // order a stable sort by time gives, ties included. Coarse 100 ms
+    // starts make ties across tasks common, and the scratch is reused
+    // across rounds the way a tick reuses it.
+    cgroup::CgroupTree tree;
+    auto &cg = tree.create("app");
+    std::vector<std::unique_ptr<sched::Task>> tasks;
+    for (int i = 0; i < 6; ++i)
+        tasks.push_back(
+            std::make_unique<sched::Task>(cg, "t" + std::to_string(i)));
+    const unsigned states[] = {psi::TSK_ONCPU, psi::TSK_RUNNABLE,
+                               psi::TSK_MEMSTALL, psi::TSK_IOWAIT,
+                               psi::TSK_MEMSTALL | psi::TSK_IOWAIT};
+    sim::Rng rng(5);
+    std::vector<sched::Transition> scratch;
+    for (int round = 0; round < 50; ++round) {
+        const sim::SimTime base = round * sim::SEC;
+        std::vector<sched::TaskTimeline> timelines(tasks.size());
+        for (std::size_t t = 0; t < tasks.size(); ++t) {
+            timelines[t].task = tasks[t].get();
+            sim::SimTime at = base + rng.uniformInt(3) * 100 * sim::MSEC;
+            const auto segments = rng.uniformInt(6);
+            for (std::uint64_t k = 0; k < segments; ++k) {
+                const sim::SimTime duration =
+                    (1 + rng.uniformInt(2)) * 100 * sim::MSEC;
+                timelines[t].segments.push_back(
+                    {at, duration, states[rng.uniformInt(5)]});
+                // Contiguous or a 100 ms gap.
+                at += duration + rng.uniformInt(2) * 100 * sim::MSEC;
+            }
+        }
+        // Reference: the flatten, then a stable sort by time.
+        std::vector<sched::Transition> expect;
+        for (const auto &tl : timelines) {
+            const auto &segs = tl.segments;
+            for (std::size_t i = 0; i < segs.size(); ++i) {
+                expect.push_back({segs[i].start, 0, segs[i].state, tl.task});
+                const sim::SimTime end = segs[i].start + segs[i].duration;
+                if (!(i + 1 < segs.size() && segs[i + 1].start <= end))
+                    expect.push_back({end, 0, 0u, tl.task});
+            }
+        }
+        std::stable_sort(expect.begin(), expect.end(),
+                         [](const sched::Transition &a,
+                            const sched::Transition &b) {
+                             return a.time < b.time;
+                         });
+        sched::replayTimelines(timelines, base + sim::SEC, scratch);
+        ASSERT_EQ(scratch.size(), expect.size()) << "round " << round;
+        for (std::size_t i = 0; i < expect.size(); ++i) {
+            EXPECT_EQ(scratch[i].time, expect[i].time) << round << "/" << i;
+            EXPECT_EQ(scratch[i].task, expect[i].task) << round << "/" << i;
+            EXPECT_EQ(scratch[i].state, expect[i].state)
+                << round << "/" << i;
+        }
+    }
+}
+
 TEST(CpuModelTest, UndersubscribedRunsEverything)
 {
     const std::vector<sim::SimTime> demands = {
         100 * sim::MSEC, 200 * sim::MSEC};
-    const auto shares = sched::allocateCpu(demands, 4, sim::SEC);
+    std::vector<sched::CpuShare> shares;
+    sched::allocateCpu(demands, 4, sim::SEC, shares);
     EXPECT_EQ(shares[0].run, 100 * sim::MSEC);
     EXPECT_EQ(shares[1].run, 200 * sim::MSEC);
     EXPECT_EQ(shares[0].wait, 0u);
@@ -157,7 +228,8 @@ TEST(CpuModelTest, OversubscribedScalesAndWaits)
     // 4 tasks wanting the full tick on 2 CPUs: each runs half, waits
     // half.
     const std::vector<sim::SimTime> demands(4, sim::SEC);
-    const auto shares = sched::allocateCpu(demands, 2, sim::SEC);
+    std::vector<sched::CpuShare> shares;
+    sched::allocateCpu(demands, 2, sim::SEC, shares);
     for (const auto &s : shares) {
         EXPECT_EQ(s.run, sim::SEC / 2);
         EXPECT_EQ(s.wait, sim::SEC / 2);
@@ -167,16 +239,19 @@ TEST(CpuModelTest, OversubscribedScalesAndWaits)
 TEST(CpuModelTest, DemandCappedAtTick)
 {
     const std::vector<sim::SimTime> demands = {10 * sim::SEC};
-    const auto shares = sched::allocateCpu(demands, 1, sim::SEC);
+    std::vector<sched::CpuShare> shares;
+    sched::allocateCpu(demands, 1, sim::SEC, shares);
     EXPECT_EQ(shares[0].run, sim::SEC);
     EXPECT_EQ(shares[0].wait, 0u);
 }
 
 TEST(CpuModelTest, EmptyAndZeroCpus)
 {
-    EXPECT_TRUE(sched::allocateCpu({}, 4, sim::SEC).empty());
-    const auto shares =
-        sched::allocateCpu({sim::SEC}, 0, sim::SEC);
+    std::vector<sched::CpuShare> shares(3);
+    sched::allocateCpu({}, 4, sim::SEC, shares);
+    EXPECT_TRUE(shares.empty());
+    sched::allocateCpu({sim::SEC}, 0, sim::SEC, shares);
+    ASSERT_EQ(shares.size(), 1u);
     EXPECT_EQ(shares[0].run, 0u);
 }
 
@@ -184,7 +259,27 @@ TEST(CpuModelTest, RunPlusWaitNeverExceedsTick)
 {
     const std::vector<sim::SimTime> demands = {
         900 * sim::MSEC, 800 * sim::MSEC, sim::SEC};
-    const auto shares = sched::allocateCpu(demands, 1, sim::SEC);
+    std::vector<sched::CpuShare> shares;
+    sched::allocateCpu(demands, 1, sim::SEC, shares);
     for (const auto &s : shares)
         EXPECT_LE(s.run + s.wait, sim::SEC);
+}
+
+TEST(CpuModelTest, ReusedBufferIsOverwritten)
+{
+    // The caller keeps the buffer across ticks: a tick's shares must
+    // not depend on what the previous tick left in it.
+    std::vector<sched::CpuShare> shares;
+    sched::allocateCpu(std::vector<sim::SimTime>(4, sim::SEC), 2, sim::SEC,
+                       shares);
+    ASSERT_EQ(shares.size(), 4u);
+    EXPECT_EQ(shares[3].wait, sim::SEC / 2);
+    const std::vector<sim::SimTime> light = {100 * sim::MSEC,
+                                             200 * sim::MSEC};
+    sched::allocateCpu(light, 2, sim::SEC, shares);
+    ASSERT_EQ(shares.size(), 2u);
+    EXPECT_EQ(shares[0].run, 100 * sim::MSEC);
+    EXPECT_EQ(shares[0].wait, 0u);
+    EXPECT_EQ(shares[1].run, 200 * sim::MSEC);
+    EXPECT_EQ(shares[1].wait, 0u);
 }

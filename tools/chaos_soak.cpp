@@ -30,9 +30,13 @@
 #include <cstdint>
 #include <exception>
 #include <iostream>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "cli_number.hpp"
 
 #include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
@@ -76,6 +80,9 @@ usage()
                  "[--restart-backoff-sec N] [--no-audit]\n";
 }
 
+/** Largest --runs. */
+constexpr std::uint64_t MAX_RUNS = std::uint64_t{1} << 20;
+
 /** soak.jsonl + seed 3 -> soak.3.jsonl (suffix when no extension). */
 std::string
 perSeedPath(const std::string &path, std::uint64_t seed)
@@ -109,51 +116,49 @@ parse(int argc, char **argv, Options &options)
                       << "\n";
             return false;
         }
-        const char *value = argv[++i];
-        if (flag == "--runs") {
-            options.runs = std::stoull(value);
-        } else if (flag == "--minutes") {
-            options.minutes = std::stoi(value);
-        } else if (flag == "--hosts") {
-            options.hosts = std::stoull(value);
-        } else if (flag == "--jobs") {
-            options.jobs = static_cast<unsigned>(std::stoul(value));
-        } else if (flag == "--seed") {
-            options.seed = std::stoull(value);
-        } else if (flag == "--trace") {
-            options.traceFile = value;
-        } else if (flag == "--trace-buffer-mb") {
-            options.traceBufferMb = std::stoull(value);
-        } else if (flag == "--metrics-out") {
-            options.metricsFile = value;
-        } else if (flag == "--metrics-interval-sec") {
-            options.metricsIntervalSec = std::stoi(value);
-        } else if (flag == "--restart-max") {
-            options.restartMax =
-                static_cast<unsigned>(std::stoul(value));
-        } else if (flag == "--restart-backoff-sec") {
-            options.restartBackoffSec = std::stoi(value);
-        } else {
-            std::cerr << "chaos_soak: unknown flag: " << flag << "\n";
+        const std::string value = argv[++i];
+        using cli::parseNumber;
+        // A bad number is a named std::invalid_argument.
+        try {
+            if (flag == "--runs") {
+                options.runs = parseNumber<std::uint64_t>(flag, value, 1,
+                                                          MAX_RUNS);
+            } else if (flag == "--minutes") {
+                options.minutes =
+                    parseNumber(flag, value, 1, cli::MAX_MINUTES);
+            } else if (flag == "--hosts") {
+                options.hosts = parseNumber<std::size_t>(flag, value, 1,
+                                                         cli::MAX_HOSTS);
+            } else if (flag == "--jobs") {
+                options.jobs = parseNumber(flag, value, 1u, cli::MAX_JOBS);
+            } else if (flag == "--seed") {
+                options.seed = parseNumber<std::uint64_t>(
+                    flag, value, 0,
+                    std::numeric_limits<std::uint64_t>::max());
+            } else if (flag == "--trace") {
+                options.traceFile = value;
+            } else if (flag == "--trace-buffer-mb") {
+                options.traceBufferMb = parseNumber<std::uint64_t>(
+                    flag, value, 1, cli::MAX_TRACE_BUFFER_MB);
+            } else if (flag == "--metrics-out") {
+                options.metricsFile = value;
+            } else if (flag == "--metrics-interval-sec") {
+                options.metricsIntervalSec =
+                    parseNumber(flag, value, 1, cli::MAX_SECONDS);
+            } else if (flag == "--restart-max") {
+                options.restartMax =
+                    parseNumber(flag, value, 0u, cli::MAX_RESTARTS);
+            } else if (flag == "--restart-backoff-sec") {
+                options.restartBackoffSec =
+                    parseNumber(flag, value, 0, cli::MAX_SECONDS);
+            } else {
+                std::cerr << "chaos_soak: unknown flag: " << flag << "\n";
+                return false;
+            }
+        } catch (const std::invalid_argument &error) {
+            std::cerr << "chaos_soak: " << error.what() << "\n";
             return false;
         }
-    }
-    if (options.runs == 0 || options.hosts == 0 ||
-        options.minutes <= 0) {
-        std::cerr << "chaos_soak: --runs/--hosts/--minutes must be "
-                     ">= 1\n";
-        return false;
-    }
-    if (options.traceBufferMb == 0 ||
-        options.metricsIntervalSec <= 0) {
-        std::cerr << "chaos_soak: --trace-buffer-mb/"
-                     "--metrics-interval-sec must be >= 1\n";
-        return false;
-    }
-    if (options.restartBackoffSec < 0) {
-        std::cerr << "chaos_soak: --restart-backoff-sec must be "
-                     ">= 0\n";
-        return false;
     }
     return true;
 }

@@ -66,10 +66,14 @@
 #include <cstdint>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "cli_number.hpp"
 
 #include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
@@ -154,181 +158,147 @@ usage()
            "[--restart-backoff-sec N]\n";
 }
 
+/** Largest --ram-mb and --footprint-mb: 1 TiB. */
+constexpr std::uint64_t MAX_MB = std::uint64_t{1} << 20;
+/** Largest --page-kb: pageBytes is 32-bit. */
+constexpr std::uint64_t MAX_PAGE_KB = (std::uint64_t{1} << 22) - 1;
+/** Largest --slo-p99-us: 1000 s. */
+constexpr double MAX_SLO_US = 1e9;
+
+bool
+parseFlag(const std::string &flag, const char *value, Options &options)
+{
+    using cli::Lower;
+    using cli::parseNumber;
+    constexpr auto U64_MAX = std::numeric_limits<std::uint64_t>::max();
+    if (flag == "--app") {
+        options.app = value;
+    } else if (flag == "--footprint-mb") {
+        options.footprintMb =
+            parseNumber<std::uint64_t>(flag, value, 1, MAX_MB);
+    } else if (flag == "--ram-mb") {
+        options.ramMb = parseNumber<std::uint64_t>(flag, value, 1, MAX_MB);
+    } else if (flag == "--page-kb") {
+        options.pageKb =
+            parseNumber<std::uint64_t>(flag, value, 1, MAX_PAGE_KB);
+    } else if (flag == "--tiers") {
+        // Validate now, not after the fleet is built: a malformed
+        // chain spec dies here with the parser's named error.
+        options.tiers = value;
+        std::string error;
+        if (!tier::isValidTierChainSpec(options.tiers, &error))
+            throw std::invalid_argument(error);
+    } else if (flag == "--ssd-class") {
+        if (std::strlen(value) != 1 || !backend::isValidSsdClass(value[0]))
+            throw std::invalid_argument(std::string("unknown SSD class '") +
+                                        value + "' (expected A-G)");
+        options.ssdClass = value[0];
+    } else if (flag == "--zswap-compressor") {
+        options.zswapCompressor = value;
+        if (!backend::isKnownCompressor(options.zswapCompressor))
+            throw std::invalid_argument(std::string("unknown compressor '") +
+                                        value + "' (expected lzo|lz4|zstd)");
+    } else if (flag == "--zswap-allocator") {
+        options.zswapAllocator = value;
+        if (!backend::isKnownAllocator(options.zswapAllocator))
+            throw std::invalid_argument(
+                std::string("unknown allocator '") + value +
+                "' (expected zbud|z3fold|zsmalloc)");
+    } else if (flag == "--fault-plan") {
+        // Parse (and so validate) the plan file now: a malformed plan
+        // must die with a line-numbered error before any simulation
+        // state exists.
+        options.faultPlan = fault::FaultPlan::fromFile(value);
+    } else if (flag == "--chaos") {
+        options.chaosSeed =
+            parseNumber<std::uint64_t>(flag, value, 0, U64_MAX);
+    } else if (flag == "--controller") {
+        options.controller = value;
+        if (!host::isKnownController(options.controller)) {
+            std::string error =
+                "unknown controller '" + options.controller + "' (expected ";
+            const auto &names = host::knownControllers();
+            for (std::size_t n = 0; n < names.size(); ++n)
+                error += (n ? "|" : "") + names[n];
+            throw std::invalid_argument(error + ")");
+        }
+    } else if (flag == "--psi-threshold") {
+        options.psiThreshold =
+            parseNumber(flag, value, 0.0, 1.0, Lower::EXCLUSIVE);
+    } else if (flag == "--io-psi-threshold") {
+        options.ioPsiThreshold =
+            parseNumber(flag, value, 0.0, 1.0, Lower::EXCLUSIVE);
+    } else if (flag == "--reclaim-ratio") {
+        options.reclaimRatio =
+            parseNumber(flag, value, 0.0, 1.0, Lower::EXCLUSIVE);
+    } else if (flag == "--max-probe-ratio") {
+        options.maxProbeRatio =
+            parseNumber(flag, value, 0.0, 1.0, Lower::EXCLUSIVE);
+    } else if (flag == "--trace-rps") {
+        // Fail fast with the parser's named error, never mid-build.
+        options.traceRps = value;
+        std::string error;
+        if (!workload::isValidTrafficSpec(options.traceRps, &error))
+            throw std::invalid_argument(error);
+    } else if (flag == "--slo-p99-us") {
+        options.sloP99Us =
+            parseNumber(flag, value, 0.0, MAX_SLO_US, Lower::EXCLUSIVE);
+    } else if (flag == "--minutes") {
+        options.minutes = parseNumber(flag, value, 1, cli::MAX_MINUTES);
+    } else if (flag == "--hosts") {
+        options.hosts =
+            parseNumber<std::size_t>(flag, value, 1, cli::MAX_HOSTS);
+    } else if (flag == "--jobs") {
+        options.jobs = parseNumber(flag, value, 1u, cli::MAX_JOBS);
+    } else if (flag == "--epoch-sec") {
+        options.epochSec = parseNumber(flag, value, 1, cli::MAX_SECONDS);
+    } else if (flag == "--seed") {
+        options.seed = parseNumber<std::uint64_t>(flag, value, 0, U64_MAX);
+    } else if (flag == "--trace") {
+        options.traceFile = value;
+    } else if (flag == "--trace-buffer-mb") {
+        options.traceBufferMb = parseNumber<std::uint64_t>(
+            flag, value, 1, cli::MAX_TRACE_BUFFER_MB);
+    } else if (flag == "--metrics-out") {
+        options.metricsFile = value;
+    } else if (flag == "--metrics-interval-sec") {
+        options.metricsIntervalSec =
+            parseNumber(flag, value, 1, cli::MAX_SECONDS);
+    } else if (flag == "--restart-max") {
+        options.restartMax = parseNumber(flag, value, 0u, cli::MAX_RESTARTS);
+    } else if (flag == "--restart-backoff-sec") {
+        options.restartBackoffSec =
+            parseNumber(flag, value, 0, cli::MAX_SECONDS);
+    } else {
+        return false;
+    }
+    return true;
+}
+
 bool
 parse(int argc, char **argv, Options &options)
 {
-    auto need_value = [&](int &i) -> const char * {
-        if (i + 1 >= argc) {
-            std::cerr << "tmo_sim: missing value for " << argv[i]
-                      << "\n";
-            return nullptr;
-        }
-        return argv[++i];
-    };
     for (int i = 1; i < argc; ++i) {
         const std::string flag = argv[i];
-        const char *value = nullptr;
         if (flag == "--csv") {
             options.csv = true;
-        } else if (flag == "--help" || flag == "-h") {
+            continue;
+        }
+        if (flag == "--help" || flag == "-h")
             return false;
-        } else if ((value = need_value(i)) == nullptr) {
+        if (i + 1 >= argc) {
+            std::cerr << "tmo_sim: missing value for " << flag << "\n";
             return false;
-        } else if (flag == "--app") {
-            options.app = value;
-        } else if (flag == "--footprint-mb") {
-            options.footprintMb = std::stoull(value);
-        } else if (flag == "--ram-mb") {
-            options.ramMb = std::stoull(value);
-        } else if (flag == "--page-kb") {
-            options.pageKb = std::stoull(value);
-            if (options.pageKb == 0) {
-                std::cerr << "tmo_sim: --page-kb must be >= 1\n";
+        }
+        // Every value error is a named std::invalid_argument, thrown
+        // before any simulation state exists.
+        try {
+            if (!parseFlag(flag, argv[++i], options)) {
+                std::cerr << "tmo_sim: unknown flag: " << flag << "\n";
                 return false;
             }
-        } else if (flag == "--tiers") {
-            // Validate now, not after the fleet is built: a malformed
-            // chain spec dies here with the parser's named error.
-            options.tiers = value;
-            std::string error;
-            if (!tier::isValidTierChainSpec(options.tiers, &error)) {
-                std::cerr << "tmo_sim: " << error << "\n";
-                return false;
-            }
-        } else if (flag == "--ssd-class") {
-            if (std::strlen(value) != 1 ||
-                !backend::isValidSsdClass(value[0])) {
-                std::cerr << "tmo_sim: unknown SSD class '" << value
-                          << "' (expected A-G)\n";
-                return false;
-            }
-            options.ssdClass = value[0];
-        } else if (flag == "--zswap-compressor") {
-            options.zswapCompressor = value;
-            if (!backend::isKnownCompressor(options.zswapCompressor)) {
-                std::cerr << "tmo_sim: unknown compressor '" << value
-                          << "' (expected lzo|lz4|zstd)\n";
-                return false;
-            }
-        } else if (flag == "--zswap-allocator") {
-            options.zswapAllocator = value;
-            if (!backend::isKnownAllocator(options.zswapAllocator)) {
-                std::cerr << "tmo_sim: unknown allocator '" << value
-                          << "' (expected zbud|z3fold|zsmalloc)\n";
-                return false;
-            }
-        } else if (flag == "--fault-plan") {
-            // Parse (and so validate) the plan file now: a malformed
-            // plan must die with a line-numbered error before any
-            // simulation state exists.
-            try {
-                options.faultPlan = fault::FaultPlan::fromFile(value);
-            } catch (const std::invalid_argument &error) {
-                std::cerr << "tmo_sim: " << error.what() << "\n";
-                return false;
-            }
-        } else if (flag == "--chaos") {
-            options.chaosSeed = std::stoull(value);
-        } else if (flag == "--controller") {
-            options.controller = value;
-            if (!host::isKnownController(options.controller)) {
-                std::cerr << "tmo_sim: unknown controller '"
-                          << options.controller << "' (expected ";
-                const auto &names = host::knownControllers();
-                for (std::size_t n = 0; n < names.size(); ++n)
-                    std::cerr << (n ? "|" : "") << names[n];
-                std::cerr << ")\n";
-                return false;
-            }
-        } else if (flag == "--psi-threshold") {
-            options.psiThreshold = std::stod(value);
-        } else if (flag == "--io-psi-threshold") {
-            options.ioPsiThreshold = std::stod(value);
-        } else if (flag == "--reclaim-ratio") {
-            options.reclaimRatio = std::stod(value);
-            if (options.reclaimRatio <= 0.0 ||
-                options.reclaimRatio > 1.0) {
-                std::cerr
-                    << "tmo_sim: --reclaim-ratio must be in (0, 1]\n";
-                return false;
-            }
-        } else if (flag == "--max-probe-ratio") {
-            options.maxProbeRatio = std::stod(value);
-            if (options.maxProbeRatio <= 0.0 ||
-                options.maxProbeRatio > 1.0) {
-                std::cerr
-                    << "tmo_sim: --max-probe-ratio must be in (0, 1]\n";
-                return false;
-            }
-        } else if (flag == "--trace-rps") {
-            // Fail fast with the parser's named error, never
-            // mid-build.
-            options.traceRps = value;
-            std::string error;
-            if (!workload::isValidTrafficSpec(options.traceRps,
-                                              &error)) {
-                std::cerr << "tmo_sim: " << error << "\n";
-                return false;
-            }
-        } else if (flag == "--slo-p99-us") {
-            options.sloP99Us = std::stod(value);
-            if (options.sloP99Us <= 0.0) {
-                std::cerr << "tmo_sim: --slo-p99-us must be > 0\n";
-                return false;
-            }
-        } else if (flag == "--minutes") {
-            options.minutes = std::stoi(value);
-        } else if (flag == "--hosts") {
-            options.hosts = std::stoull(value);
-            if (options.hosts == 0) {
-                std::cerr << "tmo_sim: --hosts must be >= 1\n";
-                return false;
-            }
-        } else if (flag == "--jobs") {
-            options.jobs =
-                static_cast<unsigned>(std::stoul(value));
-            if (options.jobs == 0) {
-                std::cerr << "tmo_sim: --jobs must be >= 1\n";
-                return false;
-            }
-        } else if (flag == "--epoch-sec") {
-            options.epochSec = std::stoi(value);
-            if (options.epochSec <= 0) {
-                std::cerr << "tmo_sim: --epoch-sec must be >= 1\n";
-                return false;
-            }
-        } else if (flag == "--seed") {
-            options.seed = std::stoull(value);
-        } else if (flag == "--trace") {
-            options.traceFile = value;
-        } else if (flag == "--trace-buffer-mb") {
-            options.traceBufferMb = std::stoull(value);
-            if (options.traceBufferMb == 0) {
-                std::cerr << "tmo_sim: --trace-buffer-mb must be "
-                             ">= 1\n";
-                return false;
-            }
-        } else if (flag == "--metrics-out") {
-            options.metricsFile = value;
-        } else if (flag == "--metrics-interval-sec") {
-            options.metricsIntervalSec = std::stoi(value);
-            if (options.metricsIntervalSec <= 0) {
-                std::cerr << "tmo_sim: --metrics-interval-sec must "
-                             "be >= 1\n";
-                return false;
-            }
-        } else if (flag == "--restart-max") {
-            options.restartMax =
-                static_cast<unsigned>(std::stoul(value));
-        } else if (flag == "--restart-backoff-sec") {
-            options.restartBackoffSec = std::stoi(value);
-            if (options.restartBackoffSec < 0) {
-                std::cerr << "tmo_sim: --restart-backoff-sec must "
-                             "be >= 0\n";
-                return false;
-            }
-        } else {
-            std::cerr << "tmo_sim: unknown flag: " << flag << "\n";
+        } catch (const std::invalid_argument &error) {
+            std::cerr << "tmo_sim: " << error.what() << "\n";
             return false;
         }
     }
