@@ -158,6 +158,7 @@ struct ManagerFixture {
     backend::SsdDevice ssd{backend::ssdSpecForClass('C'), 1};
     backend::FilesystemBackend fs{ssd};
     backend::ZswapPool zswap{{}, 2};
+    tier::TierChain chain{"zswap", {&zswap}, {}};
     std::unique_ptr<mem::MemoryManager> mm;
     cgroup::Cgroup *parent = nullptr;
     std::vector<cgroup::Cgroup *> cgs;
@@ -174,7 +175,7 @@ struct ManagerFixture {
         for (std::size_t c = 0; c < n_cg; ++c) {
             cgs.push_back(
                 &tree.create("cg" + std::to_string(c), parent));
-            mm->attach(*cgs.back(), &zswap, &fs, 3.0);
+            mm->attach(*cgs.back(), &chain, &fs, 3.0);
         }
         pages.reserve(n_pages);
         for (std::size_t i = 0; i < n_pages; ++i)

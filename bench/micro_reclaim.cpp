@@ -17,6 +17,7 @@
 #include "backend/zswap.hpp"
 #include "cgroup/cgroup.hpp"
 #include "mem/memory_manager.hpp"
+#include "tier/tier_chain.hpp"
 
 using namespace tmo;
 
@@ -30,6 +31,7 @@ struct Setup {
     backend::SsdDevice ssd{backend::ssdSpecForClass('C'), 1};
     backend::FilesystemBackend fs{ssd};
     backend::ZswapPool zswap{{}, 2};
+    tier::TierChain chain{"zswap", {&zswap}, {}};
     std::unique_ptr<mem::MemoryManager> mm;
     cgroup::Cgroup *cg = nullptr;
     std::vector<mem::PageIdx> pages;
@@ -41,7 +43,7 @@ struct Setup {
         config.pageBytes = PAGE;
         mm = std::make_unique<mem::MemoryManager>(config, 3);
         cg = &tree.create("bench");
-        mm->attach(*cg, &zswap, &fs, 3.0);
+        mm->attach(*cg, &chain, &fs, 3.0);
         pages.reserve(n);
         for (std::size_t i = 0; i < n; ++i)
             pages.push_back(mm->newPage(*cg, i % 2 == 0, true, 0));
@@ -120,6 +122,7 @@ struct MultiSetup {
     backend::SsdDevice ssd{backend::ssdSpecForClass('C'), 1};
     backend::FilesystemBackend fs{ssd};
     backend::ZswapPool zswap{{}, 2};
+    tier::TierChain chain{"zswap", {&zswap}, {}};
     std::unique_ptr<mem::MemoryManager> mm;
     cgroup::Cgroup *parent = nullptr;
     std::vector<cgroup::Cgroup *> cgs;
@@ -136,7 +139,7 @@ struct MultiSetup {
         for (std::size_t c = 0; c < n_cg; ++c) {
             cgs.push_back(
                 &tree.create("cg" + std::to_string(c), parent));
-            mm->attach(*cgs.back(), &zswap, &fs, 3.0);
+            mm->attach(*cgs.back(), &chain, &fs, 3.0);
         }
         pages.reserve(n_pages);
         for (std::size_t i = 0; i < n_pages; ++i)

@@ -18,6 +18,7 @@
 #include "core/workingset_profiler.hpp"
 #include "host/host.hpp"
 #include "stats/table.hpp"
+#include "tier/tier_chain.hpp"
 #include "workload/trace.hpp"
 
 using namespace tmo;
@@ -31,8 +32,10 @@ main()
     config.mem.pageBytes = 64 * 1024;
     host::Host machine(simulation, config, "rightsizing");
     auto &cg = machine.createContainer("traced-service");
-    machine.memory().attach(cg, &machine.zswap(),
-                            &machine.filesystem(), 3.0);
+    // Anon pages offload through a chain; this one has the host's
+    // zswap pool as its only tier.
+    tier::TierChain chain("zswap", {&machine.zswap()}, {});
+    machine.memory().attach(cg, &chain, &machine.filesystem(), 3.0);
 
     // A service with a 1 GiB address space but a much smaller real
     // working set: 20% hot (Zipf), plus one-off scans that inflate

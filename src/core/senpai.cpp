@@ -5,6 +5,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "stats/table.hpp"
+#include "tier/tier_chain.hpp"
 
 namespace tmo::core
 {
@@ -85,14 +86,11 @@ Senpai::registerMetrics(obs::MetricRegistry &registry)
 backend::BackendStatus
 Senpai::backendStatus() const
 {
-    // A TierChain aliases anonBackend, so its aggregate status (worst
-    // impairment; FAILED only when every tier is out) flows through
-    // the same read the raw-backend path uses.
+    // The chain's aggregate status: its worst impairment, FAILED only
+    // when every tier is out. A file-only cgroup has nothing to fail.
     const auto &mcg = mm_.memcgOf(*cg_);
-    auto status = backend::BackendStatus::HEALTHY;
-    if (mcg.anonBackend)
-        status = backend::worseStatus(status, mcg.anonBackend->status());
-    return status;
+    return mcg.anonChain ? mcg.anonChain->status()
+                         : backend::BackendStatus::HEALTHY;
 }
 
 StatsRow
@@ -118,8 +116,8 @@ Senpai::tick()
     lastTick_ = now;
 
     // Pressure reading per the configured source: the interval delta
-    // of the PSI totals (microsecond resolution, §3.2.4) or a running
-    // average.
+    // of the PSI totals (microsecond resolution, §3.2.4) or the 60 s
+    // running average.
     const sim::SimTime mem_some =
         cg_->psi().totalSome(psi::Resource::MEM, now);
     const sim::SimTime io_some =
@@ -142,12 +140,6 @@ Senpai::tick()
         // old baseline: advancing it here would silently drop any
         // stall accrued since the last real reading from the next
         // pressure computation.
-        break;
-      case PressureSource::AVG10:
-        mem_pressure = cg_->psi().some(psi::Resource::MEM).avg10;
-        io_pressure = cg_->psi().some(psi::Resource::IO).avg10;
-        lastMemSome_ = mem_some;
-        lastIoSome_ = io_some;
         break;
       case PressureSource::AVG60:
         mem_pressure = cg_->psi().some(psi::Resource::MEM).avg60;
@@ -192,8 +184,8 @@ Senpai::tick()
     // offloaded; keep probing file cache only by halving the step.
     auto &mcg = mm_.memcgOf(*cg_);
     const bool swap_high =
-        mcg.anonBackend &&
-        mcg.anonBackend->utilization() > config_.swapHighWatermark;
+        mcg.anonChain &&
+        mcg.anonChain->utilization() > config_.swapHighWatermark;
     if (swap_high)
         reclaim *= 0.5;
     const double after_watermark = reclaim;

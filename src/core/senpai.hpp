@@ -42,8 +42,6 @@ enum class PressureSource {
     /** Delta of the PSI total over the last interval (production
      *  behaviour; microsecond resolution, §3.2.4). */
     INTERVAL,
-    /** The 10 s running average. */
-    AVG10,
     /** The 60 s running average. Preferred at small simulation scales
      *  where an interval holds only a handful of stall events and the
      *  windowed reading is too noisy to control on. */
@@ -135,11 +133,12 @@ class Senpai final : public Controller
     /** Total bytes requested for reclaim so far. */
     std::uint64_t totalRequested() const { return totalRequested_; }
 
-    /** Ticks spent backing off because the anon backend reported
+    /** Ticks spent backing off because the anon tier chain reported
      *  DEGRADED or FAILED (graceful degradation, §4). */
     std::uint64_t degradedTicks() const { return degradedTicks_; }
 
-    /** The controlled cgroup's worst anon-backend status right now. */
+    /** The aggregate status of the controlled cgroup's tier chain
+     *  right now (HEALTHY when it is file-only). */
     backend::BackendStatus backendStatus() const;
 
   private:

@@ -218,16 +218,30 @@ auditHost(host::Host &machine)
 
     // Every offload backend's occupancy must equal the storedBytes of
     // the pages referencing it. The filesystem is exempt: file
-    // contents occupy it whether or not they are cached in DRAM.
+    // contents occupy it whether or not they are cached in DRAM. An
+    // offloaded page is in ZSWAP exactly when its backend keeps pages
+    // in host DRAM, which decides whether the cgroup is charged.
     const auto &registry = mm.backendRegistry();
     std::vector<std::uint64_t> perBackend(registry.size(), 0);
     for (const auto &page : pages) {
-        if (page.memcg == 0xffff)
+        if (page.memcg == 0xffff ||
+            (page.where != mem::Where::ZSWAP &&
+             page.where != mem::Where::SWAP))
             continue;
-        if ((page.where == mem::Where::ZSWAP ||
-             page.where == mem::Where::SWAP) &&
-            page.store < perBackend.size())
-            perBackend[page.store] += page.storedBytes;
+        const bool in_dram = page.where == mem::Where::ZSWAP;
+        const char *kind = in_dram ? "zswap" : "swap";
+        if (page.store >= registry.size()) {
+            violations.push_back(std::string("page table: page in ") +
+                                 kind + " names no registered backend");
+            continue;
+        }
+        const backend::OffloadBackend *be = registry[page.store];
+        if (be->storesInHostDram() != in_dram)
+            violations.push_back(
+                std::string("page table: page in ") + kind +
+                " stored in " + be->name() + ", which keeps " +
+                (in_dram ? "no pages" : "pages") + " in host DRAM");
+        perBackend[page.store] += page.storedBytes;
     }
     for (std::size_t b = 0; b < registry.size(); ++b) {
         backend::OffloadBackend *be = registry[b];

@@ -278,7 +278,7 @@ Host::scheduleTierMaintenance(cgroup::Cgroup &cg,
         if (scheduled == &cg)
             return;
     maintScheduled_.push_back(&cg);
-    sim_.every(chain->config().movePeriod, [this, &cg] {
+    sim_.every(tier::MOVE_PERIOD, [this, &cg] {
         mm_.tierMaintain(cg, sim_.now());
         return true;
     });
@@ -290,12 +290,8 @@ Host::addApp(const workload::AppProfile &profile,
 {
     tier::TierChain *chain = buildChain(tiers);
     cgroup::Cgroup &cg = createContainer(profile.name, parent);
-    if (chain) {
-        mm_.attachChain(cg, chain, &fs_, profile.compressibility);
-        scheduleTierMaintenance(cg, chain);
-    } else {
-        mm_.attach(cg, nullptr, &fs_, profile.compressibility);
-    }
+    mm_.attach(cg, chain, &fs_, profile.compressibility);
+    scheduleTierMaintenance(cg, chain);
     // Pre-size the page table for this app's declared footprint (plus
     // a little churn slack): steady-state growth then never
     // reallocates mid-run, which matters at millions of pages per
@@ -364,12 +360,8 @@ void
 Host::setTiers(cgroup::Cgroup &cg, const tier::TierChainSpec &tiers)
 {
     tier::TierChain *chain = buildChain(tiers);
-    if (chain) {
-        mm_.setAnonChain(cg, chain);
-        scheduleTierMaintenance(cg, chain);
-    } else {
-        mm_.setAnonBackend(cg, nullptr);
-    }
+    mm_.setAnonChain(cg, chain);
+    scheduleTierMaintenance(cg, chain);
 }
 
 } // namespace tmo::host

@@ -29,8 +29,7 @@ MemoryManager::MemoryManager(MemoryConfig config, std::uint64_t seed)
 }
 
 MemCg &
-MemoryManager::attach(cgroup::Cgroup &cg,
-                      backend::OffloadBackend *anon_backend,
+MemoryManager::attach(cgroup::Cgroup &cg, tier::TierChain *chain,
                       backend::OffloadBackend *file_backend,
                       double compressibility)
 {
@@ -45,14 +44,19 @@ MemoryManager::attach(cgroup::Cgroup &cg,
     if (indexOf_.count(&cg))
         throw std::invalid_argument("cgroup already attached: " +
                                     cg.name());
+    // Register every backend before the memcg exists, so a full
+    // registry throws with the manager unchanged. The order (tier 0,
+    // the file backend, the other tiers) fixes the Page::store values.
+    if (chain)
+        registerBackend(chain->tier(0));
+    registerBackend(file_backend);
+    for (std::size_t i = 1; chain && i < chain->size(); ++i)
+        registerBackend(chain->tier(i));
     auto mcg = std::make_unique<MemCg>();
     mcg->cg = &cg;
     mcg->index = static_cast<std::uint16_t>(memcgs_.size());
-    mcg->anonBackend = anon_backend;
     mcg->fileBackend = file_backend;
     mcg->compressibility = compressibility;
-    registerBackend(anon_backend);
-    registerBackend(file_backend);
     memcgs_.push_back(std::move(mcg));
     gens_.addMemcg();
     MemCg &ref = *memcgs_.back();
@@ -62,6 +66,7 @@ MemoryManager::attach(cgroup::Cgroup &cg,
     // preserves the visit order of the old whole-table scan.
     for (const cgroup::Cgroup *node = &cg; node; node = node->parent())
         subtree_[node].push_back(ref.index);
+    setAnonChain(cg, chain);
 
     // Wire the memory.reclaim control file to the reclaimer.
     cg.setReclaimFn([this](cgroup::Cgroup &target, std::uint64_t bytes,
@@ -71,51 +76,20 @@ MemoryManager::attach(cgroup::Cgroup &cg,
     return ref;
 }
 
-MemCg &
-MemoryManager::attachChain(cgroup::Cgroup &cg, tier::TierChain *chain,
-                           backend::OffloadBackend *file_backend,
-                           double compressibility)
-{
-    // Register the tiers in chain order before the file backend, so a
-    // one-tier chain produces the same registry layout as a raw
-    // attach() of its tier.
-    MemCg &mcg = attach(cg, chain ? chain->tier(0) : nullptr,
-                        file_backend, compressibility);
-    if (chain)
-        setAnonChain(cg, chain);
-    return mcg;
-}
-
-void
-MemoryManager::setAnonBackend(cgroup::Cgroup &cg,
-                              backend::OffloadBackend *anon_backend)
-{
-    MemCg &mcg = memcgOf(cg);
-    clearTierLists(mcg);
-    mcg.anonBackend = anon_backend;
-    mcg.anonChain = nullptr;
-    registerBackend(anon_backend);
-}
-
 void
 MemoryManager::setAnonChain(cgroup::Cgroup &cg, tier::TierChain *chain)
 {
     MemCg &mcg = memcgOf(cg);
-    clearTierLists(mcg);
-    if (!chain) {
-        mcg.anonBackend = nullptr;
-        mcg.anonChain = nullptr;
-        return;
-    }
-    // The chain itself is never registered: page.store always indexes
-    // the concrete tier holding the page, and ramUsed() must count
-    // each tier's DRAM overhead exactly once.
-    mcg.anonBackend = chain;
-    mcg.anonChain = chain;
-    for (std::size_t i = 0; i < chain->size(); ++i)
+    // Register the tiers first: a full registry throws with the memcg
+    // still on its old chain.
+    for (std::size_t i = 0; chain && i < chain->size(); ++i)
         registerBackend(chain->tier(i));
-    mcg.tierLists.assign(chain->size(), LruList{});
-    mcg.tierBytes.assign(chain->size(), 0);
+    clearTierLists(mcg);
+    mcg.anonChain = chain;
+    if (chain) {
+        mcg.tierLists.assign(chain->size(), LruList{});
+        mcg.tierBytes.assign(chain->size(), 0);
+    }
 }
 
 void
@@ -364,8 +338,7 @@ MemoryManager::accessSlow(PageIdx idx, sim::SimTime now)
     // --- fault path ---------------------------------------------------
     // The virtual backend load() calls below may allocate pages and
     // reallocate pages_, so `page` must not be dereferenced past them:
-    // everything the accounting needs is copied out first, and later
-    // writes go through pages_[idx].
+    // everything after them goes through pages_[idx].
     result.faulted = true;
 
     backend::LoadResult load;
@@ -383,20 +356,11 @@ MemoryManager::accessSlow(PageIdx idx, sim::SimTime now)
         if (mcg.anonChain)
             touchHeat(page, heatEpochAt(now, config_.heatDecayPeriod),
                       2);
-        backend::OffloadBackend *be = backends_[page.store];
-        const std::uint32_t stored = page.storedBytes;
         const bool in_zswap = page.where == Where::ZSWAP;
-        load = be->load(stored, now);
-        if (in_zswap) {
-            mcg.zswapBytes -=
-                std::min<std::uint64_t>(mcg.zswapBytes, stored);
-            // Compressed copy freed: uncharge its DRAM share.
-            mcg.cg->uncharge(stored);
+        load = backends_[page.store]->load(page.storedBytes, now);
+        unchargeOffload(mcg, idx);
+        if (in_zswap)
             ++mcg.cg->stats().zswpin;
-        } else {
-            mcg.swapBytes -=
-                std::min<std::uint64_t>(mcg.swapBytes, stored);
-        }
         ++mcg.cg->stats().pswpin;
         mcg.swapinRate.add(1.0, now);
         // Swap-in IO is the anon side of the reclaim cost balance
@@ -487,13 +451,11 @@ MemoryManager::freePage(PageIdx idx)
 {
     MemCg &mcg = *memcgs_[pages_[idx].memcg];
     tierListRemove(mcg, idx, pages_[idx]);
-    // Copy what the release path needs before the virtual release()
-    // call — backend implementations must not be trusted to leave the
-    // page table's allocation alone.
-    const Where where = pages_[idx].where;
+    // Addressed by index across the virtual release() call — backend
+    // implementations must not be trusted to leave the page table's
+    // allocation alone.
     const std::uint8_t store = pages_[idx].store;
-    const std::uint32_t stored = pages_[idx].storedBytes;
-    switch (where) {
+    switch (pages_[idx].where) {
       case Where::RAM:
         mcg.lru.detach(pages_, idx);
         mcg.cg->uncharge(config_.pageBytes);
@@ -501,16 +463,10 @@ MemoryManager::freePage(PageIdx idx)
         --residentPages_;
         break;
       case Where::ZSWAP:
-        if (store < backends_.size())
-            backends_[store]->release(stored);
-        mcg.zswapBytes -=
-            std::min<std::uint64_t>(mcg.zswapBytes, stored);
-        mcg.cg->uncharge(stored);
-        break;
       case Where::SWAP:
         if (store < backends_.size())
-            backends_[store]->release(stored);
-        mcg.swapBytes -= std::min<std::uint64_t>(mcg.swapBytes, stored);
+            backends_[store]->release(pages_[idx].storedBytes);
+        unchargeOffload(mcg, idx);
         break;
       case Where::FS:
         break;
@@ -647,50 +603,68 @@ MemoryManager::tierMovePage(MemCg &mcg, PageIdx idx,
                                      mcg.compressibility, now);
     if (!cs.result.accepted)
         return NO_MOVE;
-    // Copy the source identity before the virtual load: both device
-    // calls may allocate pages and reallocate the page table.
+    // Addressed by index past the virtual load: both device calls may
+    // allocate pages and reallocate the page table.
     const std::uint32_t src_bytes = pages_[idx].storedBytes;
-    const bool src_zswap = pages_[idx].where == Where::ZSWAP;
     assert(pages_[idx].store < backends_.size());
-    backend::OffloadBackend *source = backends_[pages_[idx].store];
-    const auto load = source->load(src_bytes, now);
+    const auto load =
+        backends_[pages_[idx].store]->load(src_bytes, now);
 
     // Ownership of storedBytes transfers atomically: uncharge the
-    // source representation, then charge the destination's. Workload-
-    // visible fault counters (pswpin & co.) stay untouched — moves
-    // are background work, not faults.
-    if (src_zswap) {
-        mcg.zswapBytes -=
-            std::min<std::uint64_t>(mcg.zswapBytes, src_bytes);
-        mcg.cg->uncharge(src_bytes);
-    } else {
-        mcg.swapBytes -= std::min<std::uint64_t>(mcg.swapBytes,
-                                                 src_bytes);
-    }
+    // source representation, then charge the destination's (a
+    // demotion to a block device is a physical write the endurance
+    // regulator must see, same as an eviction). Workload-visible
+    // counters (pswpin, zswpout & co.) stay untouched — moves are
+    // background work, not faults.
+    unchargeOffload(mcg, idx);
     mcg.tierLists[from].remove(pages_, idx);
     auto &from_bytes = mcg.tierBytes[from];
     from_bytes -= std::min<std::uint64_t>(from_bytes, src_bytes);
 
     const auto to = static_cast<std::size_t>(cs.tierIndex);
-    Page &page = pages_[idx];
-    page.storedBytes = static_cast<std::uint32_t>(cs.result.storedBytes);
-    page.store = registerBackend(cs.tier);
-    if (cs.tier->storesInHostDram()) {
-        page.where = Where::ZSWAP;
-        mcg.zswapBytes += cs.result.storedBytes;
-        mcg.cg->charge(cs.result.storedBytes);
-    } else {
-        page.where = Where::SWAP;
-        mcg.swapBytes += cs.result.storedBytes;
-        // Demotions to a block device are physical writes the
-        // endurance regulator must see, same as evictions.
-        if (cs.tier->isBlockDevice())
-            mcg.swapoutBytes.add(static_cast<double>(config_.pageBytes),
-                                 now);
-    }
+    chargeOffload(mcg, idx, cs.tier, cs.result.storedBytes, now);
     mcg.tierLists[to].addHead(pages_, idx);
     mcg.tierBytes[to] += cs.result.storedBytes;
     return load.latency + cs.result.latency;
+}
+
+void
+MemoryManager::chargeOffload(MemCg &mcg, PageIdx idx,
+                             backend::OffloadBackend *be,
+                             std::uint64_t stored, sim::SimTime now)
+{
+    Page &page = pages_[idx];
+    page.storedBytes = static_cast<std::uint32_t>(stored);
+    page.store = registerBackend(be);
+    if (be->storesInHostDram()) {
+        page.where = Where::ZSWAP;
+        mcg.zswapBytes += stored;
+        // The compressed copy still occupies DRAM in the pool.
+        mcg.cg->charge(stored);
+    } else {
+        page.where = Where::SWAP;
+        mcg.swapBytes += stored;
+        // Physical SSD writes are what endurance regulation watches;
+        // byte-addressable tiers do no block IO.
+        if (be->isBlockDevice())
+            mcg.swapoutBytes.add(static_cast<double>(config_.pageBytes),
+                                 now);
+    }
+}
+
+void
+MemoryManager::unchargeOffload(MemCg &mcg, PageIdx idx)
+{
+    const Page &page = pages_[idx];
+    assert(page.where == Where::ZSWAP || page.where == Where::SWAP);
+    const std::uint64_t stored = page.storedBytes;
+    if (page.where == Where::ZSWAP) {
+        mcg.zswapBytes -= std::min(mcg.zswapBytes, stored);
+        // Compressed copy freed: uncharge its DRAM share.
+        mcg.cg->uncharge(stored);
+    } else {
+        mcg.swapBytes -= std::min(mcg.swapBytes, stored);
+    }
 }
 
 void
@@ -702,18 +676,10 @@ MemoryManager::losePage(MemCg &mcg, PageIdx idx)
     // index across the virtual release() call, like every other path
     // that talks to a backend.
     tierListRemove(mcg, idx, pages_[idx]);
-    const Where where = pages_[idx].where;
     const std::uint8_t store = pages_[idx].store;
-    const std::uint32_t stored = pages_[idx].storedBytes;
     if (store < backends_.size())
-        backends_[store]->release(stored);
-    if (where == Where::ZSWAP) {
-        mcg.zswapBytes -=
-            std::min<std::uint64_t>(mcg.zswapBytes, stored);
-        mcg.cg->uncharge(stored);
-    } else if (where == Where::SWAP) {
-        mcg.swapBytes -= std::min<std::uint64_t>(mcg.swapBytes, stored);
-    }
+        backends_[store]->release(pages_[idx].storedBytes);
+    unchargeOffload(mcg, idx);
     Page &page = pages_[idx];
     page.where = Where::LOST;
     page.store = 0xff;
@@ -734,7 +700,7 @@ MemoryManager::tierMaintain(cgroup::Cgroup &cg, sim::SimTime now)
         return outcome;
     const std::uint8_t epoch =
         heatEpochAt(now, config_.heatDecayPeriod);
-    const std::uint32_t batch = chain->config().scanBatch;
+    const std::uint32_t batch = tier::MOVE_SCAN_BATCH;
     std::uint64_t budget = chain->config().moveBudgetBytes;
     std::uint64_t scanned = 0;
 

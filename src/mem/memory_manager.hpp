@@ -153,22 +153,21 @@ struct MemCg {
      *  the same value). */
     std::uint16_t index = 0;
     LruVec lru;
-    /** Offload backend for anon pages (zswap pool, swap partition,
-     *  or a TierChain); nullptr = file-only mode (no swapping). When
-     *  anonChain is set this aliases it, so controllers keep reading
-     *  aggregate status/utilization through the same pointer. */
-    backend::OffloadBackend *anonBackend = nullptr;
-    /** The tier chain behind anonBackend, or nullptr for a raw
-     *  single backend. Reclaim then places pages by hotness (or the
-     *  working-set rule) and falls through rejected stores
-     *  down the chain (§5.2). */
+    /**
+     * The tier chain behind this cgroup's anon pages; nullptr =
+     * file-only mode (no swapping). Reclaim places pages by hotness
+     * (or the working-set rule) and falls through rejected stores
+     * down the chain (§5.2); controllers read its aggregate status
+     * and utilization. A one-tier chain is a single backend.
+     */
     tier::TierChain *anonChain = nullptr;
     /**
      * Per-tier lists of this cgroup's offloaded pages (index =
-     * chain tier), insertion-ordered newest first. They reuse
-     * Page::prev/next — free while a page is off the resident LRUs —
-     * so background demotion/promotion scans touch only this
-     * cgroup's pages on the affected tier. Sized by setAnonChain.
+     * chain tier), insertion-ordered newest first: every page the
+     * current chain stored. They reuse Page::prev/next — free while
+     * a page is off the resident LRUs — so background
+     * demotion/promotion scans touch only this cgroup's pages on the
+     * affected tier. Sized by attach() and setAnonChain().
      */
     std::vector<LruList> tierLists;
     /** Bytes this cgroup stores per chain tier (occupancy metrics). */
@@ -196,6 +195,9 @@ struct MemCg {
     /** Smoothed swap-out rate, bytes/s (write-endurance view). */
     stats::RateMeter swapoutBytes;
 
+    /** Bytes of offloaded pages in host-DRAM tiers (zswap) and in
+     *  the other tiers (swap, NVM); written only by
+     *  MemoryManager::chargeOffload/unchargeOffload. */
     std::uint64_t zswapBytes = 0;
     std::uint64_t swapBytes = 0;
     /** Pages the backend refused (incompressible / swap full). */
@@ -224,35 +226,31 @@ class MemoryManager
      * Put a cgroup under memory management and install its
      * memory.reclaim hook.
      *
+     * Registers tier 0, the file backend, then the other tiers (the
+     * order fixes every Page::store value) before anything else
+     * changes, so a full backend registry throws std::length_error
+     * with the manager as it was.
+     *
      * @param cg The container.
-     * @param anon_backend Backend for anon pages (nullptr: file-only).
+     * @param chain Tier chain for anon pages (nullptr: file-only).
+     *        Reclaim places pages across its tiers and tierMaintain()
+     *        moves them as their hotness changes.
      * @param file_backend Backend for file pages (required to create
      *        file pages).
      * @param compressibility Mean anon compression ratio.
      */
-    MemCg &attach(cgroup::Cgroup &cg,
-                  backend::OffloadBackend *anon_backend,
+    MemCg &attach(cgroup::Cgroup &cg, tier::TierChain *chain,
                   backend::OffloadBackend *file_backend,
                   double compressibility = 3.0);
 
     /**
-     * attach() with a TierChain as the anon backend: reclaim places
-     * pages across the chain's tiers and tierMaintain() moves them
-     * as their hotness changes.
+     * Switch a cgroup onto another tier chain, or file-only with
+     * nullptr (phase changes, e.g. Fig. 11). Pages offloaded under
+     * the old chain drop off the tier lists and stay put until
+     * faulted back. The new tiers are registered first: a full
+     * registry throws std::length_error and leaves the cgroup on its
+     * old chain, tier lists included.
      */
-    MemCg &attachChain(cgroup::Cgroup &cg, tier::TierChain *chain,
-                       backend::OffloadBackend *file_backend,
-                       double compressibility = 3.0);
-
-    /** Switch a cgroup's anon backend (e.g. Fig. 11 phase changes).
-     *  Pages already offloaded stay in their old backend until
-     *  faulted back. */
-    void setAnonBackend(cgroup::Cgroup &cg,
-                        backend::OffloadBackend *anon_backend);
-
-    /** Switch a cgroup onto a tier chain (phase changes with tiering).
-     *  Pages offloaded under the old configuration drop off the
-     *  movement lists and stay put until faulted back. */
     void setAnonChain(cgroup::Cgroup &cg, tier::TierChain *chain);
 
     // --- page lifecycle -------------------------------------------------
@@ -328,9 +326,10 @@ class MemoryManager
      * demote offloaded pages whose decayed heat places them below
      * their current tier, promote pages stuck below their warmth
      * (fall-through victims), both bounded by the chain's
-     * moveBudgetBytes and scanBatch. No-op without a chain or with a
-     * zero budget (working-set chains). The Host schedules this per
-     * movePeriod; movement cost is returned so callers can charge it.
+     * moveBudgetBytes and tier::MOVE_SCAN_BATCH. No-op without a
+     * chain or with a zero budget (working-set chains). The Host
+     * schedules this every tier::MOVE_PERIOD; movement cost is
+     * returned so callers can charge it.
      */
     TierMaintainOutcome tierMaintain(cgroup::Cgroup &cg,
                                      sim::SimTime now);
@@ -472,6 +471,21 @@ class MemoryManager
 
     /** Register a backend; returns its stable registry index. */
     std::uint8_t registerBackend(backend::OffloadBackend *be);
+
+    /**
+     * Account page @p idx as offloaded to @p be in @p stored bytes:
+     * Where::ZSWAP with the copy charged to the cgroup when @p be
+     * keeps pages in host DRAM, Where::SWAP otherwise (a block
+     * device also counts the write towards swapoutBytes). Event
+     * counters (pswpout, zswpout) stay with the callers.
+     */
+    void chargeOffload(MemCg &mcg, PageIdx idx,
+                       backend::OffloadBackend *be, std::uint64_t stored,
+                       sim::SimTime now);
+
+    /** Undo chargeOffload() for offloaded page @p idx (its where and
+     *  storedBytes still set); the page's fields are left as they are. */
+    void unchargeOffload(MemCg &mcg, PageIdx idx);
 
     /** Drop every page off @p mcg's tier lists (chain switch). */
     void clearTierLists(MemCg &mcg);

@@ -38,13 +38,13 @@ MemoryManager::shrinkMemCg(MemCg &mcg, std::uint64_t target_bytes,
 
     decayCosts(mcg, now);
 
-    // Swap can become unavailable mid-pass (partition full). A backend
-    // that reports FAILED (offline device, exhausted slots) is treated
-    // like no backend at all: reclaim falls back to file-only instead
+    // Swap can become unavailable mid-pass (partition full). A chain
+    // that reports FAILED (every tier offline or exhausted) is treated
+    // like no chain at all: reclaim falls back to file-only instead
     // of spinning on rejected stores (§4 graceful degradation).
     bool anon_blocked =
-        mcg.anonBackend == nullptr ||
-        mcg.anonBackend->status() == backend::BackendStatus::FAILED;
+        mcg.anonChain == nullptr ||
+        mcg.anonChain->status() == backend::BackendStatus::FAILED;
 
     auto anon_fraction = [&]() -> double {
         if (anon_blocked || mcg.lru.anonPages() == 0)
@@ -105,26 +105,18 @@ MemoryManager::shrinkMemCg(MemCg &mcg, std::uint64_t target_bytes,
         // data, pool cap, full partition — falls through down the chain.
         // The victim is addressed by index only: the virtual store()
         // below may allocate pages and reallocate the page table, so
-        // no Page reference is held across it.
-        backend::OffloadBackend *be = mcg.anonBackend;
-        backend::StoreResult store;
-        int chain_tier = -1;
-        if (tier::TierChain *chain = mcg.anonChain) {
-            const int start = chain->placementIndex(
-                decayedHeat(pages_[idx], heat_epoch),
-                pages_[idx].flags & PG_WORKINGSET);
-            const auto cs = chain->storeFrom(
-                static_cast<std::size_t>(start), config_.pageBytes,
-                mcg.compressibility, now);
-            be = cs.tier; // last attempted; nullptr = all offline
-            store = cs.result;
-            chain_tier = cs.tierIndex;
-        } else {
-            store =
-                be->store(config_.pageBytes, mcg.compressibility, now);
-        }
-        if (!store.accepted) {
-            if (!be || be->isBlockDevice()) {
+        // no Page reference is held across it. Only reached with a
+        // chain: without one anon_blocked keeps anon scanning off.
+        tier::TierChain &chain = *mcg.anonChain;
+        const int start = chain.placementIndex(
+            decayedHeat(pages_[idx], heat_epoch),
+            pages_[idx].flags & PG_WORKINGSET);
+        const auto cs =
+            chain.storeFrom(static_cast<std::size_t>(start),
+                            config_.pageBytes, mcg.compressibility, now);
+        if (!cs.result.accepted) {
+            // cs.tier is the last tier tried; nullptr = all offline.
+            if (!cs.tier || cs.tier->isBlockDevice()) {
                 anon_blocked = true; // swap partition full
             }
             ++mcg.storeRejects;
@@ -138,36 +130,19 @@ MemoryManager::shrinkMemCg(MemCg &mcg, std::uint64_t target_bytes,
         mcg.cg->uncharge(config_.pageBytes);
         assert(residentPages_ > 0);
         --residentPages_;
-        Page &page = pages_[idx]; // fresh past the virtual store
-        page.storedBytes = static_cast<std::uint32_t>(store.storedBytes);
         // Anon shadow entry for workingset detection on swap-in.
         shadowAges_[idx] = ++mcg.nonresidentAgeAnon;
-        page.store = registerBackend(be);
-        if (be->storesInHostDram()) {
-            page.where = Where::ZSWAP;
-            mcg.zswapBytes += store.storedBytes;
-            // The compressed copy still occupies DRAM in the pool.
-            mcg.cg->charge(store.storedBytes);
+        chargeOffload(mcg, idx, cs.tier, cs.result.storedBytes, now);
+        Page &page = pages_[idx]; // fresh past the virtual store
+        if (page.where == Where::ZSWAP)
             ++mcg.cg->stats().zswpout;
-        } else {
-            page.where = Where::SWAP;
-            mcg.swapBytes += store.storedBytes;
-            // Physical SSD writes are what endurance regulation
-            // watches; byte-addressable tiers do no block IO.
-            if (be->isBlockDevice()) {
-                mcg.swapoutBytes.add(
-                    static_cast<double>(config_.pageBytes), now);
-            }
-        }
         ++mcg.cg->stats().pswpout;
-        if (chain_tier >= 0) {
-            // Track the page on its tier's movement list so
-            // background maintenance can demote/promote it later.
-            const auto t = static_cast<std::size_t>(chain_tier);
-            mcg.tierLists[t].addHead(pages_, idx);
-            mcg.tierBytes[t] += store.storedBytes;
-            page.flags |= PG_TIER_LISTED;
-        }
+        // Track the page on its tier's movement list so background
+        // maintenance can demote/promote it later.
+        const auto t = static_cast<std::size_t>(cs.tierIndex);
+        mcg.tierLists[t].addHead(pages_, idx);
+        mcg.tierBytes[t] += cs.result.storedBytes;
+        page.flags |= PG_TIER_LISTED;
         return true;
     };
 

@@ -1,7 +1,6 @@
 #include "tier/tier_chain.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 
 namespace tmo::tier
@@ -42,47 +41,6 @@ TierChain::status() const
     return worst == backend::BackendStatus::FAILED
                ? backend::BackendStatus::DEGRADED
                : worst;
-}
-
-backend::LoadResult
-TierChain::load(std::uint64_t stored_bytes, sim::SimTime now)
-{
-    assert(!"TierChain::load: pages load from their concrete tier");
-    return tiers_.front()->load(stored_bytes, now);
-}
-
-void
-TierChain::release(std::uint64_t stored_bytes)
-{
-    assert(!"TierChain::release: pages release from their concrete tier");
-    tiers_.front()->release(stored_bytes);
-}
-
-std::uint64_t
-TierChain::usedBytes() const
-{
-    std::uint64_t total = 0;
-    for (const auto *be : tiers_)
-        total += be->usedBytes();
-    return total;
-}
-
-std::uint64_t
-TierChain::residentOverheadBytes() const
-{
-    std::uint64_t total = 0;
-    for (const auto *be : tiers_)
-        total += be->residentOverheadBytes();
-    return total;
-}
-
-bool
-TierChain::isBlockDevice() const
-{
-    for (const auto *be : tiers_)
-        if (be->isBlockDevice())
-            return true;
-    return false;
 }
 
 double
@@ -196,7 +154,7 @@ TierChain::updateHealth(sim::SimTime now)
         if (tiers_[i]->status() == backend::BackendStatus::FAILED) {
             if (health.failedSince == NEVER)
                 health.failedSince = now;
-            if (now >= health.failedSince + config_.failGraceWindow)
+            if (now >= health.failedSince + FAIL_GRACE_WINDOW)
                 health.evacuating = true;
         } else {
             // Recovered (or never sick): stop any drain in progress.

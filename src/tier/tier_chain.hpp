@@ -3,13 +3,13 @@
  * Composable multi-tier offload chain (§5.2 tiering, TPP policy).
  *
  * A TierChain composes an ordered list of OffloadBackend tiers,
- * fastest first (e.g. zswap-warm → zswap-cold → SSD). It implements
- * OffloadBackend itself for the aggregate views controllers need
- * (status, utilization, DRAM overhead), but the memory manager always
- * addresses the *concrete* tier holding a page: stores walk the chain
- * downward from a hotness-chosen start tier, and per-page state
- * (Page::store / storedBytes) points at the accepting tier, so loads
- * and releases hit the right device with no indirection.
+ * fastest first (e.g. zswap-warm → zswap-cold → SSD), and is the only
+ * thing behind a cgroup's anon pages (MemCg::anonChain). It is policy,
+ * not a backend: stores walk the chain downward from a hotness-chosen
+ * start tier, and per-page state (Page::store / storedBytes) points at
+ * the accepting tier, so loads and releases hit the right device with
+ * no indirection. Controllers read the chain's aggregate status() and
+ * utilization().
  *
  * Placement policies (the spec's `placement` key):
  *  - HOTNESS (default): the page's decay-aged heat counter picks the
@@ -43,6 +43,20 @@
 namespace tmo::tier
 {
 
+/** Maintenance cadence (aligned with Senpai's 6 s tick). */
+inline constexpr sim::SimTime MOVE_PERIOD = 6 * sim::SEC;
+
+/** Pages examined per tier per maintenance pass. */
+inline constexpr std::uint32_t MOVE_SCAN_BATCH = 64;
+
+/**
+ * A tier observed FAILED continuously for this long is evacuated:
+ * maintenance drains its pages to surviving tiers within the move
+ * budget (retry budgets get a flaky device this long to recover
+ * first). Chain-level offline tiers evacuate immediately.
+ */
+inline constexpr sim::SimTime FAIL_GRACE_WINDOW = 30 * sim::SEC;
+
 /** Tunables of one chain. */
 struct TierChainConfig {
     TierPlacement placement = TierPlacement::HOTNESS;
@@ -53,17 +67,6 @@ struct TierChainConfig {
      * with the configured page size.
      */
     std::uint64_t moveBudgetBytes = 8ull << 20;
-    /** Maintenance cadence (aligned with Senpai's 6 s tick). */
-    sim::SimTime movePeriod = 6 * sim::SEC;
-    /** Pages examined per tier per maintenance pass. */
-    std::uint32_t scanBatch = 64;
-    /**
-     * A tier observed FAILED continuously for this long is evacuated:
-     * maintenance drains its pages to surviving tiers within the move
-     * budget (retry budgets get a flaky device this long to recover
-     * first). Chain-level offline tiers evacuate immediately.
-     */
-    sim::SimTime failGraceWindow = 30 * sim::SEC;
     /**
      * After a tier comes back online its store admission ramps up
      * linearly over this window instead of instantly taking full
@@ -74,11 +77,11 @@ struct TierChainConfig {
 };
 
 /**
- * An ordered list of offload tiers behind the OffloadBackend
- * interface. The chain does not own its tier backends (the Host does);
- * it owns only policy, per-tier offline flags, and movement counters.
+ * An ordered list of offload tiers. The chain does not own its tier
+ * backends (the Host does); it owns only policy, per-tier offline
+ * flags, and movement counters.
  */
-class TierChain : public backend::OffloadBackend
+class TierChain
 {
   public:
     /** Result of a fall-through store down the chain. */
@@ -100,51 +103,20 @@ class TierChain : public backend::OffloadBackend
               std::vector<backend::OffloadBackend *> tiers,
               TierChainConfig config, std::vector<TierSpec> specs = {});
 
-    // --- OffloadBackend (aggregate views) -----------------------------
+    // --- name and aggregate views -------------------------------------
 
-    const std::string &name() const override { return name_; }
+    const std::string &name() const { return name_; }
 
     /** FAILED only when all tiers are FAILED or offline; otherwise
      *  the worst non-failed impairment (DEGRADED propagates). */
-    backend::BackendStatus status() const override;
-
-    /** Generic store: falls through from the top tier. Prefer
-     *  storeFrom() for placement-aware callers. */
-    backend::StoreResult store(std::uint64_t page_bytes,
-                               double compressibility,
-                               sim::SimTime now) override
-    {
-        return storeFrom(0, page_bytes, compressibility, now).result;
-    }
-
-    /** Pages are loaded from their concrete tier (Page::store), never
-     *  through the chain; this forwards to tier 0 defensively. */
-    backend::LoadResult load(std::uint64_t stored_bytes,
-                             sim::SimTime now) override;
-
-    /** See load(); forwards to tier 0 defensively. */
-    void release(std::uint64_t stored_bytes) override;
-
-    /** Sum of all tiers' stored bytes. */
-    std::uint64_t usedBytes() const override;
-
-    /** Sum of all tiers' DRAM overhead — a zswap middle tier charges
-     *  its pool even when it is not the primary backend. */
-    std::uint64_t residentOverheadBytes() const override;
-
-    /** True when any tier waits on a block device. */
-    bool isBlockDevice() const override;
+    backend::BackendStatus status() const;
 
     /** Most-constrained tier: max utilization across tiers, so a
      *  nearly full terminal tier surfaces to Senpai's swap
      *  watermark even behind unbounded compressed tiers. */
-    double utilization() const override;
+    double utilization() const;
 
-    /** The chain is not a DRAM pool itself; per-page DRAM residency
-     *  follows the concrete tier's storesInHostDram(). */
-    bool storesInHostDram() const override { return false; }
-
-    // --- chain-specific API -------------------------------------------
+    // --- placement and stores -----------------------------------------
 
     /**
      * Try to store one page into tiers [start, size()), fastest
@@ -201,7 +173,7 @@ class TierChain : public backend::OffloadBackend
     /**
      * Re-evaluate per-tier health at @p now: an offline tier is
      * marked for evacuation immediately, a tier FAILED continuously
-     * past failGraceWindow likewise; a tier that recovered clears its
+     * past FAIL_GRACE_WINDOW likewise; a tier that recovered clears its
      * evacuation mark. Called at the top of every maintenance pass.
      */
     void updateHealth(sim::SimTime now);

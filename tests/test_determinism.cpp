@@ -18,6 +18,7 @@
 #include "core/senpai.hpp"
 #include "host/host.hpp"
 #include "mem/memory_manager.hpp"
+#include "tier/tier_chain.hpp"
 #include "workload/app_profile.hpp"
 
 using namespace tmo;
@@ -116,6 +117,7 @@ TEST(DeterminismTest, SubtreeReclaimOrderIsStableAcrossInstances)
         backend::SsdDevice ssd(backend::ssdSpecForClass('C'), 1);
         backend::FilesystemBackend fs(ssd);
         backend::ZswapPool zswap({}, 2);
+        tier::TierChain chain("zswap", {&zswap}, {});
         mem::MemoryConfig config;
         config.ramBytes = 256ull << 20;
         config.pageBytes = 64 * 1024;
@@ -126,7 +128,7 @@ TEST(DeterminismTest, SubtreeReclaimOrderIsStableAcrossInstances)
         for (int c = 0; c < 24; ++c) {
             cgs.push_back(
                 &tree.create("c" + std::to_string(c), &parent));
-            mm.attach(*cgs.back(), &zswap, &fs, 3.0);
+            mm.attach(*cgs.back(), &chain, &fs, 3.0);
             for (int i = 0; i < 20; ++i)
                 pages.push_back(
                     mm.newPage(*cgs.back(), i % 2 == 0, true, 0));

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <vector>
 
 #include "backend/filesystem.hpp"
@@ -17,6 +18,7 @@
 #include "cgroup/cgroup.hpp"
 #include "mem/memory_manager.hpp"
 #include "sim/rng.hpp"
+#include "tier/tier_chain.hpp"
 
 using namespace tmo;
 
@@ -34,6 +36,9 @@ class FuzzFixture
           fs(ssd),
           zswap({}, seed + 1),
           nvm(backend::nvmSpecPreset("optane"), seed + 2),
+          chains{tier::TierChain("zswap", {&zswap}, {}),
+                 tier::TierChain("swap", {&swap}, {}),
+                 tier::TierChain("nvm", {&nvm}, {})},
           rng(seed + 3)
     {
         mem::MemoryConfig config;
@@ -42,23 +47,13 @@ class FuzzFixture
         mm = std::make_unique<mem::MemoryManager>(config, seed + 4);
         for (int i = 0; i < 3; ++i) {
             auto &cg = tree.create("cg" + std::to_string(i));
-            mm->attach(cg, anonBackend(i), &fs, 2.0 + i);
+            mm->attach(cg, anonChain(i), &fs, 2.0 + i);
             cgroups.push_back(&cg);
         }
     }
 
-    backend::OffloadBackend *
-    anonBackend(int i)
-    {
-        switch (i % 3) {
-          case 0:
-            return &zswap;
-          case 1:
-            return &swap;
-          default:
-            return &nvm;
-        }
-    }
+    /** One-tier chain @p i of zswap, swap and NVM. */
+    tier::TierChain *anonChain(int i) { return &chains[i % 3]; }
 
     /** The invariants that must hold after every operation. */
     void
@@ -103,6 +98,7 @@ class FuzzFixture
     backend::FilesystemBackend fs;
     backend::ZswapPool zswap;
     backend::NvmBackend nvm;
+    std::array<tier::TierChain, 3> chains;
     sim::Rng rng;
     std::unique_ptr<mem::MemoryManager> mm;
     std::vector<cgroup::Cgroup *> cgroups;
@@ -145,10 +141,9 @@ TEST_P(FuzzInvariantTest, RandomOperationSoup)
             fx.live.erase(fx.live.begin() +
                           static_cast<std::ptrdiff_t>(pick));
         } else if (op < 96) {
-            // Switch the anon backend mid-flight.
-            fx.mm->setAnonBackend(
-                *cg, fx.anonBackend(
-                         static_cast<int>(fx.rng.uniformInt(3))));
+            // Switch the anon chain mid-flight.
+            fx.mm->setAnonChain(
+                *cg, fx.anonChain(static_cast<int>(fx.rng.uniformInt(3))));
         } else {
             // Background reclaim.
             fx.mm->kswapd(now);

@@ -33,6 +33,8 @@ class MemoryManagerTest : public ::testing::Test
           swap(ssd, 256ull << 20),
           fs(ssd),
           zswap({}, 2),
+          swapChain("swap", {&swap}, {}),
+          zswapChain("zswap", {&zswap}, {}),
           mm(makeConfig(), 3),
           cg(&tree.create("app"))
     {}
@@ -51,6 +53,9 @@ class MemoryManagerTest : public ::testing::Test
     backend::SwapBackend swap;
     backend::FilesystemBackend fs;
     backend::ZswapPool zswap;
+    /** One-tier chains: a cgroup offloads only through a chain. */
+    tier::TierChain swapChain;
+    tier::TierChain zswapChain;
     mem::MemoryManager mm;
     cgroup::Cgroup *cg;
 };
@@ -59,7 +64,7 @@ class MemoryManagerTest : public ::testing::Test
 
 TEST_F(MemoryManagerTest, AttachInstallsReclaimHook)
 {
-    mm.attach(*cg, &swap, &fs);
+    mm.attach(*cg, &swapChain, &fs);
     // memory.reclaim now reaches the reclaimer (nothing resident yet).
     EXPECT_EQ(cg->memoryReclaim(PAGE, 0), 0u);
 }
@@ -71,7 +76,7 @@ TEST_F(MemoryManagerTest, UnattachedCgroupThrows)
 
 TEST_F(MemoryManagerTest, AnonAllocationChargesCgroup)
 {
-    mm.attach(*cg, &swap, &fs);
+    mm.attach(*cg, &swapChain, &fs);
     mm.newPage(*cg, true, true, 0);
     mm.newPage(*cg, true, true, 0);
     EXPECT_EQ(cg->memCurrent(), 2ull * PAGE);
@@ -83,14 +88,14 @@ TEST_F(MemoryManagerTest, AnonAllocationChargesCgroup)
 
 TEST_F(MemoryManagerTest, NonResidentAnonRejected)
 {
-    mm.attach(*cg, &swap, &fs);
+    mm.attach(*cg, &swapChain, &fs);
     EXPECT_THROW(mm.newPage(*cg, true, false, 0),
                  std::invalid_argument);
 }
 
 TEST_F(MemoryManagerTest, FilePageCanStartOnDisk)
 {
-    mm.attach(*cg, &swap, &fs);
+    mm.attach(*cg, &swapChain, &fs);
     const auto idx = mm.newPage(*cg, false, false, 0);
     EXPECT_EQ(cg->memCurrent(), 0u);
     // First access is a cold read: IO stall only, no refault.
@@ -105,7 +110,7 @@ TEST_F(MemoryManagerTest, FilePageCanStartOnDisk)
 
 TEST_F(MemoryManagerTest, ResidentAccessIsFree)
 {
-    mm.attach(*cg, &swap, &fs);
+    mm.attach(*cg, &swapChain, &fs);
     const auto idx = mm.newPage(*cg, true, true, 0);
     const auto result = mm.access(idx, sim::SEC);
     EXPECT_FALSE(result.faulted);
@@ -115,7 +120,7 @@ TEST_F(MemoryManagerTest, ResidentAccessIsFree)
 
 TEST_F(MemoryManagerTest, SecondTouchActivates)
 {
-    mm.attach(*cg, &swap, &fs);
+    mm.attach(*cg, &swapChain, &fs);
     const auto idx = mm.newPage(*cg, true, true, 0);
     EXPECT_EQ(mm.pages()[idx].lru, mem::LruKind::INACTIVE_ANON);
     mm.access(idx, sim::SEC);       // sets referenced
@@ -196,11 +201,11 @@ TEST_F(MemoryManagerTest, AccessTransitionTable)
         // A cgroup per row, so that reclaim takes exactly its page.
         auto &c = tree.create("row" + std::to_string(n++));
         if (row.where == LOST)
-            mm.attachChain(c, &chain, &fs);
+            mm.attach(c, &chain, &fs);
         else if (row.where == SWAP)
-            mm.attach(c, &swap, &fs);
+            mm.attach(c, &swapChain, &fs);
         else
-            mm.attach(c, &zswap, &fs);
+            mm.attach(c, &zswapChain, &fs);
 
         mem::PageIdx idx = mem::NO_PAGE;
         if (row.where == FS && !row.shadow) {
@@ -254,7 +259,7 @@ TEST_F(MemoryManagerTest, AccessTransitionTable)
 
 TEST_F(MemoryManagerTest, SwapOutAndSwapInSsd)
 {
-    mm.attach(*cg, &swap, &fs);
+    mm.attach(*cg, &swapChain, &fs);
     const auto idx = mm.newPage(*cg, true, true, 0);
     const auto outcome = mm.reclaim(*cg, PAGE, sim::SEC);
     EXPECT_EQ(outcome.reclaimedBytes, static_cast<std::uint64_t>(PAGE));
@@ -276,7 +281,7 @@ TEST_F(MemoryManagerTest, SwapOutAndSwapInSsd)
 
 TEST_F(MemoryManagerTest, ZswapChargesCompressedBytes)
 {
-    mm.attach(*cg, &zswap, &fs, 4.0);
+    mm.attach(*cg, &zswapChain, &fs, 4.0);
     const auto idx = mm.newPage(*cg, true, true, 0);
     mm.reclaim(*cg, PAGE, sim::SEC);
     ASSERT_EQ(mm.pages()[idx].where, mem::Where::ZSWAP);
@@ -299,7 +304,7 @@ TEST_F(MemoryManagerTest, ZswapChargesCompressedBytes)
 
 TEST_F(MemoryManagerTest, FileEvictionSetsShadowAndRefaults)
 {
-    mm.attach(*cg, &swap, &fs);
+    mm.attach(*cg, &swapChain, &fs);
     const auto idx = mm.newPage(*cg, false, true, 0);
     mm.reclaim(*cg, PAGE, sim::SEC);
     EXPECT_EQ(mm.pages()[idx].where, mem::Where::FS);
@@ -319,7 +324,7 @@ TEST_F(MemoryManagerTest, FileEvictionSetsShadowAndRefaults)
 
 TEST_F(MemoryManagerTest, DistantRefaultIsColdRead)
 {
-    mm.attach(*cg, &swap, &fs);
+    mm.attach(*cg, &swapChain, &fs);
     // Allocate a working set, evict one page, then cycle many other
     // file pages through to push the reuse distance out.
     const auto victim = mm.newPage(*cg, false, true, 0);
@@ -339,7 +344,7 @@ TEST_F(MemoryManagerTest, DistantRefaultIsColdRead)
 
 TEST_F(MemoryManagerTest, FreePageReleasesEverywhere)
 {
-    mm.attach(*cg, &zswap, &fs, 4.0);
+    mm.attach(*cg, &zswapChain, &fs, 4.0);
     const auto resident = mm.newPage(*cg, true, true, 0);
     const auto compressed = mm.newPage(*cg, true, true, 0);
     mm.access(resident, sim::SEC);
@@ -356,7 +361,7 @@ TEST_F(MemoryManagerTest, FreePageReleasesEverywhere)
 
 TEST_F(MemoryManagerTest, MemoryLimitTriggersDirectReclaim)
 {
-    mm.attach(*cg, &swap, &fs);
+    mm.attach(*cg, &swapChain, &fs);
     cg->setMemMax(4 * PAGE);
     for (int i = 0; i < 8; ++i)
         mm.newPage(*cg, true, true, 0);
@@ -367,7 +372,7 @@ TEST_F(MemoryManagerTest, MemoryLimitTriggersDirectReclaim)
 
 TEST_F(MemoryManagerTest, HostPressureTriggersGlobalReclaim)
 {
-    mm.attach(*cg, &swap, &fs);
+    mm.attach(*cg, &swapChain, &fs);
     const int total_pages = 1024; // == RAM capacity
     for (int i = 0; i < total_pages + 64; ++i)
         mm.newPage(*cg, true, true, 0);
@@ -390,7 +395,7 @@ TEST_F(MemoryManagerTest, FileOnlyModeNeverSwaps)
 
 TEST_F(MemoryManagerTest, KswapdMaintainsWatermark)
 {
-    mm.attach(*cg, &swap, &fs);
+    mm.attach(*cg, &swapChain, &fs);
     for (int i = 0; i < 1020; ++i)
         mm.newPage(*cg, true, true, 0);
     EXPECT_LT(mm.freeBytes(), static_cast<std::uint64_t>(
@@ -402,7 +407,7 @@ TEST_F(MemoryManagerTest, KswapdMaintainsWatermark)
 
 TEST_F(MemoryManagerTest, IdleBreakdownBucketsAges)
 {
-    mm.attach(*cg, &swap, &fs);
+    mm.attach(*cg, &swapChain, &fs);
     const auto now = 10 * sim::MINUTE;
     const auto recent = mm.newPage(*cg, true, true, 0);
     const auto warm = mm.newPage(*cg, true, true, 0);
@@ -423,8 +428,8 @@ TEST_F(MemoryManagerTest, SubtreeReclaimCoversDescendants)
     auto &parent = tree.create("parent");
     auto &child_a = tree.create("a", &parent);
     auto &child_b = tree.create("b", &parent);
-    mm.attach(child_a, &swap, &fs);
-    mm.attach(child_b, &swap, &fs);
+    mm.attach(child_a, &swapChain, &fs);
+    mm.attach(child_b, &swapChain, &fs);
     for (int i = 0; i < 8; ++i) {
         mm.newPage(child_a, true, true, 0);
         mm.newPage(child_b, true, true, 0);
@@ -438,12 +443,12 @@ TEST_F(MemoryManagerTest, SubtreeReclaimCoversDescendants)
 
 TEST_F(MemoryManagerTest, SwitchAnonBackendAffectsNewEvictionsOnly)
 {
-    mm.attach(*cg, &swap, &fs);
+    mm.attach(*cg, &swapChain, &fs);
     const auto first = mm.newPage(*cg, true, true, 0);
     mm.reclaim(*cg, PAGE, sim::SEC);
     ASSERT_EQ(mm.pages()[first].where, mem::Where::SWAP);
 
-    mm.setAnonBackend(*cg, &zswap);
+    mm.setAnonChain(*cg, &zswapChain);
     const auto second = mm.newPage(*cg, true, true, 2 * sim::SEC);
     mm.reclaim(*cg, PAGE, 2 * sim::SEC);
     EXPECT_EQ(mm.pages()[second].where, mem::Where::ZSWAP);
@@ -451,8 +456,8 @@ TEST_F(MemoryManagerTest, SwitchAnonBackendAffectsNewEvictionsOnly)
 
 TEST_F(MemoryManagerTest, DoubleAttachRejected)
 {
-    mm.attach(*cg, &swap, &fs);
-    EXPECT_THROW(mm.attach(*cg, &zswap, &fs), std::invalid_argument);
+    mm.attach(*cg, &swapChain, &fs);
+    EXPECT_THROW(mm.attach(*cg, &zswapChain, &fs), std::invalid_argument);
 }
 
 TEST_F(MemoryManagerTest, AttachIndexMatchesAttachOrder)
@@ -465,11 +470,11 @@ TEST_F(MemoryManagerTest, AttachIndexMatchesAttachOrder)
     for (int g = 0; g < 3; ++g) {
         auto &mid = tree.create("g" + std::to_string(g), &parent);
         cgs.push_back(&mid);
-        mm.attach(mid, &swap, &fs);
+        mm.attach(mid, &swapChain, &fs);
         for (int i = 0; i < 7; ++i) {
             cgs.push_back(
                 &tree.create("n" + std::to_string(i), &mid));
-            mm.attach(*cgs.back(), &swap, &fs);
+            mm.attach(*cgs.back(), &swapChain, &fs);
         }
     }
     for (std::size_t i = 0; i < cgs.size(); ++i) {
@@ -532,7 +537,7 @@ TEST_F(MemoryManagerTest, IdleBreakdownMatchesBruteForceRecount)
     for (const char *name : {"b", "c"})
         cgs.push_back(&tree.create(name));
     for (auto *c : cgs)
-        mm.attach(*c, &zswap, &fs, 4.0);
+        mm.attach(*c, &zswapChain, &fs, 4.0);
     std::vector<std::vector<mem::PageIdx>> live(cgs.size());
     sim::Rng rng(11);
     const auto now = 20 * sim::MINUTE;
@@ -571,8 +576,8 @@ TEST_F(MemoryManagerTest, IdleGenerationsMatchRecountAfterEveryStep)
     tier::TierChain chain("zswap+swap", {&zswap, &swap},
                           tier::TierChainConfig{});
     auto &lossy = tree.create("lossy");
-    mm.attach(*cg, &zswap, &fs, 4.0);
-    mm.attachChain(lossy, &chain, &fs);
+    mm.attach(*cg, &zswapChain, &fs, 4.0);
+    mm.attach(lossy, &chain, &fs);
     struct Group {
         cgroup::Cgroup *cg;
         std::vector<mem::PageIdx> live;
@@ -684,7 +689,7 @@ TEST_F(MemoryManagerTest, IdleGenerationsMatchRecountAfterEveryStep)
 
     // A memcg attached after counting began.
     auto &late = tree.create("late");
-    mm.attach(late, &zswap, &fs, 4.0);
+    mm.attach(late, &zswapChain, &fs, 4.0);
     groups.push_back({&late, {}});
     check("an attach");
     clock += sim::SEC;

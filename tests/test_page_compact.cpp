@@ -10,7 +10,8 @@
  *    use-after-free, not a flaky value corruption.
  *  - Page::memcg is 16-bit and Page::store is 8-bit; attaching or
  *    registering past their sentinels must be a named error, not a
- *    silent wrap that aliases cgroup 0 / the "no backend" sentinel.
+ *    silent wrap that aliases cgroup 0 / the "no backend" sentinel,
+ *    and the error must leave the cgroup on its previous chain.
  *  - reservePages() pre-sizes the table so steady-state growth never
  *    moves it, and the shadow-age SoA array tracks it exactly.
  */
@@ -25,9 +26,11 @@
 #include "backend/backend.hpp"
 #include "backend/filesystem.hpp"
 #include "backend/ssd.hpp"
+#include "backend/swap_backend.hpp"
 #include "cgroup/cgroup.hpp"
 #include "mem/memory_manager.hpp"
 #include "mem/page.hpp"
+#include "tier/tier_chain.hpp"
 
 using namespace tmo;
 
@@ -124,6 +127,23 @@ class StubBackend : public backend::OffloadBackend
     std::string name_;
 };
 
+/** One-tier chains over fresh StubBackends, kept alive together. */
+struct StubChains {
+    std::vector<std::unique_ptr<StubBackend>> stubs;
+    std::vector<std::unique_ptr<tier::TierChain>> chains;
+
+    tier::TierChain *
+    add(const std::string &name)
+    {
+        stubs.push_back(std::make_unique<StubBackend>(name));
+        chains.push_back(std::make_unique<tier::TierChain>(
+            name,
+            std::vector<backend::OffloadBackend *>{stubs.back().get()},
+            tier::TierChainConfig{}));
+        return chains.back().get();
+    }
+};
+
 } // namespace
 
 TEST(PageReallocTest, EvictionSurvivesPageTableGrowthInsideStore)
@@ -136,7 +156,8 @@ TEST(PageReallocTest, EvictionSurvivesPageTableGrowthInsideStore)
     cgroup::Cgroup &spare = tree.create("spare");
 
     AllocatingBackend alloc(mm, spare);
-    mm.attach(app, &alloc, &fs);
+    tier::TierChain chain("alloc", {&alloc}, {});
+    mm.attach(app, &chain, &fs);
     mm.attach(spare, nullptr, &fs);
 
     for (int i = 0; i < 48; ++i)
@@ -203,21 +224,62 @@ TEST(SentinelOverflowTest, BackendRegistryRejectsPastUint8)
 
     // 0xff is Page::store's "no backend" sentinel: 255 registrations
     // (indices 0..0xfe) fit, the 256th is a named error.
-    std::vector<std::unique_ptr<StubBackend>> stubs;
-    for (unsigned i = 1; i < 0xff; ++i) {
-        stubs.push_back(std::make_unique<StubBackend>(
-            "stub" + std::to_string(i)));
-        mm.setAnonBackend(cg, stubs.back().get());
-    }
+    StubChains stubs;
+    for (unsigned i = 1; i < 0xff; ++i)
+        mm.setAnonChain(cg, stubs.add("stub" + std::to_string(i)));
     EXPECT_EQ(mm.backendRegistry().size(), 0xffu);
 
     StubBackend overflow("one-too-many");
-    EXPECT_THROW(mm.setAnonBackend(cg, &overflow), std::length_error);
+    tier::TierChain overflowing("overflow", {&overflow}, {});
+    EXPECT_THROW(mm.setAnonChain(cg, &overflowing), std::length_error);
     EXPECT_EQ(mm.backendRegistry().size(), 0xffu);
+    cgroup::Cgroup &late = tree.create("late");
+    EXPECT_THROW(mm.attach(late, &overflowing, &fs), std::length_error);
+    EXPECT_EQ(mm.memcgCount(), 1u);
 
     // Re-registering an existing backend is not a new slot and stays
     // legal at capacity.
-    EXPECT_NO_THROW(mm.setAnonBackend(cg, stubs.front().get()));
+    EXPECT_NO_THROW(mm.setAnonChain(cg, stubs.chains.front().get()));
+}
+
+TEST(SentinelOverflowTest, RegistryOverflowKeepsThePreviousChain)
+{
+    cgroup::CgroupTree tree;
+    backend::SsdDevice ssd(backend::ssdSpecForClass('C'), 1);
+    backend::SwapBackend swap(ssd, 64ull << 20);
+    backend::FilesystemBackend fs(ssd);
+    mem::MemoryManager mm(smallConfig(64), 3);
+    cgroup::Cgroup &cg = tree.create("app");
+    tier::TierChain kept("swap", {&swap}, {});
+    mm.attach(cg, &kept, &fs); // swap 0, fs 1
+    for (int i = 0; i < 8; ++i)
+        mm.newPage(cg, /*anon=*/true, /*resident=*/true, 0);
+    ASSERT_EQ(mm.reclaim(cg, PAGE, sim::SEC).reclaimedBytes, PAGE);
+    const mem::MemCg &mcg = mm.memcgOf(cg);
+    ASSERT_EQ(mcg.tierLists.size(), 1u);
+    ASSERT_EQ(mcg.tierLists[0].size(), 1u);
+
+    // Fill the registry to one free slot, with cgroups of their own.
+    StubChains stubs;
+    for (unsigned i = 2; i < 0xfe; ++i)
+        mm.attach(tree.create("filler" + std::to_string(i)),
+                  stubs.add("stub" + std::to_string(i)), &fs);
+    ASSERT_EQ(mm.backendRegistry().size(), 0xfeu);
+
+    // The first new tier takes the last slot, the second overflows.
+    StubBackend first("first"), second("second");
+    tier::TierChain two("first+second", {&first, &second}, {});
+    EXPECT_THROW(mm.setAnonChain(cg, &two), std::length_error);
+
+    // The memcg is still on its old chain, tier list included, and
+    // the next reclaim evicts onto that list.
+    EXPECT_EQ(mcg.anonChain, &kept);
+    ASSERT_EQ(mcg.tierLists.size(), 1u);
+    EXPECT_EQ(mcg.tierLists[0].size(), 1u);
+    EXPECT_EQ(mm.reclaim(cg, PAGE, 2 * sim::SEC).reclaimedBytes, PAGE);
+    EXPECT_EQ(mcg.tierLists[0].size(), 2u);
+    EXPECT_EQ(mcg.swapBytes, 2ull * PAGE);
+    EXPECT_EQ(mm.residentPages(), 6u);
 }
 
 TEST(ReservePagesTest, SteadyStateGrowthNeverReallocates)

@@ -11,6 +11,7 @@
 #include "backend/zswap.hpp"
 #include "cgroup/cgroup.hpp"
 #include "mem/memory_manager.hpp"
+#include "tier/tier_chain.hpp"
 
 using namespace tmo;
 
@@ -25,7 +26,8 @@ class ProtectionTest : public ::testing::Test
     ProtectionTest()
         : ssd(backend::ssdSpecForClass('C'), 1),
           fs(ssd),
-          zswap({}, 2)
+          zswap({}, 2),
+          zswapChain("zswap", {&zswap}, {})
     {
         mem::MemoryConfig config;
         config.ramBytes = 64ull << 20; // 1024 pages
@@ -37,7 +39,7 @@ class ProtectionTest : public ::testing::Test
     makeCgroup(const std::string &name, int pages)
     {
         auto &cg = tree.create(name);
-        mm->attach(cg, &zswap, &fs);
+        mm->attach(cg, &zswapChain, &fs);
         for (int i = 0; i < pages; ++i)
             mm->newPage(cg, true, true, 0);
         return cg;
@@ -47,6 +49,7 @@ class ProtectionTest : public ::testing::Test
     backend::SsdDevice ssd;
     backend::FilesystemBackend fs;
     backend::ZswapPool zswap;
+    tier::TierChain zswapChain;
     std::unique_ptr<mem::MemoryManager> mm;
 };
 
@@ -109,8 +112,8 @@ TEST_F(ProtectionTest, SubtreeReclaimSkipsProtectedDescendants)
     auto &parent = tree.create("parent");
     auto &kid_a = tree.create("a", &parent);
     auto &kid_b = tree.create("b", &parent);
-    mm->attach(kid_a, &zswap, &fs);
-    mm->attach(kid_b, &zswap, &fs);
+    mm->attach(kid_a, &zswapChain, &fs);
+    mm->attach(kid_b, &zswapChain, &fs);
     for (int i = 0; i < 100; ++i) {
         mm->newPage(kid_a, true, true, 0);
         mm->newPage(kid_b, true, true, 0);

@@ -14,6 +14,7 @@
 #include "backend/zswap.hpp"
 #include "cgroup/cgroup.hpp"
 #include "mem/memory_manager.hpp"
+#include "tier/tier_chain.hpp"
 
 using namespace tmo;
 
@@ -28,7 +29,8 @@ class ReclaimTest : public ::testing::Test
     ReclaimTest()
         : ssd(backend::ssdSpecForClass('C'), 1),
           swap(ssd, 1ull << 30),
-          fs(ssd)
+          fs(ssd),
+          swapChain("swap", {&swap}, {})
     {}
 
     mem::MemoryManager &
@@ -40,7 +42,7 @@ class ReclaimTest : public ::testing::Test
         config.mode = mode;
         mm = std::make_unique<mem::MemoryManager>(config, 7);
         cg = &tree.create("app");
-        mm->attach(*cg, &swap, &fs);
+        mm->attach(*cg, &swapChain, &fs);
         return *mm;
     }
 
@@ -63,6 +65,7 @@ class ReclaimTest : public ::testing::Test
     backend::SsdDevice ssd;
     backend::SwapBackend swap;
     backend::FilesystemBackend fs;
+    tier::TierChain swapChain;
     std::unique_ptr<mem::MemoryManager> mm;
     cgroup::Cgroup *cg = nullptr;
 };
@@ -188,7 +191,8 @@ TEST_F(ReclaimTest, SwapFullFallsBackToFile)
     config.pageBytes = PAGE;
     mm = std::make_unique<mem::MemoryManager>(config, 8);
     cg = &tree.create("tiny");
-    mm->attach(*cg, &tiny, &fs);
+    tier::TierChain chain("tiny", {&tiny}, {});
+    mm->attach(*cg, &chain, &fs);
     auto &mcg = mm->memcgOf(*cg);
     mcg.fileCost = 100.0; // force anon-leaning balance
     mcg.lastCostDecay = 0;
@@ -210,7 +214,8 @@ TEST_F(ReclaimTest, IncompressiblePagesStayResident)
     config.pageBytes = PAGE;
     mm = std::make_unique<mem::MemoryManager>(config, 10);
     cg = &tree.create("incompressible");
-    mm->attach(*cg, &pool, &fs, 1.0); // ratio 1: rejects
+    tier::TierChain chain("zswap", {&pool}, {});
+    mm->attach(*cg, &chain, &fs, 1.0); // ratio 1: rejects
     auto &mcg = mm->memcgOf(*cg);
     mcg.fileCost = 100.0;
     mcg.lastCostDecay = 0;
@@ -256,7 +261,7 @@ TEST_F(ReclaimTest, SubtreeResidualReclaimsRequestedTotal)
     for (int c = 0; c < 16; ++c) {
         children.push_back(
             &tree.create("c" + std::to_string(c), &parent));
-        mm->attach(*children.back(), &swap, &fs);
+        mm->attach(*children.back(), &swapChain, &fs);
         for (int i = 0; i < 3; ++i)
             mm->newPage(*children.back(), false, true, 0);
     }
@@ -315,7 +320,7 @@ TEST_F(ReclaimTest, MisAgingVictimsCountTowardScanTotals)
     config.inactiveRatio = 0.0; // no demotion noise during the pass
     mm = std::make_unique<mem::MemoryManager>(config, 7);
     cg = &tree.create("misaging");
-    mm->attach(*cg, &swap, &fs);
+    mm->attach(*cg, &swapChain, &fs);
     std::vector<mem::PageIdx> inactive, active;
     for (int i = 0; i < 8; ++i) {
         inactive.push_back(mm->newPage(*cg, false, true, 0));

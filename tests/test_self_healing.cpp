@@ -590,6 +590,46 @@ TEST(InvariantAuditorTest, PlantedCorruptionIsReported)
     EXPECT_TRUE(fault::auditHost(rig.machine).empty());
 }
 
+TEST(InvariantAuditorTest, OffloadKindMatchesItsStore)
+{
+    ChainRig rig;
+    rig.offloadCold(200ull << 20);
+    // Hot pages enter the chain's zswap tier (tier 0).
+    setAllHeat(rig.machine, 7);
+    rig.machine.memory().reclaim(rig.app->cgroup(), 150ull << 20,
+                                 rig.simulation.now());
+    ASSERT_TRUE(fault::auditHost(rig.machine).empty());
+    auto &mm = rig.machine.memory();
+    auto &pages = mm.pages();
+    mem::PageIdx zswapped = mem::NO_PAGE;
+    for (mem::PageIdx i = 0; i < pages.size(); ++i)
+        if (pages[i].memcg != 0xffff &&
+            pages[i].where == mem::Where::ZSWAP) {
+            zswapped = i;
+            break;
+        }
+    ASSERT_NE(zswapped, mem::NO_PAGE);
+
+    // A zswap page booked as swap, its bytes moved along with it: every
+    // counter still agrees with the page table, but the kind no longer
+    // matches what its backend does with pages.
+    auto &mcg = mm.memcgOf(rig.app->cgroup());
+    const std::uint32_t stored = pages[zswapped].storedBytes;
+    pages[zswapped].where = mem::Where::SWAP;
+    mcg.zswapBytes -= stored;
+    mcg.swapBytes += stored;
+    const auto violations = fault::auditHost(rig.machine);
+    ASSERT_EQ(violations.size(), 1u);
+    EXPECT_NE(violations[0].find("page in swap stored in zswap"),
+              std::string::npos)
+        << violations[0];
+
+    pages[zswapped].where = mem::Where::ZSWAP;
+    mcg.zswapBytes += stored;
+    mcg.swapBytes -= stored;
+    EXPECT_TRUE(fault::auditHost(rig.machine).empty());
+}
+
 TEST(InvariantAuditorTest, StaleIdleBreakdownReuseIsReported)
 {
     ChainRig rig;

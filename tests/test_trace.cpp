@@ -14,6 +14,7 @@
 #include "backend/zswap.hpp"
 #include "core/senpai.hpp"
 #include "host/host.hpp"
+#include "tier/tier_chain.hpp"
 #include "workload/trace.hpp"
 
 using namespace tmo;
@@ -129,8 +130,8 @@ TEST(TraceWorkloadTest, RejectsMalformedTraces)
     sim::Simulation simulation;
     host::Host machine(simulation, hostConfig());
     auto &cg = machine.createContainer("trace");
-    machine.memory().attach(cg, &machine.zswap(),
-                            &machine.filesystem());
+    tier::TierChain chain("zswap", {&machine.zswap()}, {});
+    machine.memory().attach(cg, &chain, &machine.filesystem());
     EXPECT_THROW(workload::TraceWorkload(
                      simulation, machine.memory(), cg,
                      {{sim::SEC, 0, false}, {0, 0, false}}, 10),
@@ -145,8 +146,8 @@ TEST(TraceWorkloadTest, FirstTouchAllocates)
     sim::Simulation simulation;
     host::Host machine(simulation, hostConfig());
     auto &cg = machine.createContainer("trace");
-    machine.memory().attach(cg, &machine.zswap(),
-                            &machine.filesystem());
+    tier::TierChain chain("zswap", {&machine.zswap()}, {});
+    machine.memory().attach(cg, &chain, &machine.filesystem());
 
     // Touch 3 distinct anon pages and 1 file page (beyond the 70%
     // anon split of a 10-page space).
@@ -176,8 +177,8 @@ TEST(TraceWorkloadTest, StallsReachPsi)
     sim::Simulation simulation;
     host::Host machine(simulation, hostConfig());
     auto &cg = machine.createContainer("trace");
-    machine.memory().attach(cg, &machine.zswap(),
-                            &machine.filesystem());
+    tier::TierChain chain("zswap", {&machine.zswap()}, {});
+    machine.memory().attach(cg, &chain, &machine.filesystem());
 
     workload::TraceSynthesisConfig config;
     config.pages = 2048;
@@ -205,8 +206,8 @@ TEST(TraceWorkloadTest, ComposesWithSenpai)
     sim::Simulation simulation;
     host::Host machine(simulation, hostConfig());
     auto &cg = machine.createContainer("trace");
-    machine.memory().attach(cg, &machine.zswap(),
-                            &machine.filesystem(), 3.0);
+    tier::TierChain chain("zswap", {&machine.zswap()}, {});
+    machine.memory().attach(cg, &chain, &machine.filesystem(), 3.0);
 
     workload::TraceSynthesisConfig config;
     config.pages = 4096;
@@ -238,8 +239,8 @@ TEST(TraceWorkloadTest, PhaseShiftCausesRefaultWave)
     sim::Simulation simulation;
     host::Host machine(simulation, hostConfig());
     auto &cg = machine.createContainer("trace");
-    machine.memory().attach(cg, &machine.zswap(),
-                            &machine.filesystem());
+    tier::TierChain chain("zswap", {&machine.zswap()}, {});
+    machine.memory().attach(cg, &chain, &machine.filesystem());
 
     workload::TraceSynthesisConfig config;
     config.pages = 4096;

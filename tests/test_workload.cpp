@@ -11,6 +11,7 @@
 #include "cgroup/cgroup.hpp"
 #include "mem/memory_manager.hpp"
 #include "sim/simulation.hpp"
+#include "tier/tier_chain.hpp"
 #include "workload/app_model.hpp"
 #include "workload/app_profile.hpp"
 
@@ -36,7 +37,8 @@ class AppModelTest : public ::testing::Test
     AppModelTest()
         : ssd(backend::ssdSpecForClass('C'), 1),
           fs(ssd),
-          zswap({}, 2)
+          zswap({}, 2),
+          zswapChain("zswap", {&zswap}, {})
     {
         mem::MemoryConfig config;
         config.ramBytes = 2ull << 30;
@@ -48,7 +50,7 @@ class AppModelTest : public ::testing::Test
     makeApp(const workload::AppProfile &profile)
     {
         auto &cg = tree.create(profile.name);
-        mm->attach(cg, &zswap, &fs, profile.compressibility);
+        mm->attach(cg, &zswapChain, &fs, profile.compressibility);
         app = std::make_unique<workload::AppModel>(
             simulation, *mm, cg, profile, 16, 5);
         return *app;
@@ -59,6 +61,7 @@ class AppModelTest : public ::testing::Test
     backend::SsdDevice ssd;
     backend::FilesystemBackend fs;
     backend::ZswapPool zswap;
+    tier::TierChain zswapChain;
     std::unique_ptr<mem::MemoryManager> mm;
     std::unique_ptr<workload::AppModel> app;
 };
