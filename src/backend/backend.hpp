@@ -137,12 +137,6 @@ class OffloadBackend
     /** Bytes currently stored (backend-internal representation). */
     virtual std::uint64_t usedBytes() const = 0;
 
-    /**
-     * Bytes of DRAM this backend occupies (nonzero only for zswap,
-     * whose pool lives in RAM and must be charged against the host).
-     */
-    virtual std::uint64_t residentOverheadBytes() const { return 0; }
-
     /** True when loads wait on a block device. */
     virtual bool isBlockDevice() const = 0;
 

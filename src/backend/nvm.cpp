@@ -29,7 +29,10 @@ isKnownNvmPreset(const std::string &name)
 }
 
 NvmBackend::NvmBackend(NvmSpec spec, std::uint64_t seed)
-    : spec_(std::move(spec)), rng_(seed)
+    : spec_(std::move(spec)),
+      readLatencyUs_(sim::Rng::lognormalParams(
+          spec_.readMedianUs, spec_.readP99Us / spec_.readMedianUs)),
+      rng_(seed)
 {}
 
 StoreResult
@@ -63,9 +66,7 @@ NvmBackend::load(std::uint64_t stored_bytes, sim::SimTime now)
         1.0,
         static_cast<double>(spec_.simulatedPageBytes) / 4096.0);
     result.latency = sim::fromUsec(
-        units * rng_.lognormalMedianP99(
-                    spec_.readMedianUs,
-                    spec_.readP99Us / spec_.readMedianUs));
+        units * rng_.lognormal(readLatencyUs_.mu, readLatencyUs_.sigma));
     result.blockIo = false; // byte-addressable: memory stall only
     traceOp(now, OP_LOAD, result.latency, stored_bytes, 0, false);
     return result;

@@ -71,6 +71,9 @@ class NvmBackend : public OffloadBackend
 
   private:
     NvmSpec spec_;
+    /** Lognormal fault service (microseconds per 4 KiB), from the
+     *  spec's read median and p99. */
+    sim::LognormalParams readLatencyUs_;
     sim::Rng rng_;
     std::uint64_t usedBytes_ = 0;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <stdexcept>
 
 namespace tmo::backend
@@ -49,7 +50,13 @@ isValidSsdClass(char device_class)
 }
 
 SsdDevice::SsdDevice(SsdSpec spec, std::uint64_t seed)
-    : spec_(std::move(spec)), rng_(seed), faultRng_(seed ^ 0x5afa5afaull)
+    : spec_(std::move(spec)),
+      readLatencyUs_(sim::Rng::lognormalParams(
+          spec_.readMedianUs, spec_.readP99Us / spec_.readMedianUs)),
+      writeLatencyUs_(sim::Rng::lognormalParams(
+          spec_.writeMedianUs, spec_.writeP99Us / spec_.writeMedianUs)),
+      readServiceTime_(sim::fromSeconds(1.0 / spec_.readIops)),
+      rng_(seed), faultRng_(seed ^ 0x5afa5afaull)
 {}
 
 void
@@ -88,14 +95,22 @@ SsdDevice::injectWearFraction(double fraction)
 {
     if (fraction <= 0.0)
         return;
-    wearInjectedBytes_ += static_cast<std::uint64_t>(
-        fraction * spec_.enduranceTbw * 1e12);
+    // Saturate: wear far past the rated endurance is still a worn-out
+    // device, and the byte count must stay representable.
+    constexpr std::uint64_t MAX_WEAR =
+        std::numeric_limits<std::uint64_t>::max() / 2;
+    const double bytes = fraction * spec_.enduranceTbw * 1e12;
+    const std::uint64_t add =
+        bytes < static_cast<double>(MAX_WEAR)
+            ? static_cast<std::uint64_t>(bytes)
+            : MAX_WEAR;
+    wearInjectedBytes_ = std::min(MAX_WEAR, wearInjectedBytes_ + add);
 }
 
 sim::SimTime
-SsdDevice::service(std::uint64_t bytes, double iops, double median_us,
-                   double p99_us, sim::SimTime &busy_until,
-                   sim::SimTime now)
+SsdDevice::service(std::uint64_t bytes, double iops,
+                   const sim::LognormalParams &latency_us,
+                   sim::SimTime &busy_until, sim::SimTime now)
 {
     // Each 4 KiB unit occupies 1/iops seconds of device capacity; a
     // request arriving while the device is busy queues behind it.
@@ -110,7 +125,7 @@ SsdDevice::service(std::uint64_t bytes, double iops, double median_us,
     const sim::SimTime queue_delay = start - now;
     const auto device_latency = sim::fromUsec(
         latencyMultiplier_ *
-        rng_.lognormalMedianP99(median_us, p99_us / median_us));
+        rng_.lognormal(latency_us.mu, latency_us.sigma));
     return queue_delay + service_time + device_latency;
 }
 
@@ -124,13 +139,12 @@ SsdDevice::read(std::uint64_t bytes, sim::SimTime now)
     // latency.
     const double units =
         std::max(1.0, static_cast<double>(bytes) / 4096.0);
-    const auto svc_one = sim::fromSeconds(1.0 / spec_.readIops);
+    const sim::SimTime svc_one = readServiceTime_;
     const sim::SimTime start = std::max(readBusyUntil_, now);
     const sim::SimTime queue_delay = start - now;
     const auto dev_one = sim::fromUsec(
         latencyMultiplier_ *
-        rng_.lognormalMedianP99(spec_.readMedianUs,
-                                spec_.readP99Us / spec_.readMedianUs));
+        rng_.lognormal(readLatencyUs_.mu, readLatencyUs_.sigma));
     const auto per_unit = svc_one + dev_one;
     const sim::SimTime latency =
         queue_delay + static_cast<sim::SimTime>(
@@ -149,9 +163,8 @@ SsdDevice::read(std::uint64_t bytes, sim::SimTime now)
 sim::SimTime
 SsdDevice::write(std::uint64_t bytes, sim::SimTime now)
 {
-    const sim::SimTime latency =
-        service(bytes, spec_.writeIops, spec_.writeMedianUs,
-                spec_.writeP99Us, writeBusyUntil_, now);
+    const sim::SimTime latency = service(
+        bytes, spec_.writeIops, writeLatencyUs_, writeBusyUntil_, now);
     bytesWritten_ += bytes;
     writeRate_.add(static_cast<double>(bytes), now);
     return latency;

@@ -165,10 +165,16 @@ class SsdDevice
   private:
     /** Queue-aware service: returns latency and advances busy time. */
     sim::SimTime service(std::uint64_t bytes, double iops,
-                         double median_us, double p99_us,
+                         const sim::LognormalParams &latency_us,
                          sim::SimTime &busy_until, sim::SimTime now);
 
     SsdSpec spec_;
+    /** Lognormal device latency (microseconds) of one 4 KiB read and
+     *  one write, from the spec's median and p99. */
+    sim::LognormalParams readLatencyUs_;
+    sim::LognormalParams writeLatencyUs_;
+    /** Device capacity one 4 KiB read occupies: 1 / readIops. */
+    sim::SimTime readServiceTime_;
     sim::Rng rng_;
     /** Separate stream for fault sampling: leaves the latency stream
      *  of fault-free runs untouched. */

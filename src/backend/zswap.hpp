@@ -88,8 +88,8 @@ struct ZswapConfig {
 };
 
 /**
- * Compressed RAM pool. Its usedBytes() are DRAM and must be charged
- * against the host via residentOverheadBytes().
+ * Compressed RAM pool. Its usedBytes() are DRAM (storesInHostDram()),
+ * charged to the host by the memory manager that stores pages here.
  */
 class ZswapPool : public OffloadBackend
 {
@@ -111,12 +111,6 @@ class ZswapPool : public OffloadBackend
     void release(std::uint64_t stored_bytes) override;
 
     std::uint64_t usedBytes() const override { return usedBytes_; }
-
-    std::uint64_t
-    residentOverheadBytes() const override
-    {
-        return usedBytes_;
-    }
 
     bool isBlockDevice() const override { return false; }
 

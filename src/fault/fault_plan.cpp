@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "sim/rng.hpp"
+#include "stats/table.hpp"
 
 namespace tmo::fault
 {
@@ -254,11 +255,12 @@ FaultPlan::random(std::uint64_t seed, sim::SimTime duration)
 std::string
 FaultPlan::toString() const
 {
+    // Exact numbers: parse() reads back the same times and arguments.
     std::ostringstream out;
     for (const auto &event : events) {
-        out << "t=" << sim::toSeconds(event.at)
+        out << "t=" << stats::fmtExact(sim::exactUnits(event.at, sim::SEC))
             << " kind=" << faultKindName(event.kind)
-            << " arg=" << event.arg << "\n";
+            << " arg=" << stats::fmtExact(event.arg) << "\n";
     }
     return out.str();
 }

@@ -125,7 +125,8 @@ struct FaultPlan {
      */
     static FaultPlan random(std::uint64_t seed, sim::SimTime duration);
 
-    /** Render back to the line-based spec (round-trips via parse). */
+    /** Render back to the line-based spec, with numbers that parse()
+     *  reads back exactly: parse(toString()) equals a parsed plan. */
     std::string toString() const;
 };
 

@@ -243,6 +243,7 @@ auditHost(host::Host &machine)
                 (in_dram ? "no pages" : "pages") + " in host DRAM");
         perBackend[page.store] += page.storedBytes;
     }
+    std::uint64_t dramPools = 0;
     for (std::size_t b = 0; b < registry.size(); ++b) {
         backend::OffloadBackend *be = registry[b];
         if (!be || be == &machine.filesystem())
@@ -251,6 +252,21 @@ auditHost(host::Host &machine)
             mismatch(violations, machine.name() + " " + be->name(),
                      "backend usedBytes", perBackend[b],
                      be->usedBytes());
+        if (be->storesInHostDram())
+            dramPools += be->usedBytes();
+    }
+
+    // Free RAM: ramUsed() adds a running total of the compressed
+    // copies to the resident pages; it must equal what the DRAM
+    // pools hold.
+    const std::uint64_t ramWant =
+        mm.residentPages() * mm.pageBytes() + dramPools;
+    if (mm.ramUsed() != ramWant) {
+        std::ostringstream msg;
+        msg << machine.name() << ": ramUsed " << mm.ramUsed()
+            << " != " << ramWant
+            << " of resident pages and host-DRAM pools";
+        violations.push_back(msg.str());
     }
 
     return violations;

@@ -19,10 +19,11 @@
  *  - tier lists: every listed page carries PG_TIER_LISTED, belongs to
  *    the cgroup, maps to the tier it is listed under, and no page is
  *    on two lists; per-tier byte counters match;
- *  - global: the manager's resident-page counter == the LRU sums, and
+ *  - global: the manager's resident-page counter == the LRU sums,
  *    every offload backend's usedBytes == the storedBytes its pages
  *    reference (the filesystem is exempt — file contents live there
- *    whether cached or not).
+ *    whether cached or not), and ramUsed() == the resident pages plus
+ *    the usedBytes of every backend that stores in host DRAM.
  *
  * The checks change no simulated state and are O(pages); wire into
  * Fleet::enableInvariantAudit for continuous checking, or call

@@ -160,15 +160,6 @@ MemoryManager::memcgOf(const cgroup::Cgroup &cg) const
     return *memcgs_[it->second];
 }
 
-std::uint64_t
-MemoryManager::ramUsed() const
-{
-    std::uint64_t used = residentPages_ * config_.pageBytes;
-    for (const auto *be : backends_)
-        used += be->residentOverheadBytes();
-    return used;
-}
-
 void
 MemoryManager::makeResident(PageIdx idx, MemCg &mcg, LruKind kind)
 {
@@ -639,6 +630,7 @@ MemoryManager::chargeOffload(MemCg &mcg, PageIdx idx,
     if (be->storesInHostDram()) {
         page.where = Where::ZSWAP;
         mcg.zswapBytes += stored;
+        zswapBytes_ += stored;
         // The compressed copy still occupies DRAM in the pool.
         mcg.cg->charge(stored);
     } else {
@@ -660,6 +652,7 @@ MemoryManager::unchargeOffload(MemCg &mcg, PageIdx idx)
     const std::uint64_t stored = page.storedBytes;
     if (page.where == Where::ZSWAP) {
         mcg.zswapBytes -= std::min(mcg.zswapBytes, stored);
+        zswapBytes_ -= std::min(zswapBytes_, stored);
         // Compressed copy freed: uncharge its DRAM share.
         mcg.cg->uncharge(stored);
     } else {

@@ -350,8 +350,12 @@ class MemoryManager
             bytes, 16ull * config_.pageBytes);
     }
 
-    /** Resident pages plus compressed-pool DRAM across backends. */
-    std::uint64_t ramUsed() const;
+    /** Resident pages plus the DRAM that compressed copies hold. */
+    std::uint64_t
+    ramUsed() const
+    {
+        return residentPages_ * config_.pageBytes + zswapBytes_;
+    }
 
     std::uint64_t
     freeBytes() const
@@ -558,6 +562,9 @@ class MemoryManager
     std::vector<backend::OffloadBackend *> backends_;
     obs::TraceRing *trace_ = nullptr;
     std::uint64_t residentPages_ = 0;
+    /** The sum of every memcg's zswapBytes: chargeOffload() and
+     *  unchargeOffload() move it with them. */
+    std::uint64_t zswapBytes_ = 0;
     std::uint64_t oomEvents_ = 0;
     /**
      * idleBreakdown()'s counts of live pages by generation, per memcg

@@ -25,11 +25,13 @@ stats::Histogram &
 MetricRegistry::histogram(const std::string &name, double min_value,
                           double max_value, int buckets_per_decade)
 {
-    auto &slot = histograms_[name];
-    if (!slot)
-        slot = std::make_unique<stats::Histogram>(min_value, max_value,
-                                                  buckets_per_decade);
-    return *slot;
+    if (const auto it = histograms_.find(name); it != histograms_.end())
+        return *it->second;
+    // Built before the name is taken: a rejected geometry leaves the
+    // registry as it was.
+    auto hist = std::make_unique<stats::Histogram>(min_value, max_value,
+                                                   buckets_per_decade);
+    return *histograms_.emplace(name, std::move(hist)).first->second;
 }
 
 void

@@ -59,7 +59,9 @@ class MetricRegistry
     Gauge &gauge(const std::string &name);
 
     /** Histogram metrics expand to <name>.count / .p50 / .p99 / .max
-     *  when sampled. */
+     *  when sampled. A new name with a bad geometry throws the
+     *  Histogram constructor's std::invalid_argument and registers
+     *  nothing. */
     stats::Histogram &histogram(const std::string &name,
                                 double min_value = 1.0,
                                 double max_value = 1e12,

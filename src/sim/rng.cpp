@@ -87,16 +87,31 @@ Rng::normal(double mean, double stddev)
 }
 
 double
-Rng::lognormalMedianP99(double median, double p99_over_median)
+Rng::lognormal(double mu, double sigma)
+{
+    return std::exp(mu + sigma * normal());
+}
+
+LognormalParams
+Rng::lognormalParams(double median, double p99_over_median)
 {
     assert(median > 0.0);
     assert(p99_over_median >= 1.0);
     // For X ~ LogNormal(mu, sigma): median = e^mu and
     // p99 = e^(mu + 2.326 * sigma), so sigma follows from the ratio.
     constexpr double z99 = 2.3263478740408408;
-    const double sigma = std::log(p99_over_median) / z99;
-    const double mu = std::log(median);
-    return std::exp(mu + sigma * normal());
+    LognormalParams params;
+    params.sigma = std::log(p99_over_median) / z99;
+    params.mu = std::log(median);
+    return params;
+}
+
+double
+Rng::lognormalMedianP99(double median, double p99_over_median)
+{
+    const LognormalParams params =
+        lognormalParams(median, p99_over_median);
+    return lognormal(params.mu, params.sigma);
 }
 
 ZipfSampler::ZipfSampler(std::size_t n, double s)

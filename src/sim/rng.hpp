@@ -19,6 +19,13 @@
 namespace tmo::sim
 {
 
+/** Parameters of a lognormal: the mean and standard deviation of its
+ *  logarithm. */
+struct LognormalParams {
+    double mu = 0.0;
+    double sigma = 0.0;
+};
+
 /**
  * Deterministic pseudo-random generator with the distributions the
  * simulator needs (uniform, exponential, normal, lognormal, Zipf).
@@ -87,14 +94,23 @@ class Rng
     /** Normal with given mean and standard deviation. */
     double normal(double mean, double stddev);
 
+    /** Lognormal e^(mu + sigma * N(0, 1)). */
+    double lognormal(double mu, double sigma);
+
     /**
-     * Lognormal parameterized by the median and the p99/median ratio,
-     * which is how SSD latency specs are usually quoted.
+     * The (mu, sigma) of the lognormal with the given median and
+     * p99/median ratio, which is how SSD latency specs are usually
+     * quoted. A device with a fixed spec computes them once and draws
+     * through lognormal().
      *
      * @param median The distribution median (same units as the result).
      * @param p99_over_median Ratio of the 99th percentile to the median;
      *        must be >= 1.
      */
+    static LognormalParams lognormalParams(double median,
+                                           double p99_over_median);
+
+    /** lognormal() with lognormalParams(median, p99_over_median). */
     double lognormalMedianP99(double median, double p99_over_median);
 
   private:

@@ -9,6 +9,7 @@
 
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 
 namespace tmo::sim
@@ -54,6 +55,28 @@ fromSeconds(double s)
     if (s <= 0.0)
         return 0;
     return static_cast<SimTime>(s * static_cast<double>(SEC));
+}
+
+/**
+ * The number of @p unit-long intervals in @p t, as the double v from
+ * which static_cast<SimTime>(v * unit) (the spec parsers' conversion)
+ * gives back exactly @p t: t / unit, stepped by ulps when that lands
+ * a nanosecond off. Spec printers use it so that a time a parser
+ * produced prints as a number that parses back to it.
+ */
+inline double
+exactUnits(SimTime t, SimTime unit)
+{
+    const double scale = static_cast<double>(unit);
+    const auto back = [scale](double v) {
+        return static_cast<SimTime>(v * scale);
+    };
+    double v = static_cast<double>(t) / scale;
+    while (back(v) < t)
+        v = std::nextafter(v, HUGE_VAL);
+    while (v > 0.0 && back(v) > t)
+        v = std::nextafter(v, 0.0);
+    return v;
 }
 
 /** Convert (fractional) microseconds to SimTime, saturating at zero. */

@@ -15,20 +15,39 @@ namespace tmo::stats
  * Histogram with logarithmically spaced buckets, suitable for values
  * spanning several orders of magnitude (device latencies in ns).
  * Percentile queries interpolate within the matched bucket.
+ *
+ * A sample's bucket is floor((log10(value) - log10(min_value)) / step)
+ * with step = 1 / buckets_per_decade, clamped to the edge buckets.
+ * add() finds it without a log10: it looks the value up in a table of
+ * the smallest double of each bucket under that formula. One table
+ * serves every histogram of the same geometry in the process; the
+ * first add() of a geometry builds it.
  */
 class Histogram
 {
   public:
     /**
-     * @param min_value Lower bound of the first bucket (> 0).
-     * @param max_value Upper bound of the last regular bucket.
-     * @param buckets_per_decade Resolution (default 20: ~12% wide buckets).
+     * @param min_value Lower bound of the first bucket (finite, > 0).
+     * @param max_value Upper bound of the last regular bucket (finite,
+     *        > min_value).
+     * @param buckets_per_decade Resolution (> 0; default 20: ~12% wide
+     *        buckets).
+     * @throws std::invalid_argument naming the first argument out of
+     *         range.
      */
     Histogram(double min_value = 1.0, double max_value = 1e12,
               int buckets_per_decade = 20);
 
     /** Record one sample. Out-of-range samples clamp to the edge buckets. */
     void add(double value);
+
+    /**
+     * The bucket add() counts @p value in: 0 for zero, negative and
+     * NaN values, the last bucket for values at or above its lower
+     * bound (+inf included), and otherwise the bucket of the log10
+     * formula above.
+     */
+    std::size_t bucketOf(double value) const;
 
     /** Number of recorded samples. */
     std::uint64_t count() const { return count_; }
@@ -75,14 +94,20 @@ class Histogram
     void reset();
 
   private:
-    /** Bucket index for a value. */
-    std::size_t indexFor(double value) const;
-    /** Representative (geometric mid) value of a bucket. */
-    double valueFor(std::size_t index) const;
+    /** Per-geometry lookup table (histogram.cpp). */
+    struct BoundTable;
+
+    /** The process-wide table of one geometry, built on first use. */
+    static const BoundTable &sharedTable(double log_min, double log_step,
+                                         std::size_t buckets);
+
+    /** bucketOf() through @p table. */
+    static std::size_t indexFor(const BoundTable &table, double value);
 
     double logMin_;
     double logStep_;
-    std::size_t numBuckets_;
+    /** This geometry's shared bound table; set by the first add(). */
+    const BoundTable *table_ = nullptr;
     std::vector<std::uint64_t> counts_;
     std::uint64_t count_ = 0;
     double sum_ = 0.0;

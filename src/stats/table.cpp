@@ -1,6 +1,7 @@
 #include "stats/table.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
@@ -115,6 +116,14 @@ fmtBytes(double bytes)
         ++u;
     }
     return fmt(bytes, bytes < 10 ? 2 : 1) + " " + units[u];
+}
+
+std::string
+fmtExact(double value)
+{
+    char buf[32];
+    const auto end = std::to_chars(buf, buf + sizeof buf, value).ptr;
+    return std::string(buf, end);
 }
 
 void

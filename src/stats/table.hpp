@@ -51,6 +51,11 @@ std::string fmtPercent(double fraction, int precision = 1);
 /** Format a byte count with binary units, e.g. "1.5 GiB". */
 std::string fmtBytes(double bytes);
 
+/** The shortest decimal that reads back (std::stod) as exactly
+ *  @p value, e.g. 0.1 -> "0.1", 1e21 -> "1e+21". Spec printers use it
+ *  so that their output parses back to the same spec. */
+std::string fmtExact(double value);
+
 /**
  * Format the @p q quantile of @p values, or "no data" when the value
  * set is empty — e.g. after every host of a fleet failed,

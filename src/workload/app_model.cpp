@@ -307,13 +307,18 @@ AppModel::serveRequests(sim::SimTime start, Stalls &critical)
         // instantaneous rate. The gap sequence restarts each tick,
         // which the exponential's memorylessness makes statistically
         // identical to one continuous process while keeping ticks
-        // independent of the rate history.
+        // independent of the rate history. A gap is compared with the
+        // rest of the tick before it converts to SimTime: at a
+        // vanishing rate (a tiny rps, a diurnal trough at amp=1) it
+        // can exceed what SimTime holds.
         sim::SimTime cursor = start;
         for (;;) {
-            const auto gap = static_cast<sim::SimTime>(
-                rng_.exponential(1.0 / rate) *
-                static_cast<double>(sim::SEC));
-            cursor += std::max<sim::SimTime>(gap, 1);
+            const double gap = rng_.exponential(1.0 / rate) *
+                               static_cast<double>(sim::SEC);
+            if (!(gap < static_cast<double>(end - cursor)))
+                break;
+            cursor += std::max<sim::SimTime>(
+                static_cast<sim::SimTime>(gap), 1);
             if (cursor >= end)
                 break;
             ++arrivals;

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "stats/table.hpp"
+
 namespace tmo::workload
 {
 
@@ -50,6 +52,16 @@ minutesToSim(double minutes)
 {
     return static_cast<sim::SimTime>(minutes *
                                      static_cast<double>(sim::MINUTE));
+}
+
+/** A positive length that must not truncate to zero nanoseconds. */
+sim::SimTime
+positiveLength(const std::string &text, const std::string &key,
+               sim::SimTime length)
+{
+    if (length == 0)
+        fail(text, key + " must come to at least one nanosecond");
+    return length;
 }
 
 } // namespace
@@ -122,7 +134,7 @@ TrafficSpec::parse(const std::string &text)
                    spec.kind == Kind::DIURNAL) {
             if (value <= 0.0 || value > MAX_MINUTES)
                 fail(text, "period-min must be in (0, 1e6]");
-            spec.period = minutesToSim(value);
+            spec.period = positiveLength(text, key, minutesToSim(value));
         } else if (key == "phase-min" && spec.kind == Kind::DIURNAL) {
             if (value < 0.0 || value > MAX_MINUTES)
                 fail(text, "phase-min must be in [0, 1e6]");
@@ -138,7 +150,8 @@ TrafficSpec::parse(const std::string &text)
         } else if (key == (spike_sugar ? "dur-min" : "spike-dur-min")) {
             if (value <= 0.0 || value > MAX_MINUTES)
                 fail(text, key + " must be in (0, 1e6]");
-            spec.spikeDuration = minutesToSim(value);
+            spec.spikeDuration =
+                positiveLength(text, key, minutesToSim(value));
         } else if (key == "fanout") {
             if (value < 0.0 || value > MAX_FANOUT)
                 fail(text, "fanout must be in [0, 1e6]");
@@ -146,8 +159,10 @@ TrafficSpec::parse(const std::string &text)
         } else if (key == "queue-ms") {
             if (value <= 0.0 || value > MAX_QUEUE_MS)
                 fail(text, "queue-ms must be in (0, 1e9]");
-            spec.queueLimit = static_cast<sim::SimTime>(
-                value * static_cast<double>(sim::MSEC));
+            spec.queueLimit = positiveLength(
+                text, key,
+                static_cast<sim::SimTime>(
+                    value * static_cast<double>(sim::MSEC)));
         } else {
             fail(text, "unknown key \"" + key + "\"");
         }
@@ -159,6 +174,42 @@ TrafficSpec::parse(const std::string &text)
     if (spec.spikeMult > 0.0 && spec.spikeDuration == 0)
         fail(text, "spike window needs a positive duration");
     return spec;
+}
+
+std::string
+TrafficSpec::toString() const
+{
+    if (!enabled())
+        return "";
+    const TrafficSpec defaults;
+    std::string out = kind == Kind::DIURNAL ? "diurnal:" : "flat:";
+    out += "rps=" + stats::fmtExact(baseRps);
+    const auto number = [&out](const char *key, double value) {
+        out += std::string(",") + key + "=" + stats::fmtExact(value);
+    };
+    const auto length = [&number](const char *key, sim::SimTime t,
+                                  sim::SimTime unit) {
+        number(key, sim::exactUnits(t, unit));
+    };
+    if (kind == Kind::DIURNAL) {
+        if (amplitude != defaults.amplitude)
+            number("amp", amplitude);
+        if (period != defaults.period)
+            length("period-min", period, sim::MINUTE);
+        if (phase != defaults.phase)
+            length("phase-min", phase, sim::MINUTE);
+    }
+    if (spikeMult != defaults.spikeMult)
+        number("spike-mult", spikeMult);
+    if (spikeAt != defaults.spikeAt)
+        length("spike-at-min", spikeAt, sim::MINUTE);
+    if (spikeDuration != defaults.spikeDuration)
+        length("spike-dur-min", spikeDuration, sim::MINUTE);
+    if (fanout != defaults.fanout)
+        number("fanout", fanout);
+    if (queueLimit != defaults.queueLimit)
+        length("queue-ms", queueLimit, sim::MSEC);
+    return out;
 }
 
 bool

@@ -83,9 +83,21 @@ struct TrafficSpec {
      * input (unknown kind/key, missing rps, out-of-range value). The
      * minutes keys are at most 1e6, queue-ms at most 1e9 and fanout
      * at most 1e6, so each converts to SimTime or a touch count
-     * without overflow.
+     * without overflow; period-min, spike-dur-min and queue-ms must
+     * also come to at least one nanosecond.
      */
     static TrafficSpec parse(const std::string &text);
+
+    /**
+     * The spec in parse()'s grammar, with exact numbers, so that
+     * parse(toString()) equals a parsed spec: "flat:" or "diurnal:",
+     * rps, then every other key whose value differs from its default
+     * ("spike:" sugar prints as flat with spike- keys). A disabled
+     * spec prints as the empty string, which parse() rejects.
+     */
+    std::string toString() const;
+
+    bool operator==(const TrafficSpec &) const = default;
 };
 
 /** parse() wrapper for CLI validation: false + error message instead

@@ -1,12 +1,13 @@
 /**
  * @file
  * Tests for the offload backends: SSD device model, zswap pool, swap
- * partition and filesystem.
+ * partition, filesystem and NVM tier.
  */
 
 #include <gtest/gtest.h>
 
 #include "backend/filesystem.hpp"
+#include "backend/nvm.hpp"
 #include "backend/ssd.hpp"
 #include "backend/swap_backend.hpp"
 #include "backend/zswap.hpp"
@@ -110,6 +111,68 @@ TEST(SsdDeviceTest, ResetStatsKeepsEndurance)
     EXPECT_EQ(dev.bytesWritten(), 4096u);
 }
 
+TEST(SsdDeviceTest, WearFarPastEnduranceSaturates)
+{
+    // 1e9 times the rated endurance is past what a 64-bit byte count
+    // holds: the wear saturates instead of converting out of range.
+    backend::SsdDevice dev(backend::ssdSpecForClass('C'), 5);
+    dev.injectWearFraction(1e9);
+    dev.injectWearFraction(1e9);
+    EXPECT_GE(dev.enduranceUsed(), 1.0);
+    EXPECT_TRUE(dev.degraded());
+}
+
+TEST(DeviceLatencyStreamTest, SsdAndNvmDrawTheirSpecLognormal)
+{
+    // Each device draws its latencies from a stream seeded like an Rng
+    // of its own; the draws must equal lognormalMedianP99 over the
+    // spec on that Rng, read and write sharing the SSD's stream. The
+    // reads are a second apart, so no request queues behind another.
+    constexpr std::uint64_t PAGE = 64 * 1024;
+    constexpr double MULTIPLIER = 3.5;
+    const double units = static_cast<double>(PAGE) / 4096.0;
+    const auto spec = backend::ssdSpecForClass('A');
+    backend::SsdDevice ssd(spec, 77);
+    ssd.injectLatencyMultiplier(MULTIPLIER);
+    sim::Rng ssd_ref(77);
+    const auto svc_one = sim::fromSeconds(1.0 / spec.readIops);
+
+    auto nvm_spec = backend::nvmSpecPreset("optane");
+    nvm_spec.simulatedPageBytes = PAGE;
+    backend::NvmBackend nvm(nvm_spec, 78);
+    sim::Rng nvm_ref(78);
+
+    for (int i = 0; i < 10'000; ++i) {
+        const sim::SimTime now = static_cast<sim::SimTime>(i) * sim::SEC;
+        const auto dev_one = sim::fromUsec(
+            MULTIPLIER * ssd_ref.lognormalMedianP99(
+                             spec.readMedianUs,
+                             spec.readP99Us / spec.readMedianUs));
+        ASSERT_EQ(ssd.read(PAGE, now),
+                  static_cast<sim::SimTime>(
+                      units * static_cast<double>(svc_one + dev_one)))
+            << "read " << i;
+
+        const auto write_latency =
+            sim::fromSeconds(units / spec.writeIops) +
+            sim::fromUsec(MULTIPLIER *
+                          ssd_ref.lognormalMedianP99(
+                              spec.writeMedianUs,
+                              spec.writeP99Us / spec.writeMedianUs));
+        ASSERT_EQ(ssd.write(PAGE, now + sim::SEC / 2), write_latency)
+            << "write " << i;
+
+        const auto load = nvm.load(PAGE, now);
+        ASSERT_EQ(load.latency,
+                  sim::fromUsec(units * nvm_ref.lognormalMedianP99(
+                                            nvm_spec.readMedianUs,
+                                            nvm_spec.readP99Us /
+                                                nvm_spec.readMedianUs)))
+            << "NVM load " << i;
+    }
+    EXPECT_EQ(ssd.readLatency().count(), 10'000u);
+}
+
 // --- zswap ------------------------------------------------------------------
 
 TEST(ZswapTest, CompressorPresets)
@@ -145,7 +208,7 @@ TEST(ZswapTest, StoreCompresses)
     EXPECT_LT(result.storedBytes, 64u * 1024 / 2);
     EXPECT_GT(result.storedBytes, 0u);
     EXPECT_EQ(pool.usedBytes(), result.storedBytes);
-    EXPECT_EQ(pool.residentOverheadBytes(), result.storedBytes);
+    EXPECT_TRUE(pool.storesInHostDram());
     EXPECT_FALSE(pool.isBlockDevice());
 }
 
@@ -211,7 +274,7 @@ TEST(SwapBackendTest, StoresFullPagesOnDevice)
     EXPECT_EQ(swap.usedBytes(), 64u * 1024);
     EXPECT_EQ(dev.bytesWritten(), 64u * 1024);
     EXPECT_TRUE(swap.isBlockDevice());
-    EXPECT_EQ(swap.residentOverheadBytes(), 0u);
+    EXPECT_FALSE(swap.storesInHostDram());
 }
 
 TEST(SwapBackendTest, RejectsWhenFull)

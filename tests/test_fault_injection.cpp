@@ -143,6 +143,22 @@ TEST(FaultPlanTest, RoundTripsThroughToString)
     EXPECT_EQ(plan.events, again.events);
 }
 
+TEST(FaultPlanTest, ToStringKeepsEveryDigit)
+{
+    // Times and arguments print exactly: a time prints as seconds
+    // that convert back to the same nanosecond.
+    const auto plan = fault::FaultPlan::parseString(
+        "t=0.1234567891 kind=ssd-latency arg=3.141592653589793\n"
+        "t=86399.999999999 kind=zswap-cap arg=1e-7\n"
+        "t=1e9 kind=ram-shrink arg=-0.5\n");
+    EXPECT_EQ(fault::FaultPlan::parseString(plan.toString()).events,
+              plan.events)
+        << plan.toString();
+    EXPECT_EQ(fault::FaultPlan::parseString("t=20 kind=ssd-online\n")
+                  .toString(),
+              "t=20 kind=ssd-online arg=0\n");
+}
+
 TEST(FaultPlanTest, KindNamesRoundTrip)
 {
     for (std::size_t i = 0; i < fault::NUM_FAULT_KINDS; ++i) {

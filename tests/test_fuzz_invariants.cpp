@@ -73,8 +73,7 @@ class FuzzFixture
         }
         // Host accounting: resident + compressed pools, never above
         // capacity after an operation completes.
-        ASSERT_EQ(mm->ramUsed(),
-                  resident_total + zswap.residentOverheadBytes());
+        ASSERT_EQ(mm->ramUsed(), resident_total + zswap.usedBytes());
         ASSERT_LE(mm->ramUsed(), mm->ramCapacity());
         // Backend occupancy is consistent with the page table.
         std::uint64_t swap_bytes = 0, zswap_bytes = 0, nvm_bytes = 0;

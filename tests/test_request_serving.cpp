@@ -149,6 +149,46 @@ TEST(TrafficSpecTest, RejectsValuesPastTheirConversionRange)
     EXPECT_EQ(spec.fanout, 1e6);
 }
 
+TEST(TrafficSpecTest, LengthsBelowOneNanosecondAreRejected)
+{
+    // A positive period, spike duration or queue limit that truncates
+    // to 0 ns would print as 0, which the grammar refuses.
+    for (const char *bad :
+         {"diurnal:rps=100,period-min=1e-12",
+          "flat:rps=100,spike-dur-min=1e-12", "flat:rps=100,queue-ms=1e-7"}) {
+        std::string error;
+        EXPECT_FALSE(workload::isValidTrafficSpec(bad, &error)) << bad;
+        EXPECT_NE(error.find("at least one nanosecond"), std::string::npos)
+            << error;
+    }
+}
+
+TEST(TrafficSpecTest, ToStringPrintsTheGrammarBack)
+{
+    EXPECT_EQ(workload::TrafficSpec::parse("flat:rps=1200").toString(),
+              "flat:rps=1200");
+    // Defaults are left out; "spike:" sugar prints as flat.
+    EXPECT_EQ(workload::TrafficSpec::parse(
+                  "diurnal:rps=2000,amp=0.5,period-min=60,queue-ms=500")
+                  .toString(),
+              "diurnal:rps=2000,period-min=60");
+    EXPECT_EQ(
+        workload::TrafficSpec::parse("spike:rps=150,mult=3,at-min=1,dur-min=2")
+            .toString(),
+        "flat:rps=150,spike-mult=3,spike-at-min=1,spike-dur-min=2");
+    // Lengths print as a number that converts back to the same
+    // nanoseconds, and every number reads back exactly.
+    for (const char *text :
+         {"diurnal:rps=0.1,amp=0.3333333333333333,phase-min=0.7",
+          "flat:rps=7,queue-ms=0.0000017,fanout=2.5",
+          "diurnal:rps=123.456,period-min=1e-9"}) {
+        const auto spec = workload::TrafficSpec::parse(text);
+        EXPECT_EQ(workload::TrafficSpec::parse(spec.toString()), spec)
+            << text << " printed as " << spec.toString();
+    }
+    EXPECT_EQ(workload::TrafficSpec{}.toString(), "");
+}
+
 // --- RequestServer -------------------------------------------------------
 
 TEST(RequestServerTest, IdleWorkerServesImmediately)

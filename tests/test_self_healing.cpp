@@ -26,8 +26,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "fault/fault_injector.hpp"
@@ -627,6 +629,45 @@ TEST(InvariantAuditorTest, OffloadKindMatchesItsStore)
     pages[zswapped].where = mem::Where::ZSWAP;
     mcg.zswapBytes += stored;
     mcg.swapBytes -= stored;
+    EXPECT_TRUE(fault::auditHost(rig.machine).empty());
+}
+
+TEST(InvariantAuditorTest, RamUsedMatchesThePools)
+{
+    ChainRig rig;
+    rig.offloadCold(200ull << 20);
+    // Hot pages enter the chain's zswap tier (tier 0)...
+    setAllHeat(rig.machine, 7);
+    auto &mm = rig.machine.memory();
+    mm.reclaim(rig.app->cgroup(), 150ull << 20, rig.simulation.now());
+    // ...and fault back in: every swap-in takes its compressed copy
+    // out of ramUsed() as the pool frees it.
+    std::uint64_t swapped_in = 0;
+    for (mem::PageIdx i = 0; i < mm.pages().size(); ++i)
+        if (mm.pages()[i].memcg != 0xffff &&
+            mm.pages()[i].where == mem::Where::ZSWAP) {
+            mm.access(i, rig.simulation.now());
+            ++swapped_in;
+        }
+    ASSERT_GT(swapped_in, 0u);
+    ASSERT_TRUE(fault::auditHost(rig.machine).empty());
+
+    // A page stored into the zswap pool behind the memory manager's
+    // back: the pool holds DRAM that ramUsed() never saw.
+    backend::OffloadBackend *pool = rig.chain->tier(0);
+    ASSERT_TRUE(pool->storesInHostDram());
+    const auto stored = pool->store(rig.machine.memory().pageBytes(), 4.0,
+                                    rig.simulation.now());
+    ASSERT_TRUE(stored.accepted);
+    const auto violations = fault::auditHost(rig.machine);
+    EXPECT_TRUE(std::any_of(violations.begin(), violations.end(),
+                            [](const std::string &v) {
+                                return v.find("ramUsed") !=
+                                       std::string::npos;
+                            }))
+        << ::testing::PrintToString(violations);
+
+    pool->release(stored.storedBytes);
     EXPECT_TRUE(fault::auditHost(rig.machine).empty());
 }
 

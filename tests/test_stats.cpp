@@ -7,11 +7,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <functional>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "obs/metrics.hpp"
+#include "sim/rng.hpp"
 #include "stats/ewma.hpp"
 #include "stats/histogram.hpp"
 #include "stats/table.hpp"
@@ -200,6 +207,162 @@ TEST(HistogramTest, ResetClears)
     h.reset();
     EXPECT_EQ(h.count(), 0u);
     EXPECT_DOUBLE_EQ(h.max(), 0.0);
+}
+
+TEST(HistogramTest, RejectsInvalidGeometryByName)
+{
+    const auto expectError = [](const std::function<void()> &make,
+                                const std::string &name) {
+        try {
+            make();
+            ADD_FAILURE() << "accepted a bad " << name;
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(name),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+    const double nan = std::nan("");
+    const double inf = HUGE_VAL;
+    for (const double min_value : {0.0, -1.0, -inf, inf, nan})
+        expectError([&] { stats::Histogram h(min_value, 1e7, 20); },
+                    "min_value");
+    for (const double max_value : {1e7, 1e8, -1.0, inf, nan})
+        expectError([&] { stats::Histogram h(1e8, max_value, 20); },
+                    "max_value");
+    for (const int per_decade : {0, -20})
+        expectError([&] { stats::Histogram h(0.1, 1e7, per_decade); },
+                    "buckets_per_decade");
+
+    // Through the registry, a refused geometry registers nothing.
+    obs::MetricRegistry registry;
+    expectError([&] { registry.histogram("lat_us", -1.0, 1e7, 20); },
+                "min_value");
+    expectError([&] { registry.histogram("lat_us", 0.1, 1e7, 0); },
+                "buckets_per_decade");
+    EXPECT_EQ(registry.size(), 0u);
+    registry.histogram("lat_us", 0.1, 1e7, 20).add(3.0);
+    std::vector<std::string> names;
+    registry.visit([&](const std::string &name, double) {
+        names.push_back(name);
+    });
+    EXPECT_EQ(names.size(), 4u);
+}
+
+namespace
+{
+
+/** A histogram geometry and its buckets under the log10 formula. */
+struct Geometry {
+    double minValue;
+    double maxValue;
+    int perDecade;
+
+    double logMin() const { return std::log10(minValue); }
+    double logStep() const { return 1.0 / perDecade; }
+
+    std::size_t
+    buckets() const
+    {
+        const double decades = std::log10(maxValue) - logMin();
+        return static_cast<std::size_t>(
+                   std::ceil(decades / logStep())) +
+               1;
+    }
+
+    /** The formula add() used before its bound table:
+     *  floor((log10(value) - logMin) / logStep), clamped to the edge
+     *  buckets (0 for values <= 0). */
+    std::size_t
+    log10Bucket(double value) const
+    {
+        if (value <= 0.0)
+            return 0;
+        const double pos = (std::log10(value) - logMin()) / logStep();
+        if (pos < 0.0)
+            return 0;
+        const std::size_t last = buckets() - 1;
+        if (pos >= static_cast<double>(last))
+            return last;
+        return static_cast<std::size_t>(pos);
+    }
+};
+
+double
+fromBits(std::uint64_t bits)
+{
+    double value;
+    std::memcpy(&value, &bits, sizeof value);
+    return value;
+}
+
+} // namespace
+
+TEST(HistogramTest, BucketTableMatchesLog10Formula)
+{
+    // The geometries src/ builds (SSD, app and request latencies; tier
+    // move latencies; the MetricRegistry default) and a fine one.
+    const Geometry geometries[] = {
+        {0.1, 1e7, 20}, {0.1, 1e7, 10}, {1.0, 1e12, 20}, {0.5, 5e5, 200}};
+    sim::Rng rng(2024);
+    for (const Geometry &g : geometries) {
+        SCOPED_TRACE(::testing::Message()
+                     << "(" << g.minValue << ", " << g.maxValue << ", "
+                     << g.perDecade << ")");
+        const stats::Histogram h(g.minValue, g.maxValue, g.perDecade);
+        const std::size_t buckets = g.buckets();
+        std::uint64_t mismatches = 0;
+        const auto check = [&](double value) {
+            if (h.bucketOf(value) != g.log10Bucket(value) &&
+                ++mismatches <= 5)
+                ADD_FAILURE() << "value " << value << " (bits "
+                              << std::hexfloat << value
+                              << std::defaultfloat << "): table "
+                              << h.bucketOf(value) << ", formula "
+                              << g.log10Bucket(value);
+        };
+
+        // +-4096 ulps around every bucket's lower bound. The formula
+        // must change to the bucket inside the window, so the window
+        // holds the bound itself.
+        for (std::size_t i = 1; i < buckets; ++i) {
+            const double nominal = std::pow(
+                10.0, g.logMin() + static_cast<double>(i) * g.logStep());
+            double x = nominal;
+            for (int k = 0; k < 4096; ++k)
+                x = std::nextafter(x, 0.0);
+            ASSERT_LT(g.log10Bucket(x), i);
+            for (int k = 0; k <= 2 * 4096; ++k) {
+                check(x);
+                x = std::nextafter(x, HUGE_VAL);
+            }
+            ASSERT_GE(g.log10Bucket(x), i);
+        }
+
+        // Random positive doubles: bit patterns over the whole
+        // exponent range, and log-uniform draws across the geometry.
+        for (int k = 0; k < 1'000'000; ++k) {
+            const std::uint64_t bits = rng.next() >> 1; // sign clear
+            const double value = fromBits(bits);
+            if (std::isfinite(value))
+                check(value);
+        }
+        for (int k = 0; k < 200'000; ++k)
+            check(std::pow(10.0, rng.uniform(g.logMin() - 1.0,
+                                             std::log10(g.maxValue) +
+                                                 1.0)));
+
+        // Edges: zero, negatives, subnormals, the extremes.
+        for (const double value :
+             {0.0, -0.0, -1.0, -DBL_MAX, -HUGE_VAL, DBL_TRUE_MIN,
+              DBL_MIN / 3.0, std::nextafter(DBL_MIN, 0.0), DBL_MIN,
+              g.minValue, std::nextafter(g.minValue, 0.0), g.maxValue,
+              std::nextafter(g.maxValue, HUGE_VAL), DBL_MAX, HUGE_VAL})
+            check(value);
+        EXPECT_EQ(h.bucketOf(HUGE_VAL), buckets - 1);
+        EXPECT_EQ(h.bucketOf(-1.0), 0u);
+        EXPECT_EQ(mismatches, 0u);
+    }
 }
 
 TEST(TimeSeriesTest, Reductions)

@@ -57,7 +57,6 @@ TEST(NvmBackendTest, StoreAndLoadFullPages)
     EXPECT_EQ(nvm.usedBytes(), static_cast<std::uint64_t>(PAGE));
     EXPECT_FALSE(nvm.isBlockDevice());
     EXPECT_FALSE(nvm.storesInHostDram());
-    EXPECT_EQ(nvm.residentOverheadBytes(), 0u);
 
     const auto load = nvm.load(store.storedBytes, sim::SEC);
     EXPECT_FALSE(load.blockIo); // byte-addressable
