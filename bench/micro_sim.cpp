@@ -18,6 +18,7 @@
 #include "psi/psi.hpp"
 #include "sched/task.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/rng.hpp"
 #include "sim/simulation.hpp"
 
 using namespace tmo;
@@ -80,8 +81,12 @@ BENCHMARK(BM_SimulationEvery);
 void
 BM_ReplayTimelines(benchmark::State &state)
 {
-    // One app tick's replay: 8 tasks with 5 segments each (run, wait,
-    // memory, memory+IO and IO stall), offset so they overlap.
+    // One app tick's replay of 8 tasks. wide_fleet:0 gives each task 5
+    // segments (run, wait, memory, memory+IO and IO stall), offset so
+    // they overlap. wide_fleet:1 is a perfbench wide_fleet tick: each
+    // task runs one block of 40-60 ms at a random offset in the second
+    // and never stalls (seeded draws, made before timing).
+    const bool wide_fleet = state.range(0) != 0;
     cgroup::CgroupTree tree;
     auto &cg = tree.create("app");
     std::vector<std::unique_ptr<sched::Task>> tasks;
@@ -95,12 +100,26 @@ BM_ReplayTimelines(benchmark::State &state)
                                 psi::TSK_MEMSTALL,
                                 psi::TSK_MEMSTALL | psi::TSK_IOWAIT,
                                 psi::TSK_IOWAIT};
+    sim::Rng rng(42);
+    std::vector<sched::Segment> blocks(1024 * timelines.size());
+    for (auto &block : blocks) {
+        block.duration = (40 + rng.uniformInt(21)) * sim::MSEC;
+        block.start = rng.uniformInt(sim::SEC - block.duration + 1);
+        block.state = psi::TSK_ONCPU;
+    }
     std::vector<sched::Transition> scratch;
     sim::SimTime start = 0;
+    std::size_t next = 0;
     for (auto _ : state) {
         for (std::size_t t = 0; t < timelines.size(); ++t) {
             auto &segments = timelines[t].segments;
             segments.clear();
+            if (wide_fleet) {
+                sched::Segment block = blocks[next++ % blocks.size()];
+                block.start += start;
+                segments.push_back(block);
+                continue;
+            }
             sim::SimTime at = start + t * 10 * sim::MSEC;
             for (int s = 0; s < 5; ++s) {
                 segments.push_back({at, 100 * sim::MSEC, states[s]});
@@ -111,9 +130,10 @@ BM_ReplayTimelines(benchmark::State &state)
         sched::replayTimelines(timelines, start, scratch);
     }
     benchmark::DoNotOptimize(cg.psi().totalSome(psi::Resource::MEM, start));
+    benchmark::DoNotOptimize(cg.psi().nonIdleTime());
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_ReplayTimelines);
+BENCHMARK(BM_ReplayTimelines)->ArgName("wide_fleet")->Arg(0)->Arg(1);
 
 } // namespace
 

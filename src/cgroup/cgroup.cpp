@@ -62,13 +62,6 @@ Cgroup::memoryReclaim(std::uint64_t bytes, sim::SimTime now)
 }
 
 void
-Cgroup::psiTaskChange(unsigned clear, unsigned set, sim::SimTime now)
-{
-    for (Cgroup *node = this; node; node = node->parent_)
-        node->psi_.taskChange(clear, set, now);
-}
-
-void
 Cgroup::psiUpdateAveragesRecursive(sim::SimTime now)
 {
     psi_.updateAverages(now);

@@ -147,9 +147,15 @@ class Cgroup
     /**
      * Report a task state transition for a task in this cgroup; the
      * change is applied here and in every ancestor (like the kernel's
-     * iterate-ancestors loop in psi_task_change).
+     * iterate-ancestors loop in psi_task_change). Inline, so that a
+     * timeline replay applies each transition without a call.
      */
-    void psiTaskChange(unsigned clear, unsigned set, sim::SimTime now);
+    void
+    psiTaskChange(unsigned clear, unsigned set, sim::SimTime now)
+    {
+        for (Cgroup *node = this; node; node = node->parent_)
+            node->psi_.taskChange(clear, set, now);
+    }
 
     /** Fold averages here and in the whole subtree. */
     void psiUpdateAveragesRecursive(sim::SimTime now);

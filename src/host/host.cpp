@@ -292,13 +292,14 @@ Host::addApp(const workload::AppProfile &profile,
     cgroup::Cgroup &cg = createContainer(profile.name, parent);
     mm_.attach(cg, chain, &fs_, profile.compressibility);
     scheduleTierMaintenance(cg, chain);
-    // Pre-size the page table for this app's declared footprint (plus
+    // Pre-size the page table for every app's declared footprint (plus
     // a little churn slack): steady-state growth then never
     // reallocates mid-run, which matters at millions of pages per
-    // host. Growing past the reservation stays legal, just slower.
-    const std::uint64_t footprint_pages =
-        profile.footprintBytes / config_.mem.pageBytes + 64;
-    mm_.reservePages(mm_.pages().size() + footprint_pages);
+    // host. Apps allocate their pages only when they start, so the
+    // reservations are summed here. Growing past the reservation stays
+    // legal, just slower.
+    reservedPages_ += profile.footprintBytes / config_.mem.pageBytes + 64;
+    mm_.reservePages(reservedPages_);
     apps_.push_back(std::make_unique<workload::AppModel>(
         sim_, mm_, cg, profile, config_.cpus,
         config_.seed ^ (apps_.size() + 1) * 0x9e37u, config_.appTick,

@@ -233,6 +233,8 @@ class Host
     std::unique_ptr<obs::MetricRegistry> metrics_;
     std::unique_ptr<obs::MetricSampler> sampler_;
     std::vector<std::unique_ptr<workload::AppModel>> apps_;
+    /** Page table entries reserved for the apps' footprints so far. */
+    std::uint64_t reservedPages_ = 0;
     std::unique_ptr<core::Controller> controller_;
     /** Dedicated tier backends (capped zswap pools) built for chain
      *  specs; host singletons cover the uncapped tiers. */

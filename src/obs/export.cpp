@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <ostream>
 #include <sstream>
@@ -121,6 +122,19 @@ writeEventJson(std::ostream &out, const std::string &host,
 }
 
 } // namespace
+
+void
+checkWritable(const std::string &what, const std::string &path)
+{
+    std::error_code error;
+    const bool existed = std::filesystem::exists(path, error);
+    // Append mode opens for writing without truncating.
+    const bool opened = std::ofstream(path, std::ios::app).is_open();
+    if (!opened)
+        throw std::invalid_argument(what + ": cannot open " + path);
+    if (!existed)
+        std::filesystem::remove(path, error);
+}
 
 std::string
 formatDouble(double value)

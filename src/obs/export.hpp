@@ -80,6 +80,18 @@ void writeMetricsJsonl(std::ostream &out,
 void writeMetricsFile(const std::string &path,
                       const std::vector<const stats::TimeSeries *> &series);
 
+/**
+ * Check that @p path can be opened for writing, so that a command line
+ * can refuse an output path before a run instead of after it. An
+ * existing file keeps its contents, and a missing one is not left
+ * behind.
+ *
+ * @param what The writer's name in its error: "trace" or "metrics".
+ * @throws std::invalid_argument "<what>: cannot open <path>", the
+ *         message the writer gives when it cannot open the file.
+ */
+void checkWritable(const std::string &what, const std::string &path);
+
 /** Round-trip-exact, locale-independent double formatting used by
  *  every exporter. */
 std::string formatDouble(double value);

@@ -1,5 +1,6 @@
 #include "psi/psi.hpp"
 
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -72,100 +73,41 @@ resourceName(Resource r)
     return "?";
 }
 
-bool
-PsiGroup::stateActive(Resource r, Kind kind) const
+void
+PsiGroup::rejectChange(unsigned clear, unsigned set) const
 {
-    const unsigned oncpu = nr_[bitIndex(TSK_ONCPU)];
-    const unsigned runnable = nr_[bitIndex(TSK_RUNNABLE)];
-    const unsigned memstall = nr_[bitIndex(TSK_MEMSTALL)];
-    const unsigned iowait = nr_[bitIndex(TSK_IOWAIT)];
-
-    switch (r) {
-      case Resource::CPU:
-        // Tasks wait for CPU; "full" means nobody productive at all.
-        return kind == SOME ? runnable > 0 : runnable > 0 && oncpu == 0;
-      case Resource::MEM:
-        return kind == SOME ? memstall > 0 : memstall > 0 && oncpu == 0;
-      case Resource::IO:
-        return kind == SOME ? iowait > 0 : iowait > 0 && oncpu == 0;
-    }
-    return false;
+    const auto lowest = [](unsigned bits) {
+        return std::to_string(1u << std::countr_zero(bits));
+    };
+    const unsigned invalid = (clear | set) & ~TSK_ALL;
+    if (invalid != 0)
+        invariantViolation("invalid task state bit " + lowest(invalid));
+    const unsigned unheld = clear & ~held_;
+    if (unheld != 0)
+        invariantViolation("clearing task state bit " + lowest(unheld) +
+                           " with zero tasks in that state");
+    const std::uint64_t overflow =
+        (counts_ + LANES[set] - LANES[clear]) & LANE_OVERFLOW;
+    invariantViolation("more than " + std::to_string(MAX_TASKS) +
+                       " tasks in task state bit " +
+                       lowest(1u << (std::countr_zero(overflow) / 16)));
 }
 
 void
-PsiGroup::accrue(sim::SimTime now)
+PsiGroup::recordStateChanges(unsigned before, sim::SimTime now)
 {
-    // Aggregation domains shared by several reporters (ancestor
-    // cgroups fed by multiple containers' tick replays) can observe
-    // slightly out-of-order timestamps within one tick window; clamp
-    // rather than let the unsigned delta wrap. The accounting error
-    // is bounded by the overlap of the reporters' windows.
-    if (now <= lastChange_)
-        return;
-    const sim::SimTime delta = now - lastChange_;
-
-    bool non_idle = false;
-    for (const auto bit : nr_)
-        non_idle = non_idle || bit > 0;
-    if (non_idle)
-        nonIdleTime_ += delta;
-
-    for (std::size_t ri = 0; ri < NUM_RESOURCES; ++ri) {
-        const auto r = static_cast<Resource>(ri);
-        if (stateActive(r, SOME))
-            stallTime_[ri][SOME] += delta;
-        if (stateActive(r, FULL))
-            stallTime_[ri][FULL] += delta;
-    }
-    lastChange_ = now;
-}
-
-void
-PsiGroup::taskChange(unsigned clear, unsigned set, sim::SimTime now)
-{
-    accrue(now);
-
-    // Snapshot which stall states hold before the transition; only
-    // when tracing is on (the common path pays one pointer test).
-    std::array<bool, NUM_RESOURCES * NUM_KINDS> before{};
-    if (trace_) {
-        for (std::size_t ri = 0; ri < NUM_RESOURCES; ++ri) {
-            const auto r = static_cast<Resource>(ri);
-            before[ri * NUM_KINDS + SOME] = stateActive(r, SOME);
-            before[ri * NUM_KINDS + FULL] = stateActive(r, FULL);
-        }
-    }
-
-    for (unsigned bit = 1; bit <= TSK_IOWAIT; bit <<= 1) {
-        if (clear & bit) {
-            const std::size_t idx = bitIndex(bit);
-            if (nr_[idx] == 0)
-                invariantViolation(
-                    "clearing task state bit " + std::to_string(bit) +
-                    " with zero tasks in that state");
-            --nr_[idx];
-        }
-        if (set & bit)
-            ++nr_[bitIndex(bit)];
-    }
-
-    if (trace_) {
-        for (std::size_t ri = 0; ri < NUM_RESOURCES; ++ri) {
-            const auto r = static_cast<Resource>(ri);
-            for (std::size_t k = 0; k < NUM_KINDS; ++k) {
-                const bool was = before[ri * NUM_KINDS + k];
-                const bool is =
-                    stateActive(r, static_cast<Kind>(k));
-                if (was == is)
-                    continue;
-                trace_->record(
-                    now, obs::TraceEventType::PSI_STATE,
-                    static_cast<std::uint8_t>(ri * NUM_KINDS + k),
-                    traceDomain_,
-                    {is ? 1.0 : 0.0,
-                     static_cast<double>(stallTime_[ri][k])});
-            }
-        }
+    // Bit order is resource-major, some before full: the order the
+    // states are recorded in.
+    const unsigned mask = STATE_MASKS[held_];
+    const unsigned changed = STATE_MASKS[before] ^ mask;
+    const auto totals = stateTimes();
+    for (std::size_t bit = 0; bit < NON_IDLE; ++bit) {
+        if (((changed >> bit) & 1u) == 0)
+            continue;
+        trace_->record(now, obs::TraceEventType::PSI_STATE,
+                       static_cast<std::uint8_t>(bit), traceDomain_,
+                       {static_cast<double>((mask >> bit) & 1u),
+                        static_cast<double>(totals[bit])});
     }
 }
 
@@ -178,15 +120,17 @@ PsiGroup::updateAverages(sim::SimTime now)
         return;
 
     const double span = static_cast<double>(elapsed);
+    const auto totals = stateTimes();
     for (std::size_t ri = 0; ri < NUM_RESOURCES; ++ri) {
         for (std::size_t k = 0; k < NUM_KINDS; ++k) {
-            const sim::SimTime delta =
-                stallTime_[ri][k] - lastFolded_[ri][k];
+            const sim::SimTime total =
+                totals[stateBit(ri, static_cast<Kind>(k))];
+            const sim::SimTime delta = total - lastFolded_[ri][k];
             const double pressure = static_cast<double>(delta) / span;
             avg10_[ri][k] += ALPHA10 * (pressure - avg10_[ri][k]);
             avg60_[ri][k] += ALPHA60 * (pressure - avg60_[ri][k]);
             avg300_[ri][k] += ALPHA300 * (pressure - avg300_[ri][k]);
-            lastFolded_[ri][k] = stallTime_[ri][k];
+            lastFolded_[ri][k] = total;
         }
     }
     lastAvgUpdate_ = now;
@@ -197,7 +141,7 @@ PsiGroup::some(Resource r) const
 {
     const auto ri = static_cast<std::size_t>(r);
     return Pressure{avg10_[ri][SOME], avg60_[ri][SOME], avg300_[ri][SOME],
-                    stallTime_[ri][SOME]};
+                    stateTimes()[stateBit(ri, SOME)]};
 }
 
 Pressure
@@ -205,14 +149,14 @@ PsiGroup::full(Resource r) const
 {
     const auto ri = static_cast<std::size_t>(r);
     return Pressure{avg10_[ri][FULL], avg60_[ri][FULL], avg300_[ri][FULL],
-                    stallTime_[ri][FULL]};
+                    stateTimes()[stateBit(ri, FULL)]};
 }
 
 sim::SimTime
 PsiGroup::totalSome(Resource r, sim::SimTime now) const
 {
     const auto ri = static_cast<std::size_t>(r);
-    sim::SimTime total = stallTime_[ri][SOME];
+    sim::SimTime total = stateTimes()[stateBit(ri, SOME)];
     if (now > lastChange_ && stateActive(r, SOME))
         total += now - lastChange_;
     return total;
@@ -222,7 +166,7 @@ sim::SimTime
 PsiGroup::totalFull(Resource r, sim::SimTime now) const
 {
     const auto ri = static_cast<std::size_t>(r);
-    sim::SimTime total = stallTime_[ri][FULL];
+    sim::SimTime total = stateTimes()[stateBit(ri, FULL)];
     if (now > lastChange_ && stateActive(r, FULL))
         total += now - lastChange_;
     return total;
@@ -231,7 +175,7 @@ PsiGroup::totalFull(Resource r, sim::SimTime now) const
 unsigned
 PsiGroup::taskCount(TaskState bit) const
 {
-    return nr_[bitIndex(bit)];
+    return static_cast<unsigned>(counts_ >> (16 * bitIndex(bit))) & 0xffffu;
 }
 
 std::size_t

@@ -21,6 +21,9 @@
 namespace tmo::sched
 {
 
+struct TaskTimeline;
+struct Transition;
+
 /** One schedulable entity contributing to PSI. */
 class Task
 {
@@ -47,6 +50,10 @@ class Task
     const std::string &name() const { return name_; }
 
   private:
+    friend void replayTimelines(std::vector<TaskTimeline> &timelines,
+                                sim::SimTime tick_end,
+                                std::vector<Transition> &scratch);
+
     cgroup::Cgroup *cg_;
     std::string name_;
     unsigned state_ = 0;
@@ -69,15 +76,19 @@ struct TaskTimeline {
     std::vector<Segment> segments;
 };
 
-/** One task state transition of a replay: replayTimelines()'s
- *  scratch element. */
+/** One task state change of a replay: replayTimelines()'s scratch
+ *  element. */
 struct Transition {
     sim::SimTime time = 0;
     /** Position in the flattened order; breaks ties in time. */
     std::uint32_t order = 0;
-    /** psi::TaskState bits entered (0 = idle). */
-    unsigned state = 0;
-    Task *task = nullptr;
+    /** psi::TaskState bits the task leaves. */
+    std::uint8_t clear = 0;
+    /** psi::TaskState bits the task enters. */
+    std::uint8_t set = 0;
+    /** The task's container; the change applies there and in every
+     *  ancestor. */
+    cgroup::Cgroup *cgroup = nullptr;
 };
 
 /**
@@ -85,11 +96,18 @@ struct Transition {
  * global time order, so concurrent stalls across tasks produce correct
  * some/full accounting. Gaps between segments are idle. All tasks are
  * left idle at @p tick_end. Each timeline's segments are sorted in
- * place by start.
+ * place by start. A task appears in at most one timeline.
  *
- * @param scratch Buffer for the flattened transitions, overwritten.
+ * The replay makes exactly the PSI updates that calling
+ * Task::setState() for each segment's start and end, in stable time
+ * order, would make, and none for a change that leaves a task's state
+ * as it is.
+ *
+ * @param scratch Buffer for the flattened state changes, overwritten.
  *        The caller keeps it across ticks, so a replay allocates
  *        nothing once it has grown.
+ * @throws std::invalid_argument naming the bits when a segment's state
+ *         holds a bit outside psi::TaskState; nothing is applied then.
  */
 void replayTimelines(std::vector<TaskTimeline> &timelines,
                      sim::SimTime tick_end,

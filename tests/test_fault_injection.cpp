@@ -16,6 +16,7 @@
 
 #include <functional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/senpai.hpp"
@@ -434,6 +435,51 @@ TEST(PsiInvariantTest, ClearingAnUnsetTaskStateThrows)
     group.taskChange(psi::TSK_ONCPU, 0, sim::SEC); // fine
     EXPECT_THROW(group.taskChange(psi::TSK_MEMSTALL, 0, 2 * sim::SEC),
                  std::logic_error);
+}
+
+TEST(PsiInvariantTest, RejectedChangeLeavesCountsUnchanged)
+{
+    // A refused change must not half-apply. Clearing on-CPU with a
+    // memory stall no task holds used to drop the on-CPU count before
+    // it threw, so the task's own later clear threw too.
+    const auto message = [](const std::function<void()> &change) {
+        try {
+            change();
+        } catch (const std::logic_error &error) {
+            return std::string(error.what());
+        }
+        return std::string("no error");
+    };
+    psi::PsiGroup group;
+    group.taskChange(0, psi::TSK_ONCPU, 0);
+    EXPECT_EQ(message([&] {
+                  group.taskChange(psi::TSK_ONCPU | psi::TSK_MEMSTALL, 0,
+                                   sim::SEC);
+              }),
+              "psi: clearing task state bit 4 with zero tasks in that "
+              "state");
+    EXPECT_EQ(message([&] { group.taskChange(0, 1u << 5, sim::SEC); }),
+              "psi: invalid task state bit 32");
+    EXPECT_EQ(group.taskCount(psi::TSK_ONCPU), 1u);
+    EXPECT_EQ(group.taskCount(psi::TSK_MEMSTALL), 0u);
+    group.taskChange(psi::TSK_ONCPU, 0, 2 * sim::SEC);
+    EXPECT_EQ(group.taskCount(psi::TSK_ONCPU), 0u);
+    EXPECT_EQ(group.nonIdleTime(), 2 * sim::SEC);
+
+    // A count that would pass MAX_TASKS is refused the same way.
+    for (unsigned i = 0; i < psi::PsiGroup::MAX_TASKS; ++i)
+        group.taskChange(0, psi::TSK_IOWAIT, 3 * sim::SEC);
+    EXPECT_EQ(message([&] {
+                  group.taskChange(0, psi::TSK_ONCPU | psi::TSK_IOWAIT,
+                                   3 * sim::SEC);
+              }),
+              "psi: more than 32767 tasks in task state bit 8");
+    EXPECT_EQ(group.taskCount(psi::TSK_IOWAIT), psi::PsiGroup::MAX_TASKS);
+    EXPECT_EQ(group.taskCount(psi::TSK_ONCPU), 0u);
+    group.taskChange(psi::TSK_IOWAIT, psi::TSK_ONCPU, 4 * sim::SEC);
+    EXPECT_EQ(group.taskCount(psi::TSK_IOWAIT),
+              psi::PsiGroup::MAX_TASKS - 1);
+    EXPECT_EQ(group.taskCount(psi::TSK_ONCPU), 1u);
 }
 
 TEST(PsiInvariantTest, InvalidTaskStateBitThrows)

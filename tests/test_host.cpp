@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "host/fleet.hpp"
 #include "host/host.hpp"
 #include "stats/timeseries.hpp"
@@ -48,6 +50,39 @@ TEST(HostTest, AddAppCreatesContainer)
     EXPECT_EQ(app.cgroup().name(), "feed");
     EXPECT_EQ(machine.apps().size(), 1u);
     EXPECT_EQ(machine.cgroups().find("feed"), &app.cgroup());
+}
+
+TEST(HostTest, AppReservationsAddUp)
+{
+    // perfbench memory_bound's host: four apps with 4 GiB of footprint
+    // at 4 KiB pages. Apps allocate their pages when they start, so
+    // each app's reservation must come on top of the others' for the
+    // start to fill the page table without moving it.
+    host::HostConfig config;
+    config.mem.ramBytes = 3072ull << 20;
+    config.mem.pageBytes = 4096;
+    sim::Simulation simulation;
+    host::Host machine(simulation, config);
+    const auto tiers =
+        tier::TierChainSpec::parse("zswap:64mb+zswap:256mb+ssd");
+    const workload::AppProfile apps[] = {
+        workload::appPreset("feed", 2048ull << 20),
+        workload::appPreset("cache_a", 1024ull << 20),
+        workload::sidecarPreset("dc_logging", 512ull << 20),
+        workload::sidecarPreset("ms_proxy", 512ull << 20)};
+    std::uint64_t footprint_pages = 0;
+    for (const auto &profile : apps) {
+        machine.addApp(profile, tiers);
+        footprint_pages += profile.footprintBytes / config.mem.pageBytes;
+    }
+    const auto &pages = machine.memory().pages();
+    EXPECT_GE(pages.capacity(), footprint_pages);
+    const mem::Page *table = pages.data();
+    machine.start();
+    for (const auto &app : machine.apps())
+        app->start();
+    EXPECT_GT(pages.size(), footprint_pages / 2);
+    EXPECT_EQ(pages.data(), table);
 }
 
 TEST(HostTest, NoneTiersMeanNoSwap)

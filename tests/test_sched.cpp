@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -151,21 +152,53 @@ TEST(ReplayTest, DisjointStallsAreSomeNotFull)
     EXPECT_EQ(cg.psi().totalFull(psi::Resource::MEM, sim::SEC), 0u);
 }
 
+TEST(ReplayTest, InvalidSegmentStateIsNamedAndAppliesNothing)
+{
+    cgroup::CgroupTree tree;
+    auto &cg = tree.create("app");
+    sched::Task a(cg, "a"), b(cg, "b");
+    std::vector<sched::TaskTimeline> timelines(2);
+    std::vector<sched::Transition> scratch;
+    timelines[0].task = &a;
+    timelines[0].segments = {{0, 100 * sim::MSEC, psi::TSK_ONCPU}};
+    timelines[1].task = &b;
+    timelines[1].segments = {{0, 100 * sim::MSEC, 1u << 4}};
+    try {
+        sched::replayTimelines(timelines, sim::SEC, scratch);
+        ADD_FAILURE() << "no error";
+    } catch (const std::invalid_argument &error) {
+        EXPECT_STREQ(error.what(), "replayTimelines: segment state 16 has "
+                                   "bits outside psi::TaskState");
+    }
+    EXPECT_EQ(cg.psi().taskCount(psi::TSK_ONCPU), 0u);
+    EXPECT_EQ(cg.psi().nonIdleTime(), 0u);
+    EXPECT_EQ(a.state(), 0u);
+}
+
 TEST(ReplayTest, TransitionOrderMatchesStableSortByTime)
 {
     // The replay sorts by (time, flatten position); that must be the
-    // order a stable sort by time gives, ties included. Coarse 100 ms
-    // starts make ties across tasks common, and the scratch is reused
-    // across rounds the way a tick reuses it.
+    // order a stable sort by time gives, ties included, less the
+    // changes that leave a task's state as it is. Coarse 100 ms starts
+    // make ties across tasks common, and the scratch is reused across
+    // rounds the way a tick reuses it. Each task has its own cgroup, so
+    // an entry's cgroup names its task.
     cgroup::CgroupTree tree;
-    auto &cg = tree.create("app");
+    auto &app = tree.create("app");
     std::vector<std::unique_ptr<sched::Task>> tasks;
-    for (int i = 0; i < 6; ++i)
+    for (int i = 0; i < 6; ++i) {
+        const std::string name = "t" + std::to_string(i);
         tasks.push_back(
-            std::make_unique<sched::Task>(cg, "t" + std::to_string(i)));
+            std::make_unique<sched::Task>(tree.create(name, &app), name));
+    }
     const unsigned states[] = {psi::TSK_ONCPU, psi::TSK_RUNNABLE,
                                psi::TSK_MEMSTALL, psi::TSK_IOWAIT,
                                psi::TSK_MEMSTALL | psi::TSK_IOWAIT};
+    struct Step {
+        sim::SimTime time;
+        sched::Task *task;
+        unsigned state;
+    };
     sim::Rng rng(5);
     std::vector<sched::Transition> scratch;
     for (int round = 0; round < 50; ++round) {
@@ -184,29 +217,49 @@ TEST(ReplayTest, TransitionOrderMatchesStableSortByTime)
                 at += duration + rng.uniformInt(2) * 100 * sim::MSEC;
             }
         }
-        // Reference: the flatten, then a stable sort by time.
-        std::vector<sched::Transition> expect;
+        // Reference: the flatten, then a stable sort by time, then each
+        // task's state changes.
+        std::vector<Step> steps;
         for (const auto &tl : timelines) {
             const auto &segs = tl.segments;
             for (std::size_t i = 0; i < segs.size(); ++i) {
-                expect.push_back({segs[i].start, 0, segs[i].state, tl.task});
+                steps.push_back({segs[i].start, tl.task, segs[i].state});
                 const sim::SimTime end = segs[i].start + segs[i].duration;
                 if (!(i + 1 < segs.size() && segs[i + 1].start <= end))
-                    expect.push_back({end, 0, 0u, tl.task});
+                    steps.push_back({end, tl.task, 0u});
             }
         }
-        std::stable_sort(expect.begin(), expect.end(),
-                         [](const sched::Transition &a,
-                            const sched::Transition &b) {
+        std::stable_sort(steps.begin(), steps.end(),
+                         [](const Step &a, const Step &b) {
                              return a.time < b.time;
                          });
+        std::vector<sched::Transition> expect;
+        std::vector<unsigned> held(tasks.size(), 0u);
+        for (const Step &step : steps) {
+            const auto t = static_cast<std::size_t>(
+                std::find_if(tasks.begin(), tasks.end(),
+                             [&](const auto &task) {
+                                 return task.get() == step.task;
+                             }) -
+                tasks.begin());
+            if (step.state == held[t])
+                continue;
+            expect.push_back(
+                {step.time, 0,
+                 static_cast<std::uint8_t>(held[t] & ~step.state),
+                 static_cast<std::uint8_t>(step.state & ~held[t]),
+                 &step.task->cgroup()});
+            held[t] = step.state;
+        }
         sched::replayTimelines(timelines, base + sim::SEC, scratch);
         ASSERT_EQ(scratch.size(), expect.size()) << "round " << round;
         for (std::size_t i = 0; i < expect.size(); ++i) {
             EXPECT_EQ(scratch[i].time, expect[i].time) << round << "/" << i;
-            EXPECT_EQ(scratch[i].task, expect[i].task) << round << "/" << i;
-            EXPECT_EQ(scratch[i].state, expect[i].state)
+            EXPECT_EQ(scratch[i].cgroup, expect[i].cgroup)
                 << round << "/" << i;
+            EXPECT_EQ(scratch[i].clear, expect[i].clear)
+                << round << "/" << i;
+            EXPECT_EQ(scratch[i].set, expect[i].set) << round << "/" << i;
         }
     }
 }

@@ -255,11 +255,15 @@ parseFlag(const std::string &flag, const char *value, Options &options)
     } else if (flag == "--seed") {
         options.seed = parseNumber<std::uint64_t>(flag, value, 0, U64_MAX);
     } else if (flag == "--trace") {
+        // An output path that cannot be written fails now, not after
+        // the run it would have recorded.
+        obs::checkWritable("trace", value);
         options.traceFile = value;
     } else if (flag == "--trace-buffer-mb") {
         options.traceBufferMb = parseNumber<std::uint64_t>(
             flag, value, 1, cli::MAX_TRACE_BUFFER_MB);
     } else if (flag == "--metrics-out") {
+        obs::checkWritable("metrics", value);
         options.metricsFile = value;
     } else if (flag == "--metrics-interval-sec") {
         options.metricsIntervalSec =
