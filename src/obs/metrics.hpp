@@ -2,89 +2,44 @@
  * @file
  * Named metric registry and sim-clock sampler.
  *
- * Components register counters, gauges, histograms, or pull probes by
- * name; a MetricSampler walks the registry on the shard's sim-clock
- * and appends one sample per metric per interval into TimeSeries.
- * Iteration order is the (deterministic) lexicographic name order, so
- * exported series are bit-identical for serial and parallel runs.
+ * Components register pull probes by name; the values stay with the
+ * layer that owns them. A MetricSampler walks the registry on the
+ * shard's sim-clock and appends one sample per probe per interval into
+ * TimeSeries. Iteration order is the (deterministic) lexicographic name
+ * order, so exported series are bit-identical for serial and parallel
+ * runs.
  */
 
 #pragma once
 
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "sim/simulation.hpp"
-#include "stats/histogram.hpp"
 #include "stats/timeseries.hpp"
 
 namespace tmo::obs
 {
 
-/** Monotone accumulating metric. */
-class Counter
-{
-  public:
-    void add(double delta) { value_ += delta; }
-    void increment() { value_ += 1.0; }
-    double value() const { return value_; }
-
-  private:
-    double value_ = 0.0;
-};
-
-/** Point-in-time metric, overwritten on set. */
-class Gauge
-{
-  public:
-    void set(double value) { value_ = value; }
-    double value() const { return value_; }
-
-  private:
-    double value_ = 0.0;
-};
-
-/**
- * Registry of named metrics. Registration is idempotent per name:
- * asking for an existing name returns the existing instrument, so
- * components can grab handles without coordinating ownership.
- */
+/** Registry of named pull probes. */
 class MetricRegistry
 {
   public:
-    Counter &counter(const std::string &name);
-    Gauge &gauge(const std::string &name);
-
-    /** Histogram metrics expand to <name>.count / .p50 / .p99 / .max
-     *  when sampled. A new name with a bad geometry throws the
-     *  Histogram constructor's std::invalid_argument and registers
-     *  nothing. */
-    stats::Histogram &histogram(const std::string &name,
-                                double min_value = 1.0,
-                                double max_value = 1e12,
-                                int buckets_per_decade = 20);
-
     /** Register a pull probe evaluated at each sample tick. Replaces
      *  any previous probe of the same name. */
     void addProbe(const std::string &name,
                   std::function<double()> probe);
 
-    /** Visit every samplable value in name order. Histograms visit
-     *  once per expanded sub-metric. */
+    /** Visit every probe's value in name order. */
     void visit(const std::function<void(const std::string &name,
                                         double value)> &fn) const;
 
-    std::size_t size() const;
+    std::size_t size() const { return probes_.size(); }
 
   private:
     // std::map keeps visitation order deterministic.
-    std::map<std::string, std::unique_ptr<Counter>> counters_;
-    std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-    std::map<std::string, std::unique_ptr<stats::Histogram>>
-        histograms_;
     std::map<std::string, std::function<double()>> probes_;
 };
 

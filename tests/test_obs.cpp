@@ -248,10 +248,12 @@ TEST(ExportTest, FormatDoubleRoundTrips)
 TEST(MetricsTest, RegistryIsIdempotentAndVisitsInNameOrder)
 {
     obs::MetricRegistry registry;
-    registry.counter("b.count").add(2.0);
-    registry.counter("b.count").increment();
-    registry.gauge("a.gauge").set(7.0);
     registry.addProbe("c.probe", [] { return 9.0; });
+    registry.addProbe("a.probe", [] { return 7.0; });
+    registry.addProbe("b.probe", [] { return 2.0; });
+    // A probe of a taken name replaces the old one.
+    registry.addProbe("b.probe", [] { return 3.0; });
+    EXPECT_EQ(registry.size(), 3u);
 
     std::vector<std::string> names;
     std::vector<double> values;
@@ -260,10 +262,12 @@ TEST(MetricsTest, RegistryIsIdempotentAndVisitsInNameOrder)
         values.push_back(value);
     });
     ASSERT_EQ(names.size(), 3u);
-    EXPECT_EQ(names[0], "a.gauge");
-    EXPECT_EQ(names[1], "b.count");
+    EXPECT_EQ(names[0], "a.probe");
+    EXPECT_EQ(names[1], "b.probe");
     EXPECT_EQ(names[2], "c.probe");
+    EXPECT_DOUBLE_EQ(values[0], 7.0);
     EXPECT_DOUBLE_EQ(values[1], 3.0);
+    EXPECT_DOUBLE_EQ(values[2], 9.0);
 }
 
 TEST(MetricsTest, SamplerAlignsWithSenpaiInterval)

@@ -76,6 +76,18 @@ struct ReclaimSweepParam {
     mem::ReclaimMode mode;
 };
 
+// Names each case by its contents (e.g. "256mb-to-32mb-zswap-balanced").
+// Without this, gtest prints the raw bytes, uninitialised padding
+// included, so the listed test names would differ between builds.
+void
+PrintTo(const ReclaimSweepParam &param, std::ostream *out)
+{
+    *out << param.footprint_mb << "mb-to-" << param.target_mb << "mb-"
+         << (param.zswap ? "zswap-" : "ssd-")
+         << (param.mode == mem::ReclaimMode::TMO_BALANCED ? "balanced"
+                                                          : "legacy");
+}
+
 class ReclaimPropertyTest
     : public ::testing::TestWithParam<ReclaimSweepParam>
 {};

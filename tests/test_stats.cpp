@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "sim/rng.hpp"
 #include "stats/ewma.hpp"
 #include "stats/histogram.hpp"
@@ -233,20 +232,6 @@ TEST(HistogramTest, RejectsInvalidGeometryByName)
     for (const int per_decade : {0, -20})
         expectError([&] { stats::Histogram h(0.1, 1e7, per_decade); },
                     "buckets_per_decade");
-
-    // Through the registry, a refused geometry registers nothing.
-    obs::MetricRegistry registry;
-    expectError([&] { registry.histogram("lat_us", -1.0, 1e7, 20); },
-                "min_value");
-    expectError([&] { registry.histogram("lat_us", 0.1, 1e7, 0); },
-                "buckets_per_decade");
-    EXPECT_EQ(registry.size(), 0u);
-    registry.histogram("lat_us", 0.1, 1e7, 20).add(3.0);
-    std::vector<std::string> names;
-    registry.visit([&](const std::string &name, double) {
-        names.push_back(name);
-    });
-    EXPECT_EQ(names.size(), 4u);
 }
 
 namespace
@@ -301,7 +286,7 @@ fromBits(std::uint64_t bits)
 TEST(HistogramTest, BucketTableMatchesLog10Formula)
 {
     // The geometries src/ builds (SSD, app and request latencies; tier
-    // move latencies; the MetricRegistry default) and a fine one.
+    // move latencies; the Histogram default) and a fine one.
     const Geometry geometries[] = {
         {0.1, 1e7, 20}, {0.1, 1e7, 10}, {1.0, 1e12, 20}, {0.5, 5e5, 200}};
     sim::Rng rng(2024);

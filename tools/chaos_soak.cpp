@@ -24,7 +24,8 @@
  *
  * Exit status: 0 when every seed completed with no permanently failed
  * host and a clean audit; 1 otherwise (per-host errors and audit
- * violations go to stderr).
+ * violations go to stderr); 2 for a bad invocation, including a
+ * --trace or --metrics-out file that cannot be opened for some seed.
  */
 
 #include <cstdint>
@@ -159,6 +160,22 @@ parse(int argc, char **argv, Options &options)
             std::cerr << "chaos_soak: " << error.what() << "\n";
             return false;
         }
+    }
+    // A per-seed output file that cannot be opened fails now, before
+    // any seed runs, not after its seed's simulation.
+    try {
+        for (std::uint64_t run = 0; run < options.runs; ++run) {
+            const std::uint64_t seed = options.seed + run;
+            if (!options.traceFile.empty())
+                obs::checkWritable("trace",
+                                   perSeedPath(options.traceFile, seed));
+            if (!options.metricsFile.empty())
+                obs::checkWritable(
+                    "metrics", perSeedPath(options.metricsFile, seed));
+        }
+    } catch (const std::invalid_argument &error) {
+        std::cerr << "chaos_soak: " << error.what() << "\n";
+        return false;
     }
     return true;
 }

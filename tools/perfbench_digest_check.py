@@ -2,7 +2,7 @@
 """Gate: the end-to-end benchmark still simulates what it recorded.
 
 Usage:
-    perfbench_digest_check.py
+    perfbench_digest_check.py [--cxx-flags=FLAGS]
 
 Configures and builds perfbench/ in Release into .bench_build/perfbench,
 where perfbench/run.py builds too, then runs
@@ -16,6 +16,13 @@ gate fails, naming the run, unless each run exits 0, prints the digest
 RESULTS.json holds for its workload and seed, and reports zero audit
 violations.
 
+--cxx-flags=FLAGS adds compiler flags, for example
+``--cxx-flags=-march=x86-64-v3``. The recorded digests are the default
+build's, so this checks that another instruction set simulates the
+same results. Such a build gets a directory of its own, named after
+the flags (.bench_build/perfbench-march-x86-64-v3), so the flags never
+reach the default build.
+
 Exit codes:
     0  every digest matches and no run saw an audit violation
     1  a digest moved, an audit violation, or a run failed
@@ -28,6 +35,7 @@ perfbench_ab.py imports them.
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -53,15 +61,21 @@ def recorded_digests():
         fail(f"cannot read digests from {RESULTS_FILE}: {err!r}", 2)
 
 
-def build(tree=ROOT):
+def build(tree=ROOT, cxx_flags=""):
     """Build @tree's perfbench/ in Release into its
-    .bench_build/perfbench, where perfbench/run.py builds too; return
-    the runner's path. Exit 2 if the build fails."""
+    .bench_build/perfbench, where perfbench/run.py builds too, or with
+    @cxx_flags into a directory named after them; return the runner's
+    path. Exit 2 if the build fails."""
     build_dir = tree / ".bench_build" / "perfbench"
+    extra = []
+    if cxx_flags:
+        slug = re.sub(r"[^A-Za-z0-9.]+", "-", cxx_flags).strip("-")
+        build_dir = build_dir.with_name(f"perfbench-{slug}")
+        extra = [f"-DCMAKE_CXX_FLAGS={cxx_flags}"]
     jobs = str(max(1, min(4, os.cpu_count() or 1)))
     steps = [
         ["cmake", "-S", str(tree / "perfbench"), "-B", str(build_dir),
-         "-DCMAKE_BUILD_TYPE=Release"],
+         "-DCMAKE_BUILD_TYPE=Release", *extra],
         ["cmake", "--build", str(build_dir), "--target", "tmo_perfbench",
          "-j", jobs],
     ]
@@ -114,10 +128,14 @@ def check_run(binary, workload, seed, expected):
 
 
 def main():
-    argparse.ArgumentParser(description=__doc__.split("\n")[0]).parse_args()
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--cxx-flags", default="",
+                        help="extra compiler flags, given as "
+                             "--cxx-flags=-march=x86-64-v3")
+    args = parser.parse_args()
 
     runs = recorded_digests()
-    binary = build()
+    binary = build(cxx_flags=args.cxx_flags)
     failures = 0
     for workload, seed, expected in runs:
         why = check_run(binary, workload, seed, expected)
