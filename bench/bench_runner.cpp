@@ -381,7 +381,7 @@ runTierChainBench(Report &report)
         cold_spec.capacityBytes = 8ull << 30;
         backend::NvmBackend cold(cold_spec);
         tier::TierChain chain("bench", {&warm, &mid, &cold},
-                              tier::TierChainConfig{});
+                              tier::TierPlacement::HOTNESS);
 
         {
             std::vector<mem::Page> heat_pages(4096);

@@ -2,15 +2,17 @@
  * @file
  * Fig. 8 — Senpai operation: PSI tracking against the pressure
  * threshold and the resulting reclaim-volume tuning (§3.3). The bench
- * records the controller's observed pressure and its reclaim steps
- * and shows the feedback loop: big steps while pressure is far below
- * the threshold, shrinking steps as pressure approaches it.
+ * reads the controller's observed pressure and its reclaim steps off
+ * its senpai_tick trace events and shows the feedback loop: big steps
+ * while pressure is far below the threshold, shrinking steps as
+ * pressure approaches it.
  */
 
 #include <iostream>
 
 #include "bench_common.hpp"
 #include "core/senpai.hpp"
+#include "obs/trace.hpp"
 #include "sim/simulation.hpp"
 
 using namespace tmo;
@@ -33,15 +35,34 @@ main()
     // A slightly larger step makes the feedback visible within the
     // bench horizon without changing the control law.
     config.reclaimRatio = 0.004;
+    // The controller's own ring, large enough for every tick of the
+    // run (about 200). Declared first: the controller records its
+    // stop into it on destruction.
+    obs::TraceRing ring(1024 * sizeof(obs::TraceEvent));
     core::Senpai senpai(simulation, machine.memory(), app.cgroup(),
                         config);
+    senpai.setTrace(&ring);
     senpai.start();
     simulation.runUntil(20 * sim::MINUTE);
+    if (ring.dropped() != 0) {
+        std::cerr << "fig08: trace ring dropped " << ring.dropped()
+                  << " events\n";
+        return 1;
+    }
+
+    // Each tick's observed pressure (a0) and requested step (a7).
+    stats::TimeSeries pressure_series, reclaim_series;
+    for (const auto &event : ring.snapshot()) {
+        if (event.type != obs::TraceEventType::SENPAI_TICK)
+            continue;
+        pressure_series.record(event.time, event.args[0]);
+        reclaim_series.record(event.time, event.args[7]);
+    }
 
     // Print the two series, downsampled.
     std::cout << "time_s,psi_some_window,reclaim_bytes\n";
-    const auto &pressure = senpai.pressureSeries().samples();
-    const auto &reclaim = senpai.reclaimSeries().samples();
+    const auto &pressure = pressure_series.samples();
+    const auto &reclaim = reclaim_series.samples();
     for (std::size_t i = 0; i < pressure.size(); i += 5) {
         std::cout << stats::fmt(sim::toSeconds(pressure[i].time), 0)
                   << "," << stats::fmt(pressure[i].value, 6) << ","
@@ -56,8 +77,8 @@ main()
                  " pressure threshold; steady mild pressure\n";
     shape.expect(senpai.totalRequested() > (50ull << 20),
                  "controller continuously engages reclaim");
-    const double late_pressure = senpai.pressureSeries().meanBetween(
-        15 * sim::MINUTE, 20 * sim::MINUTE);
+    const double late_pressure =
+        pressure_series.meanBetween(15 * sim::MINUTE, 20 * sim::MINUTE);
     shape.expect(late_pressure < 10 * config.psiThreshold,
                  "steady-state pressure stays mild (~threshold)");
 

@@ -65,17 +65,21 @@ struct StoreResult {
  * per seed.
  */
 struct RetryPolicy {
-    /** Total attempts per operation (1 = no retry). */
+    /** Total attempts per operation. */
     unsigned attempts = 3;
     /** Per-operation stall budget. An operation stalled past this is
      *  treated as hung and retried (zswap allocator-compaction
-     *  stalls); 0 disables the timeout. */
+     *  stalls). */
     sim::SimTime opTimeout = sim::fromUsec(1000.0);
     /** First retry backoff (decorrelated-jitter base). */
     sim::SimTime backoffBase = sim::fromUsec(100.0);
     /** Backoff ceiling per retry. */
     sim::SimTime backoffCap = sim::fromUsec(5000.0);
 };
+
+/** The one retry budget every backend applies: SSD swap writes and
+ *  zswap stalls. */
+inline constexpr RetryPolicy RETRY_POLICY{};
 
 /** Result of loading one page back on a fault. */
 struct LoadResult {

@@ -166,7 +166,6 @@ SsdDevice::write(std::uint64_t bytes, sim::SimTime now)
     const sim::SimTime latency = service(
         bytes, spec_.writeIops, writeLatencyUs_, writeBusyUntil_, now);
     bytesWritten_ += bytes;
-    writeRate_.add(static_cast<double>(bytes), now);
     return latency;
 }
 
@@ -184,7 +183,6 @@ SsdDevice::resetStats()
 {
     readLatency_.reset();
     readRate_ = stats::RateMeter();
-    writeRate_ = stats::RateMeter();
 }
 
 } // namespace tmo::backend

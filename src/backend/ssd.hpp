@@ -94,9 +94,6 @@ class SsdDevice
     /** Smoothed device read rate, operations per second. */
     double readOpsRate(sim::SimTime now) { return readRate_.rate(now); }
 
-    /** Smoothed device write rate, bytes per second. */
-    double writeByteRate(sim::SimTime now) { return writeRate_.rate(now); }
-
     /** Queue delay a read issued at @p now would wait before service. */
     sim::SimTime
     readQueueDelay(sim::SimTime now) const
@@ -111,7 +108,8 @@ class SsdDevice
         return writeBusyUntil_ > now ? writeBusyUntil_ - now : 0;
     }
 
-    /** Clear latency histogram and rate meters (not endurance). */
+    /** Clear the read-latency histogram and read-rate meter (not
+     *  endurance). */
     void resetStats();
 
     // --- fault injection (§4 incidents, driven by fault::FaultInjector) --
@@ -188,7 +186,6 @@ class SsdDevice
     bool offline_ = false;
     stats::Histogram readLatency_{0.1, 1e7, 20}; // microseconds
     stats::RateMeter readRate_;
-    stats::RateMeter writeRate_;
 };
 
 } // namespace tmo::backend

@@ -52,18 +52,17 @@ SwapBackend::store(std::uint64_t page_bytes, double /* compressibility */,
     // device's fault RNG and is drawn only after a failed attempt, so
     // fault-free runs consume an identical random stream.
     sim::SimTime backoff = 0;
-    sim::SimTime prev = retry_.backoffBase;
-    const unsigned attempts = std::max(1u, retry_.attempts);
+    sim::SimTime prev = RETRY_POLICY.backoffBase;
     for (unsigned attempt = 1; device_.sampleWriteError(); ++attempt) {
         ++storeErrors_;
-        if (attempt >= attempts ||
-            (retry_.opTimeout && backoff >= retry_.opTimeout)) {
+        if (attempt >= RETRY_POLICY.attempts ||
+            backoff >= RETRY_POLICY.opTimeout) {
             result.accepted = false; // budget spent: page stays resident
             traceOp(now, OP_STORE_REJECT, backoff, page_bytes, 0, true);
             return result;
         }
-        prev = device_.sampleRetryBackoff(retry_.backoffBase, prev,
-                                          retry_.backoffCap);
+        prev = device_.sampleRetryBackoff(RETRY_POLICY.backoffBase, prev,
+                                          RETRY_POLICY.backoffCap);
         backoff += prev;
         ++retries_;
     }

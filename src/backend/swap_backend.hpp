@@ -72,11 +72,8 @@ class SwapBackend : public OffloadBackend
     /** Loads served through the error-recovery penalty path. */
     std::uint64_t loadErrors() const { return loadErrors_; }
 
-    /** Retry budget for transient write errors. */
-    void setRetryPolicy(const RetryPolicy &policy) { retry_ = policy; }
-    const RetryPolicy &retryPolicy() const { return retry_; }
-
-    /** Write attempts retried after a transient IO error. */
+    /** Write attempts retried after a transient IO error (at most
+     *  RETRY_POLICY.attempts - 1 per store). */
     std::uint64_t retries() const { return retries_; }
 
   private:
@@ -87,7 +84,6 @@ class SwapBackend : public OffloadBackend
     std::uint64_t storeErrors_ = 0;
     std::uint64_t loadErrors_ = 0;
     std::uint64_t retries_ = 0;
-    RetryPolicy retry_;
 };
 
 } // namespace tmo::backend

@@ -81,15 +81,15 @@ ZswapPool::effectiveStallUs()
 {
     if (stallUs_ <= 0.0)
         return 0.0;
-    const double timeout = sim::toUsec(retry_.opTimeout);
-    if (retry_.attempts <= 1 || timeout <= 0.0 || stallUs_ <= timeout)
+    const double timeout = sim::toUsec(RETRY_POLICY.opTimeout);
+    if (stallUs_ <= timeout)
         return stallUs_;
     // An operation stalled past the per-op timeout is treated as hung
     // on allocator compaction and reissued; a retry typically lands
     // after compaction finished, so the observed stall is capped at
     // attempts * timeout. Deterministic — no RNG involved.
     const double capped = std::min(
-        stallUs_, static_cast<double>(retry_.attempts) * timeout);
+        stallUs_, static_cast<double>(RETRY_POLICY.attempts) * timeout);
     retries_ += static_cast<std::uint64_t>(
                     std::ceil(capped / timeout)) -
                 1;

@@ -135,15 +135,10 @@ class ZswapPool : public OffloadBackend
     void setStallUs(double stall_us);
     double stallUs() const { return stallUs_; }
 
-    /**
-     * Retry budget for hung operations: an op stalled past
-     * opTimeout is abandoned and retried, so the observed stall is
-     * capped at attempts * opTimeout (deterministic — no RNG draw).
-     */
-    void setRetryPolicy(const RetryPolicy &policy) { retry_ = policy; }
-    const RetryPolicy &retryPolicy() const { return retry_; }
-
-    /** Operations retried after stalling past the per-op timeout. */
+    /** Operations retried after stalling past the per-op timeout:
+     *  under RETRY_POLICY an op stalled past opTimeout is abandoned
+     *  and retried, so the observed stall is capped at attempts *
+     *  opTimeout (deterministic — no RNG draw). */
     std::uint64_t retries() const { return retries_; }
 
   private:
@@ -159,7 +154,6 @@ class ZswapPool : public OffloadBackend
     std::uint64_t rejectedPages_ = 0;
     std::uint64_t retries_ = 0;
     double stallUs_ = 0.0;
-    RetryPolicy retry_;
 };
 
 } // namespace tmo::backend

@@ -46,7 +46,7 @@ GswapController::statsRow() const
         {"gswap[" + cg_->name() + "] target promotions/s",
          stats::fmt(config_.targetPromotionsPerSec, 1)},
         {"gswap[" + cg_->name() + "] last promotions/s",
-         stats::fmt(promotions_.last(), 1)},
+         stats::fmt(lastRate_, 1)},
     };
 }
 
@@ -63,7 +63,7 @@ GswapController::tick()
             ? static_cast<double>(swapins - lastSwapins_) / window_s
             : 0.0;
     lastSwapins_ = swapins;
-    promotions_.record(now, rate);
+    lastRate_ = rate;
 
     // The static policy: keep offloading while promotions stay below
     // the profiled target, hands off above it. No notion of device

@@ -19,7 +19,6 @@
 #include "core/controller.hpp"
 #include "mem/memory_manager.hpp"
 #include "sim/simulation.hpp"
-#include "stats/timeseries.hpp"
 
 namespace tmo::baseline
 {
@@ -59,12 +58,6 @@ class GswapController final : public core::Controller
 
     const GswapConfig &config() const { return config_; }
 
-    /** Observed promotion rate at each tick (swap-ins/s). */
-    const stats::TimeSeries &promotionSeries() const
-    {
-        return promotions_;
-    }
-
   private:
     void tick();
 
@@ -76,7 +69,9 @@ class GswapController final : public core::Controller
     sim::EventId event_ = sim::INVALID_EVENT;
     std::uint64_t lastSwapins_ = 0;
     sim::SimTime lastTick_ = 0;
-    stats::TimeSeries promotions_{"gswap_promotion_rate"};
+    /** Promotion rate observed at the last tick, swap-ins/s. The
+     *  history is the cgroup's pswpin counter. */
+    double lastRate_ = 0.0;
 };
 
 } // namespace tmo::baseline

@@ -72,9 +72,9 @@ Senpai::registerMetrics(obs::MetricRegistry &registry)
 {
     const std::string prefix = "senpai." + cg_->name() + ".";
     registry.addProbe(prefix + "pressure",
-                      [this] { return pressure_.last(); });
+                      [this] { return lastPressure_; });
     registry.addProbe(prefix + "reclaim_bytes",
-                      [this] { return reclaimed_.last(); });
+                      [this] { return lastStep_; });
     registry.addProbe(prefix + "total_requested", [this] {
         return static_cast<double>(totalRequested_);
     });
@@ -100,7 +100,7 @@ Senpai::statsRow() const
         {"senpai[" + cg_->name() + "] requested",
          stats::fmtBytes(static_cast<double>(totalRequested_))},
         {"senpai[" + cg_->name() + "] last pressure",
-         stats::fmtPercent(pressure_.last(), 4)},
+         stats::fmtPercent(lastPressure_, 4)},
     };
     if (degradedTicks_ > 0)
         rows.push_back({"senpai[" + cg_->name() + "] degraded ticks",
@@ -149,7 +149,7 @@ Senpai::tick()
         break;
     }
 
-    pressure_.record(now, mem_pressure);
+    lastPressure_ = mem_pressure;
 
     const auto current = static_cast<double>(cg_->memCurrent());
 
@@ -207,7 +207,7 @@ Senpai::tick()
     reclaim = std::min(reclaim, current * config_.maxProbeRatio);
 
     const auto bytes = static_cast<std::uint64_t>(reclaim);
-    reclaimed_.record(now, static_cast<double>(bytes));
+    lastStep_ = static_cast<double>(bytes);
 
     if (trace_) {
         const std::uint8_t guards =

@@ -32,7 +32,6 @@
 #include "core/write_regulator.hpp"
 #include "mem/memory_manager.hpp"
 #include "sim/simulation.hpp"
-#include "stats/timeseries.hpp"
 
 namespace tmo::core
 {
@@ -123,12 +122,9 @@ class Senpai final : public Controller
     cgroup::Cgroup &cgroup() { return *cg_; }
 
     // --- telemetry -------------------------------------------------------
-
-    /** Reclaim requested at each tick (bytes). */
-    const stats::TimeSeries &reclaimSeries() const { return reclaimed_; }
-
-    /** Observed some-memory pressure at each tick (fraction). */
-    const stats::TimeSeries &pressureSeries() const { return pressure_; }
+    // Per-tick history is the SENPAI_TICK trace event (a0 = pressure,
+    // a7 = bytes requested); the controller keeps only totals and the
+    // last tick's values.
 
     /** Total bytes requested for reclaim so far. */
     std::uint64_t totalRequested() const { return totalRequested_; }
@@ -161,8 +157,10 @@ class Senpai final : public Controller
     double lastSwapoutTotal_ = 0.0;
     std::uint64_t totalRequested_ = 0;
     std::uint64_t degradedTicks_ = 0;
-    stats::TimeSeries reclaimed_{"senpai_reclaim_bytes"};
-    stats::TimeSeries pressure_{"senpai_psi_some_mem"};
+    /** Observed some-memory pressure and the step requested at the
+     *  last tick (0 before the first). */
+    double lastPressure_ = 0.0;
+    double lastStep_ = 0.0;
 };
 
 } // namespace tmo::core

@@ -248,12 +248,8 @@ Host::buildChain(const tier::TierChainSpec &spec)
             break;
         }
     }
-    tier::TierChainConfig chain_config;
-    chain_config.placement = spec.placement;
-    if (spec.placement == tier::TierPlacement::WORKINGSET)
-        chain_config.moveBudgetBytes = 0; // no background events
     chains_.push_back(std::make_unique<tier::TierChain>(
-        spec.toString(), std::move(tiers), chain_config, spec.tiers));
+        spec.toString(), std::move(tiers), spec.placement, spec.tiers));
     return chains_.back().get();
 }
 
@@ -271,7 +267,7 @@ void
 Host::scheduleTierMaintenance(cgroup::Cgroup &cg,
                               tier::TierChain *chain)
 {
-    if (!chain || chain->config().moveBudgetBytes == 0 ||
+    if (!chain || chain->placement() == tier::TierPlacement::WORKINGSET ||
         chain->size() < 2)
         return;
     for (const auto *scheduled : maintScheduled_)

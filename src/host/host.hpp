@@ -202,12 +202,13 @@ class Host
      * "zswap"/"ssd"/"nvm" tiers use the shared host singletons (so
      * fault injection and machine.zswap()-style introspection keep
      * working), capped zswap tiers get a dedicated pool owned by the
-     * host. A WORKINGSET spec gets a zero movement budget.
+     * host.
      */
     tier::TierChain *buildChain(const tier::TierChainSpec &spec);
 
     /** Schedule periodic tierMaintain for @p cg (once per cgroup,
-     *  only for chains with a movement budget). */
+     *  only for hotness chains of two or more tiers: a working-set
+     *  chain never moves pages). */
     void scheduleTierMaintenance(cgroup::Cgroup &cg,
                                  tier::TierChain *chain);
 

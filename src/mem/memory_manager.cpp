@@ -353,7 +353,6 @@ MemoryManager::accessSlow(PageIdx idx, sim::SimTime now)
         if (in_zswap)
             ++mcg.cg->stats().zswpin;
         ++mcg.cg->stats().pswpin;
-        mcg.swapinRate.add(1.0, now);
         // Swap-in IO is the anon side of the reclaim cost balance
         // (kernel lru_note_cost), mirroring refaults on the file side.
         decayCosts(mcg, now);
@@ -393,7 +392,6 @@ MemoryManager::accessSlow(PageIdx idx, sim::SimTime now)
                 result.refault = true;
                 ++mcg.cg->stats().wsRefault;
                 ++mcg.cg->stats().wsActivate;
-                mcg.refaultRate.add(1.0, now);
                 decayCosts(mcg, now);
                 mcg.fileCost += 1.0;
                 // Waiting for recently evicted cache is lost work due
@@ -688,13 +686,13 @@ MemoryManager::tierMaintain(cgroup::Cgroup &cg, sim::SimTime now)
     TierMaintainOutcome outcome;
     MemCg &mcg = memcgOf(cg);
     tier::TierChain *chain = mcg.anonChain;
-    if (!chain || chain->config().moveBudgetBytes == 0 ||
+    if (!chain || chain->placement() == tier::TierPlacement::WORKINGSET ||
         chain->size() < 2)
         return outcome;
     const std::uint8_t epoch =
         heatEpochAt(now, config_.heatDecayPeriod);
     const std::uint32_t batch = tier::MOVE_SCAN_BATCH;
-    std::uint64_t budget = chain->config().moveBudgetBytes;
+    std::uint64_t budget = tier::MOVE_BUDGET_BYTES;
     std::uint64_t scanned = 0;
 
     // Evacuation pass (runs first — saving data from a dying tier
@@ -722,14 +720,12 @@ MemoryManager::tierMaintain(cgroup::Cgroup &cg, sim::SimTime now)
             if (latency == NO_MOVE) {
                 losePage(mcg, cur);
                 ++outcome.lostPages;
-                chain->noteLost(1);
             } else {
                 ++outcome.evacuatedPages;
                 outcome.movedBytes += config_.pageBytes;
                 outcome.deviceTime += latency;
                 budget -= config_.pageBytes;
                 ++mcg.cg->stats().tierEvacuate;
-                chain->noteEvacuate(1);
             }
             cur = warmer;
         }
@@ -763,7 +759,7 @@ MemoryManager::tierMaintain(cgroup::Cgroup &cg, sim::SimTime now)
                 outcome.deviceTime += latency;
                 budget -= config_.pageBytes;
                 ++mcg.cg->stats().tierDemote;
-                chain->noteDemote(1, sim::toUsec(latency));
+                chain->noteDemote(sim::toUsec(latency));
             }
             cur = warmer;
         }
@@ -796,7 +792,7 @@ MemoryManager::tierMaintain(cgroup::Cgroup &cg, sim::SimTime now)
                 outcome.deviceTime += latency;
                 budget -= config_.pageBytes;
                 ++mcg.cg->stats().tierPromote;
-                chain->notePromote(1, sim::toUsec(latency));
+                chain->notePromote(sim::toUsec(latency));
             }
             cur = colder;
         }

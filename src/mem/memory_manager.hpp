@@ -114,7 +114,12 @@ struct ReclaimOutcome {
     sim::SimTime cpuTime = 0;
 };
 
-/** Result of one background tier-maintenance pass. */
+/**
+ * Result of one background tier-maintenance pass. Its movement cost
+ * (device and CPU time) is charged to no task: the Host drops the
+ * outcome, and the cost is reported only in the TIER_MOVE trace
+ * event.
+ */
 struct TierMaintainOutcome {
     /** Pages moved down the chain (heat decayed below their tier). */
     std::uint64_t demotedPages = 0;
@@ -125,7 +130,8 @@ struct TierMaintainOutcome {
     std::uint64_t evacuatedPages = 0;
     /** Pages whose only copy died with an unsavable tier. */
     std::uint64_t lostPages = 0;
-    /** Uncompressed bytes moved (counts against the chain budget). */
+    /** Uncompressed bytes moved (counts against
+     *  tier::MOVE_BUDGET_BYTES). */
     std::uint64_t movedBytes = 0;
     /** Device time consumed by the moves (store + load latencies). */
     sim::SimTime deviceTime = 0;
@@ -188,10 +194,6 @@ struct MemCg {
     double fileCost = 0.0;
     sim::SimTime lastCostDecay = 0;
 
-    /** Smoothed swap-in (promotion) rate, pages/s. */
-    stats::RateMeter swapinRate;
-    /** Smoothed file refault rate, pages/s. */
-    stats::RateMeter refaultRate;
     /** Smoothed swap-out rate, bytes/s (write-endurance view). */
     stats::RateMeter swapoutBytes;
 
@@ -325,11 +327,12 @@ class MemoryManager
      * One budgeted tier-maintenance pass for @p cg (TPP-style):
      * demote offloaded pages whose decayed heat places them below
      * their current tier, promote pages stuck below their warmth
-     * (fall-through victims), both bounded by the chain's
-     * moveBudgetBytes and tier::MOVE_SCAN_BATCH. No-op without a
-     * chain or with a zero budget (working-set chains). The Host
-     * schedules this every tier::MOVE_PERIOD; movement cost is
-     * returned so callers can charge it.
+     * (fall-through victims), both bounded by
+     * tier::MOVE_BUDGET_BYTES and tier::MOVE_SCAN_BATCH. No-op
+     * without a chain, on a one-tier chain and on a working-set
+     * chain. The Host schedules this every tier::MOVE_PERIOD and
+     * ignores the outcome: the movement cost delays no task and is
+     * reported only in the TIER_MOVE trace event.
      */
     TierMaintainOutcome tierMaintain(cgroup::Cgroup &cg,
                                      sim::SimTime now);

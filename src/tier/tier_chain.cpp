@@ -8,9 +8,9 @@ namespace tmo::tier
 
 TierChain::TierChain(std::string name,
                      std::vector<backend::OffloadBackend *> tiers,
-                     TierChainConfig config, std::vector<TierSpec> specs)
+                     TierPlacement placement, std::vector<TierSpec> specs)
     : name_(std::move(name)), tiers_(std::move(tiers)),
-      config_(config), specs_(std::move(specs)),
+      placement_(placement), specs_(std::move(specs)),
       offline_(tiers_.size(), false), health_(tiers_.size())
 {
     if (tiers_.empty())
@@ -89,7 +89,7 @@ TierChain::placementIndex(unsigned heat, bool workingset) const
     const int last = static_cast<int>(tiers_.size()) - 1;
     if (last == 0)
         return 0;
-    if (config_.placement == TierPlacement::WORKINGSET)
+    if (placement_ == TierPlacement::WORKINGSET)
         return workingset ? 0 : last;
     // Linear heat-to-tier map: heat >= 7 enters the fastest tier,
     // heat 0 the slowest, with the 8 heat levels spread evenly over
@@ -135,10 +135,8 @@ TierChain::setTierOffline(std::size_t i, bool offline, sim::SimTime now)
     } else {
         health.evacuating = false;
         health.failedSince = NEVER;
-        if (config_.readmitWindow > 0) {
-            health.readmitStart = now;
-            health.admitSeen = health.admitTaken = 0;
-        }
+        health.readmitStart = now;
+        health.admitSeen = health.admitTaken = 0;
     }
 }
 
@@ -170,8 +168,7 @@ TierChain::admitForStore(std::size_t i, sim::SimTime now)
     auto &health = health_[i];
     if (health.readmitStart == NEVER)
         return true;
-    if (config_.readmitWindow == 0 ||
-        now >= health.readmitStart + config_.readmitWindow) {
+    if (now >= health.readmitStart + READMIT_WINDOW) {
         health.readmitStart = NEVER;
         health.admitSeen = health.admitTaken = 0;
         return true;
@@ -181,7 +178,7 @@ TierChain::admitForStore(std::size_t i, sim::SimTime now)
     ++health.admitSeen;
     const double fraction =
         static_cast<double>(now - health.readmitStart) /
-        static_cast<double>(config_.readmitWindow);
+        static_cast<double>(READMIT_WINDOW);
     if (static_cast<double>(health.admitTaken) <
         fraction * static_cast<double>(health.admitSeen)) {
         ++health.admitTaken;

@@ -17,12 +17,11 @@
  *    low ones. Background maintenance (see
  *    MemoryManager::tierMaintain) demotes pages whose heat decayed
  *    below their tier and promotes pages stuck below their warmth,
- *    budgeted per Senpai tick so movement cost is bounded and charged
- *    through the cost model.
+ *    at most MOVE_BUDGET_BYTES per Senpai tick.
  *  - WORKINGSET ("zswap+ssd;placement=workingset"): working-set pages
  *    start at tier 0, cold pages at the last tier — the §5.2 two-tier
- *    hierarchy. The Host builds these chains with a zero movement
- *    budget, so no background events fire.
+ *    hierarchy. These chains never move pages, so no background
+ *    events fire.
  *
  * Aggregate status is FAILED only when every tier is FAILED (or
  * offline): as long as one tier accepts pages the chain degrades to
@@ -57,29 +56,25 @@ inline constexpr std::uint32_t MOVE_SCAN_BATCH = 64;
  */
 inline constexpr sim::SimTime FAIL_GRACE_WINDOW = 30 * sim::SEC;
 
-/** Tunables of one chain. */
-struct TierChainConfig {
-    TierPlacement placement = TierPlacement::HOTNESS;
-    /**
-     * Byte budget for background demotion/promotion per maintenance
-     * tick; 0 disables movement entirely (working-set chains). The
-     * budget counts uncompressed page bytes, so movement cost scales
-     * with the configured page size.
-     */
-    std::uint64_t moveBudgetBytes = 8ull << 20;
-    /**
-     * After a tier comes back online its store admission ramps up
-     * linearly over this window instead of instantly taking full
-     * load (0 = instant readmission). Only admission is throttled;
-     * status and loads are unaffected.
-     */
-    sim::SimTime readmitWindow = 20 * sim::SEC;
-};
+/**
+ * After a tier comes back online its store admission ramps up
+ * linearly over this window instead of instantly taking full load.
+ * Only admission is throttled; status and loads are unaffected.
+ */
+inline constexpr sim::SimTime READMIT_WINDOW = 20 * sim::SEC;
+
+/**
+ * Byte budget of a hotness chain's background demotion, promotion and
+ * evacuation per maintenance tick. It counts uncompressed page bytes,
+ * so movement cost scales with the configured page size.
+ */
+inline constexpr std::uint64_t MOVE_BUDGET_BYTES = 8ull << 20;
 
 /**
  * An ordered list of offload tiers. The chain does not own its tier
  * backends (the Host does); it owns only policy, per-tier offline
- * flags, and movement counters.
+ * flags, and move-latency histograms. The cgroup's tierDemote,
+ * tierPromote, tierEvacuate and tierLost counters count the moves.
  */
 class TierChain
 {
@@ -97,11 +92,13 @@ class TierChain
     /**
      * @param name Chain name for reports (canonical spec string).
      * @param tiers Backends fastest-first; at least one.
+     * @param placement Entry-tier policy; only HOTNESS chains move
+     *        pages in the background.
      * @param specs Per-tier specs (for reports); may be empty.
      */
     TierChain(std::string name,
               std::vector<backend::OffloadBackend *> tiers,
-              TierChainConfig config, std::vector<TierSpec> specs = {});
+              TierPlacement placement, std::vector<TierSpec> specs = {});
 
     // --- name and aggregate views -------------------------------------
 
@@ -154,7 +151,7 @@ class TierChain
      *  chain was built without specs. */
     std::string tierToken(std::size_t i) const;
 
-    const TierChainConfig &config() const { return config_; }
+    TierPlacement placement() const { return placement_; }
 
     // --- fault injection ----------------------------------------------
 
@@ -184,32 +181,11 @@ class TierChain
         return health_[i].evacuating;
     }
 
-    void noteEvacuate(std::uint64_t pages) { evacuatedPages_ += pages; }
-    void noteLost(std::uint64_t pages) { lostPages_ += pages; }
+    // --- move latency (fed by MemoryManager::tierMaintain) -----------
 
-    /** Pages drained off evacuating tiers so far. */
-    std::uint64_t evacuatedPages() const { return evacuatedPages_; }
-    /** Pages whose only copy died with its tier. */
-    std::uint64_t lostPages() const { return lostPages_; }
+    void noteDemote(double latency_us) { demoteLatencyUs_.add(latency_us); }
 
-    // --- movement accounting (fed by MemoryManager::tierMaintain) ----
-
-    void
-    noteDemote(std::uint64_t pages, double latency_us)
-    {
-        demotedPages_ += pages;
-        demoteLatencyUs_.add(latency_us);
-    }
-
-    void
-    notePromote(std::uint64_t pages, double latency_us)
-    {
-        promotedPages_ += pages;
-        promoteLatencyUs_.add(latency_us);
-    }
-
-    std::uint64_t demotedPages() const { return demotedPages_; }
-    std::uint64_t promotedPages() const { return promotedPages_; }
+    void notePromote(double latency_us) { promoteLatencyUs_.add(latency_us); }
 
     /** Inter-tier move latency (device time per moved page, us). */
     const stats::Histogram &demoteLatencyUs() const
@@ -244,14 +220,10 @@ class TierChain
 
     std::string name_;
     std::vector<backend::OffloadBackend *> tiers_;
-    TierChainConfig config_;
+    TierPlacement placement_;
     std::vector<TierSpec> specs_;
     std::vector<bool> offline_;
     std::vector<TierHealth> health_;
-    std::uint64_t evacuatedPages_ = 0;
-    std::uint64_t lostPages_ = 0;
-    std::uint64_t demotedPages_ = 0;
-    std::uint64_t promotedPages_ = 0;
     stats::Histogram demoteLatencyUs_{0.1, 1e7, 10};
     stats::Histogram promoteLatencyUs_{0.1, 1e7, 10};
 };

@@ -6,12 +6,12 @@
  * host-second costs beyond its simulated work is multiplied by the
  * fleet. This binary replaces the global operator new with a counting
  * one and runs one host of perfbench's wide_fleet shape (96 MiB RAM,
- * 64 KiB pages, zswap:32mb+ssd, senpai, a 64 MiB app) per preset: over
- * simulated minutes 10-20 it may allocate at most a handful of times.
- * What remains is amortized growth of recorded history, such as
- * Senpai's TimeSeries; event dispatch and the app tick allocate
- * nothing. It is its own executable so that the replacement counts
- * no other test's allocations.
+ * 64 KiB pages, zswap:32mb+ssd, a 64 MiB app) per preset under each
+ * controller: over simulated minutes 10-20 it must not allocate at
+ * all. Controllers keep counters and current values, not per-tick
+ * history, so nothing grows with simulated time. It is its own
+ * executable so that the replacement counts no other test's
+ * allocations.
  */
 
 #include <gtest/gtest.h>
@@ -21,9 +21,11 @@
 #include <functional>
 #include <memory>
 #include <new>
+#include <ostream>
 #include <string>
 #include <vector>
 
+#include "host/controller_registry.hpp"
 #include "host/fleet.hpp"
 #include "sim/simulation.hpp"
 #include "workload/app_profile.hpp"
@@ -99,24 +101,55 @@ TEST(AllocFreeTest, CounterSeesAllocations)
     EXPECT_EQ(*kept[2], 2);
 }
 
-class AllocFreeHostTest : public ::testing::TestWithParam<std::string>
+namespace
+{
+
+/** One host shape: an app preset under a named controller. */
+struct HostCase {
+    std::string preset;
+    std::string controller;
+};
+
+// Names each case by its contents ("ads_a-senpai"); ctest lists the
+// printed value in place of gtest's numeric suffix.
+void
+PrintTo(const HostCase &param, std::ostream *out)
+{
+    *out << param.preset << '-' << param.controller;
+}
+
+/** Every preset under every controller the CLI knows. */
+std::vector<HostCase>
+hostCases()
+{
+    std::vector<HostCase> cases;
+    for (const auto &preset : workload::appPresetNames())
+        for (const auto &controller : host::knownControllers())
+            cases.push_back({preset, controller});
+    return cases;
+}
+
+} // namespace
+
+class AllocFreeHostTest : public ::testing::TestWithParam<HostCase>
 {};
 
 TEST_P(AllocFreeHostTest, SteadyStateHostSecondsAllocateNothing)
 {
+    const HostCase &param = GetParam();
     auto fleet = host::FleetSpec{}
                      .hosts(1)
                      .seed(42)
                      .ram_mb(96)
                      .page_kb(64)
                      .tiers("zswap:32mb+ssd")
-                     .controller("senpai")
-                     .workload(GetParam(), 64)
+                     .controller(param.controller)
+                     .workload(param.preset, 64)
                      .build();
     fleet.start();
     // The host's own clock, without the fleet engine's barriers: this
     // guards the per-host loop (event dispatch, app ticks, PSI, kswapd,
-    // Senpai, tier maintenance).
+    // the controller, tier maintenance).
     sim::Simulation &clock = fleet.host(0).simulation();
     clock.runUntil(10 * sim::MINUTE);
     const std::uint64_t events_before = clock.dispatched();
@@ -125,14 +158,10 @@ TEST_P(AllocFreeHostTest, SteadyStateHostSecondsAllocateNothing)
     // The window did simulate: at least the app tick and kswapd ran
     // every second.
     EXPECT_GE(clock.dispatched() - events_before, 2u * 600u);
-    EXPECT_LE(allocations, 10u)
-        << GetParam() << ": " << allocations
+    EXPECT_EQ(allocations, 0u)
+        << ::testing::PrintToString(param) << ": " << allocations
         << " allocations over simulated minutes 10-20";
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Presets, AllocFreeHostTest,
-    ::testing::ValuesIn(workload::appPresetNames()),
-    [](const ::testing::TestParamInfo<std::string> &info) {
-        return info.param;
-    });
+INSTANTIATE_TEST_SUITE_P(Presets, AllocFreeHostTest,
+                         ::testing::ValuesIn(hostCases()));

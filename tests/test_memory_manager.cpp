@@ -193,7 +193,7 @@ TEST_F(MemoryManagerTest, AccessTransitionTable)
     // Two tiers, so that maintenance evacuates them once both go
     // offline: the only way a page becomes LOST.
     tier::TierChain chain("zswap+swap", {&zswap, &swap},
-                          tier::TierChainConfig{});
+                          tier::TierPlacement::HOTNESS);
     const sim::SimTime now = sim::MINUTE;
     int n = 0;
     for (const AccessRow &row : rows) {
@@ -574,7 +574,7 @@ TEST_F(MemoryManagerTest, IdleGenerationsMatchRecountAfterEveryStep)
     // brute-force recount, over more history than the 512-generation
     // ring holds.
     tier::TierChain chain("zswap+swap", {&zswap, &swap},
-                          tier::TierChainConfig{});
+                          tier::TierPlacement::HOTNESS);
     auto &lossy = tree.create("lossy");
     mm.attach(*cg, &zswapChain, &fs, 4.0);
     mm.attach(lossy, &chain, &fs);

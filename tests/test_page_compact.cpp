@@ -139,7 +139,7 @@ struct StubChains {
         chains.push_back(std::make_unique<tier::TierChain>(
             name,
             std::vector<backend::OffloadBackend *>{stubs.back().get()},
-            tier::TierChainConfig{}));
+            tier::TierPlacement::HOTNESS));
         return chains.back().get();
     }
 };

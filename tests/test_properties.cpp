@@ -15,6 +15,7 @@
 #include "host/host.hpp"
 #include "psi/psi.hpp"
 #include "sim/rng.hpp"
+#include "trace_series.hpp"
 #include "workload/app_profile.hpp"
 
 using namespace tmo;
@@ -210,7 +211,9 @@ TEST_P(SenpaiPropertyTest, MildPressureAndRealSavings)
     app.start();
     simulation.runUntil(30 * sim::SEC);
 
+    auto ring = test::testRing();
     core::Senpai senpai(simulation, machine.memory(), app.cgroup());
+    senpai.setTrace(&ring);
     senpai.start();
     simulation.runUntil(15 * sim::MINUTE);
 
@@ -221,7 +224,7 @@ TEST_P(SenpaiPropertyTest, MildPressureAndRealSavings)
         << param.app;
     // ...while pressure stayed within an order of the target and the
     // workload kept serving.
-    const double pressure = senpai.pressureSeries().meanBetween(
+    const double pressure = test::senpaiPressure(ring).meanBetween(
         10 * sim::MINUTE, 15 * sim::MINUTE);
     EXPECT_LT(pressure, 10 * senpai.config().psiThreshold) << param.app;
     EXPECT_GT(app.lastTick().completedRps,

@@ -8,6 +8,7 @@
 #include "core/senpai.hpp"
 #include "core/write_regulator.hpp"
 #include "host/host.hpp"
+#include "trace_series.hpp"
 #include "workload/app_profile.hpp"
 
 using namespace tmo;
@@ -119,12 +120,14 @@ TEST(SenpaiTest, ReclaimsIdleMemory)
     simulation.runUntil(30 * sim::SEC);
     const auto before = app.cgroup().memCurrent();
 
+    auto ring = test::testRing();
     core::Senpai senpai(simulation, machine.memory(), app.cgroup());
+    senpai.setTrace(&ring);
     senpai.start();
     simulation.runUntil(10 * sim::MINUTE);
     EXPECT_LT(app.cgroup().memCurrent(), before);
     EXPECT_GT(senpai.totalRequested(), 0u);
-    EXPECT_GT(senpai.reclaimSeries().size(), 50u);
+    EXPECT_GT(test::senpaiSteps(ring).size(), 50u);
 }
 
 TEST(SenpaiTest, StepIsBoundedByFormula)
@@ -136,14 +139,18 @@ TEST(SenpaiTest, StepIsBoundedByFormula)
         tier::TierChainSpec::parse("zswap"));
     machine.start();
     app.start();
+    auto ring = test::testRing();
     core::Senpai senpai(simulation, machine.memory(), app.cgroup());
+    senpai.setTrace(&ring);
     senpai.start();
     simulation.runUntil(5 * sim::MINUTE);
     // Every recorded step obeys reclaim <= current * ratio (pressure
     // factor only shrinks it; current <= footprint).
     const double max_step =
         senpai.config().reclaimRatio * (1ull << 30);
-    for (const auto &sample : senpai.reclaimSeries().samples())
+    const auto steps = test::senpaiSteps(ring);
+    EXPECT_FALSE(steps.empty());
+    for (const auto &sample : steps.samples())
         EXPECT_LE(sample.value, max_step * 1.01);
 }
 
@@ -186,15 +193,16 @@ TEST(SenpaiTest, ConvergesToMildSteadyStatePressure)
         tier::TierChainSpec::parse("zswap"));
     machine.start();
     app.start();
+    auto ring = test::testRing();
     core::Senpai senpai(simulation, machine.memory(), app.cgroup());
+    senpai.setTrace(&ring);
     senpai.start();
     simulation.runUntil(30 * sim::MINUTE);
 
     // Steady state: observed pressure stays in the same order as the
     // threshold (mild, nonzero contention), and RPS is unharmed.
-    const double late_pressure =
-        senpai.pressureSeries().meanBetween(20 * sim::MINUTE,
-                                            30 * sim::MINUTE);
+    const double late_pressure = test::senpaiPressure(ring).meanBetween(
+        20 * sim::MINUTE, 30 * sim::MINUTE);
     EXPECT_LT(late_pressure, 10 * senpai.config().psiThreshold);
     EXPECT_GT(app.lastTick().completedRps,
               0.9 * app.lastTick().offeredRps);
@@ -239,8 +247,10 @@ TEST(SenpaiTest, ZeroWindowTickKeepsPressureBaseline)
         tier::TierChainSpec::parse("zswap"));
     auto &cg = app.cgroup();
 
+    auto ring = test::testRing();
     core::Senpai senpai(simulation, machine.memory(), cg);
     ASSERT_EQ(senpai.config().source, core::PressureSource::INTERVAL);
+    senpai.setTrace(&ring);
 
     // Accrue 3 s of some-memory stall between t=0 and t=3 s.
     cg.psiTaskChange(0, psi::TSK_MEMSTALL, simulation.now());
@@ -252,13 +262,13 @@ TEST(SenpaiTest, ZeroWindowTickKeepsPressureBaseline)
     // resumed tick fires at the same sim time as lastTick_.
     core::SenpaiTestPeer::forceBaseline(senpai, simulation.now(), 0, 0);
     core::SenpaiTestPeer::fireTick(senpai);
-    EXPECT_DOUBLE_EQ(senpai.pressureSeries().last(), 0.0);
+    EXPECT_DOUBLE_EQ(test::senpaiPressure(ring).last(), 0.0);
 
     // The next real tick, 6 s later, must still see the 3 s of stall
     // accrued before the zero-window tick: 3 s / 6 s = 0.5.
     simulation.runUntil(12 * sim::SEC);
     core::SenpaiTestPeer::fireTick(senpai);
-    EXPECT_NEAR(senpai.pressureSeries().last(), 0.5, 1e-9);
+    EXPECT_NEAR(test::senpaiPressure(ring).last(), 0.5, 1e-9);
 }
 
 TEST(SenpaiTest, StopHaltsControl)

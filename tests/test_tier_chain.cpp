@@ -197,7 +197,7 @@ TEST(TierChainTest, PlacementIndexMapsHeatAcrossTiers)
 {
     auto a = nvmTier(64), b = nvmTier(64), c = nvmTier(64);
     tier::TierChain chain("test", {a.get(), b.get(), c.get()},
-                          tier::TierChainConfig{});
+                          tier::TierPlacement::HOTNESS);
     // Hot pages enter the top, cold pages the bottom, monotonically.
     EXPECT_EQ(chain.placementIndex(7, false), 0);
     EXPECT_EQ(chain.placementIndex(0xff, false), 0);
@@ -210,10 +210,8 @@ TEST(TierChainTest, PlacementIndexMapsHeatAcrossTiers)
     }
 
     // Working-set placement ignores heat entirely.
-    tier::TierChainConfig ws_config;
-    ws_config.placement = tier::TierPlacement::WORKINGSET;
-    ws_config.moveBudgetBytes = 0;
-    tier::TierChain ws("ws", {a.get(), c.get()}, ws_config);
+    tier::TierChain ws("ws", {a.get(), c.get()},
+                       tier::TierPlacement::WORKINGSET);
     EXPECT_EQ(ws.placementIndex(0, true), 0);
     EXPECT_EQ(ws.placementIndex(7, false), 1);
 }
@@ -222,7 +220,7 @@ TEST(TierChainTest, StoreFallsThroughCapsAndOfflineTiers)
 {
     auto a = nvmTier(2), b = nvmTier(2), c = nvmTier(64);
     tier::TierChain chain("test", {a.get(), b.get(), c.get()},
-                          tier::TierChainConfig{});
+                          tier::TierPlacement::HOTNESS);
 
     // Tier 0 takes two pages, then the third falls through.
     EXPECT_EQ(chain.storeFrom(0, PAGE, 1.0, 0).tierIndex, 0);
@@ -251,7 +249,7 @@ TEST(TierChainTest, AggregatesStatusUtilizationAndOverhead)
     backend::ZswapPool pool(zconfig);
     auto cold = nvmTier(4);
     tier::TierChain chain("test", {&pool, cold.get()},
-                          tier::TierChainConfig{});
+                          tier::TierPlacement::HOTNESS);
 
     EXPECT_EQ(chain.status(), backend::BackendStatus::HEALTHY);
 
@@ -345,8 +343,10 @@ TEST(TierMaintainTest, MaintenanceDemotesCooledPages)
     EXPECT_GT(outcome.movedBytes, 0u);
     EXPECT_GT(machine.swap().usedBytes(), swap_before);
     EXPECT_GT(app.cgroup().stats().tierDemote, 0u);
+    // The chain keeps one move-latency sample per demotion counted.
     ASSERT_FALSE(machine.chains().empty());
-    EXPECT_GT(machine.chains().front()->demotedPages(), 0u);
+    EXPECT_EQ(machine.chains().front()->demoteLatencyUs().count(),
+              app.cgroup().stats().tierDemote);
 }
 
 TEST(TierMaintainTest, MaintenancePromotesReheatedPages)
@@ -375,8 +375,10 @@ TEST(TierMaintainTest, MaintenancePromotesReheatedPages)
     EXPECT_GT(outcome.promotedPages, 0u);
     EXPECT_GT(machine.zswap().usedBytes(), zswap_before);
     EXPECT_GT(app.cgroup().stats().tierPromote, 0u);
+    // The chain keeps one move-latency sample per promotion counted.
     ASSERT_FALSE(machine.chains().empty());
-    EXPECT_GT(machine.chains().front()->promotedPages(), 0u);
+    EXPECT_EQ(machine.chains().front()->promoteLatencyUs().count(),
+              app.cgroup().stats().tierPromote);
 }
 
 TEST(TierMaintainTest, MovementRespectsTheByteBudget)
@@ -396,9 +398,7 @@ TEST(TierMaintainTest, MovementRespectsTheByteBudget)
     const auto later = simulation.now() + 10 * 30 * sim::SEC;
     const auto outcome =
         machine.memory().tierMaintain(app.cgroup(), later);
-    ASSERT_FALSE(machine.chains().empty());
-    EXPECT_LE(outcome.movedBytes,
-              machine.chains().front()->config().moveBudgetBytes);
+    EXPECT_LE(outcome.movedBytes, tier::MOVE_BUDGET_BYTES);
 }
 
 // --- one-tier placement equivalence ----------------------------------------
