@@ -67,7 +67,7 @@ run(bool with_tmo)
         for (auto *m : models)
             if (m != &app)
                 daemon.manage(m->cgroup());
-        daemon.startAll();
+        daemon.start();
     }
     simulation.runUntil(with_tmo ? 2 * sim::HOUR : 5 * sim::MINUTE);
 

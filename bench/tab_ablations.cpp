@@ -93,7 +93,7 @@ runGrowth(bool stateless_knob)
     } else {
         // Limit-stepping controller with the same step size.
         const auto config = bench::scaledProductionConfig();
-        simulation.every(config.interval, [&, config] {
+        simulation.every(core::CONTROL_INTERVAL, [&, config] {
             auto &cg = app.cgroup();
             const auto current = cg.memCurrent();
             const auto step = static_cast<std::uint64_t>(

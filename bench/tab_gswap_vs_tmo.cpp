@@ -54,7 +54,7 @@ run(bool use_tmo, char ssd_class)
         // Offline-profiled static target (tuned for the fast device).
         gswap = std::make_unique<baseline::GswapController>(
             simulation, machine.memory(), app.cgroup(),
-            baseline::GswapConfig{0.2, 6 * sim::SEC, 0.002});
+            baseline::GswapConfig{0.2});
         gswap->start();
     }
     const auto horizon = 6 * sim::HOUR;

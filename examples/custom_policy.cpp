@@ -116,7 +116,7 @@ main()
                   << stats::fmt(sim::toSeconds(simulation.now()), 0)
                   << " s\n";
     };
-    triggers.add(trigger);
+    triggers.add(trigger, simulation.now());
     simulation.every(2 * sim::SEC, [&] {
         triggers.poll(simulation.now());
         return true;

@@ -45,7 +45,8 @@ main()
     const auto before = app.cgroup().memCurrent();
 
     // Attach Senpai with the production config (§3.3):
-    // reclaim_ratio = 0.0005, PSI_threshold = 0.1%, interval = 6 s.
+    // reclaim_ratio = 0.0005, PSI_threshold = 0.1%, and the 6 s
+    // interval core::CONTROL_INTERVAL.
     core::Senpai senpai(simulation, machine.memory(), app.cgroup(),
                         core::senpaiProductionConfig());
     senpai.start();

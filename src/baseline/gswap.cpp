@@ -10,33 +10,17 @@ namespace tmo::baseline
 GswapController::GswapController(sim::Simulation &simulation,
                                  mem::MemoryManager &mm,
                                  cgroup::Cgroup &cg, GswapConfig config)
-    : sim_(simulation), mm_(mm), cg_(&cg), config_(config)
+    : sim_(simulation), mm_(mm), cg_(&cg), config_(config),
+      timer_(simulation, *this, core::CONTROL_INTERVAL)
 {}
-
-GswapController::~GswapController()
-{
-    stop();
-}
 
 void
 GswapController::start()
 {
-    if (running_)
+    if (timer_.running())
         return;
-    running_ = true;
-    lastTick_ = sim_.now();
     lastSwapins_ = cg_->stats().pswpin;
-    event_ = sim_.after(config_.interval, [this] { tick(); });
-}
-
-void
-GswapController::stop()
-{
-    if (!running_)
-        return;
-    running_ = false;
-    sim_.events().cancel(event_);
-    event_ = sim::INVALID_EVENT;
+    timer_.start();
 }
 
 core::StatsRow
@@ -53,15 +37,10 @@ GswapController::statsRow() const
 void
 GswapController::tick()
 {
-    const sim::SimTime now = sim_.now();
-    const double window_s = sim::toSeconds(now - lastTick_);
-    lastTick_ = now;
-
+    // The timer calls one period after start() or the last tick.
     const std::uint64_t swapins = cg_->stats().pswpin;
-    const double rate =
-        window_s > 0.0
-            ? static_cast<double>(swapins - lastSwapins_) / window_s
-            : 0.0;
+    const double rate = static_cast<double>(swapins - lastSwapins_) /
+                        sim::toSeconds(timer_.period());
     lastSwapins_ = swapins;
     lastRate_ = rate;
 
@@ -72,11 +51,8 @@ GswapController::tick()
         const auto bytes = static_cast<std::uint64_t>(
             config_.stepRatio * static_cast<double>(cg_->memCurrent()));
         if (bytes >= mm_.pageBytes())
-            cg_->memoryReclaim(bytes, now);
+            cg_->memoryReclaim(bytes, sim_.now());
     }
-
-    if (running_)
-        event_ = sim_.after(config_.interval, [this] { tick(); });
 }
 
 } // namespace tmo::baseline

@@ -18,17 +18,16 @@
 #include "cgroup/cgroup.hpp"
 #include "core/controller.hpp"
 #include "mem/memory_manager.hpp"
-#include "sim/simulation.hpp"
+#include "sim/periodic.hpp"
 
 namespace tmo::baseline
 {
 
-/** g-swap controller tuning. */
+/** g-swap controller tuning. The control period is
+ *  core::CONTROL_INTERVAL. */
 struct GswapConfig {
     /** Offline-profiled target promotion rate, swap-ins per second. */
     double targetPromotionsPerSec = 20.0;
-    /** Control period. */
-    sim::SimTime interval = 6 * sim::SEC;
     /** Reclaim step as a fraction of current memory per interval. */
     double stepRatio = 0.002;
 };
@@ -45,11 +44,9 @@ class GswapController final : public core::Controller
                     mem::MemoryManager &mm, cgroup::Cgroup &cg,
                     GswapConfig config = {});
 
-    ~GswapController() override;
-
     void start() override;
-    void stop() override;
-    bool running() const override { return running_; }
+    void stop() override { timer_.stop(); }
+    bool running() const override { return timer_.running(); }
 
     std::string name() const override { return "gswap"; }
 
@@ -65,10 +62,8 @@ class GswapController final : public core::Controller
     mem::MemoryManager &mm_;
     cgroup::Cgroup *cg_;
     GswapConfig config_;
-    bool running_ = false;
-    sim::EventId event_ = sim::INVALID_EVENT;
+    sim::Periodic<GswapController, &GswapController::tick> timer_;
     std::uint64_t lastSwapins_ = 0;
-    sim::SimTime lastTick_ = 0;
     /** Promotion rate observed at the last tick, swap-ins/s. The
      *  history is the cgroup's pswpin counter. */
     double lastRate_ = 0.0;

@@ -17,6 +17,8 @@
 #include <utility>
 #include <vector>
 
+#include "sim/time.hpp"
+
 namespace tmo::obs
 {
 class TraceRing;
@@ -25,6 +27,12 @@ class MetricRegistry;
 
 namespace tmo::core
 {
+
+/** The period of every control loop: Senpai's reclaim step (§3.3),
+ *  the SLO state machine, g-swap and the TMO daemon's health check.
+ *  Six seconds: long enough to observe the delayed impact (refaults)
+ *  of the last step. */
+inline constexpr sim::SimTime CONTROL_INTERVAL = 6 * sim::SEC;
 
 /** Label/value telemetry pairs for summary tables. */
 using StatsRow = std::vector<std::pair<std::string, std::string>>;

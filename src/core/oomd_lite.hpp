@@ -6,7 +6,8 @@
  * functionally out of memory"; userspace watchers monitor the `full`
  * metric and apply kill policies. This models the open-sourced oomd's
  * core loop: if a container's full-memory stall within a sliding
- * window exceeds a threshold, invoke its kill action.
+ * window exceeds a threshold, invoke its kill action. The window is a
+ * psi::PsiTrigger on the container's PSI group.
  */
 
 #pragma once
@@ -16,7 +17,8 @@
 #include <vector>
 
 #include "cgroup/cgroup.hpp"
-#include "sim/simulation.hpp"
+#include "psi/psi.hpp"
+#include "sim/periodic.hpp"
 
 namespace tmo::obs
 {
@@ -52,10 +54,10 @@ class OomdLite
     void watch(cgroup::Cgroup &cg, std::function<void()> kill_fn);
 
     /** Begin polling. */
-    void start();
+    void start() { timer_.start(); }
 
     /** Stop polling. */
-    void stop();
+    void stop() { timer_.stop(); }
 
     /** Number of kill actions taken. */
     std::uint64_t kills() const { return kills_; }
@@ -68,20 +70,23 @@ class OomdLite
     struct Watch {
         cgroup::Cgroup *cg;
         std::function<void()> killFn;
-        sim::SimTime windowStart = 0;
-        sim::SimTime startTotal = 0;
+        /** One full-memory trigger over the window. */
+        psi::PsiTriggerSet trigger;
+        /** A trigger fires once per window, a watch once. */
         bool fired = false;
     };
 
     void poll();
 
+    /** The trigger of watch @p index saw @p stall in its window. */
+    void kill(std::size_t index, sim::SimTime stall);
+
     sim::Simulation &sim_;
     OomdConfig config_;
     std::vector<Watch> watches_;
-    bool running_ = false;
     obs::TraceRing *trace_ = nullptr;
-    sim::EventId event_ = sim::INVALID_EVENT;
     std::uint64_t kills_ = 0;
+    sim::Periodic<OomdLite, &OomdLite::poll> timer_;
 };
 
 } // namespace tmo::core

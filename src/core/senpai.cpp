@@ -31,24 +31,19 @@ senpaiAggressiveConfig()
 Senpai::Senpai(sim::Simulation &simulation, mem::MemoryManager &mm,
                cgroup::Cgroup &cg, SenpaiConfig config)
     : sim_(simulation), mm_(mm), cg_(&cg), config_(config),
-      regulator_(config.writeBudgetBytesPerSec)
+      regulator_(config.writeBudgetBytesPerSec),
+      timer_(simulation, *this, CONTROL_INTERVAL)
 {}
-
-Senpai::~Senpai()
-{
-    stop();
-}
 
 void
 Senpai::start()
 {
-    if (running_)
+    if (timer_.running())
         return;
-    running_ = true;
     lastTick_ = sim_.now();
     lastMemSome_ = cg_->psi().totalSome(psi::Resource::MEM, sim_.now());
     lastIoSome_ = cg_->psi().totalSome(psi::Resource::IO, sim_.now());
-    event_ = sim_.after(config_.interval, [this] { tick(); });
+    timer_.start();
     if (trace_)
         trace_->record(sim_.now(), obs::TraceEventType::CONTROLLER, 0,
                        static_cast<std::uint16_t>(cg_->id()));
@@ -57,11 +52,9 @@ Senpai::start()
 void
 Senpai::stop()
 {
-    if (!running_)
+    if (!timer_.running())
         return;
-    running_ = false;
-    sim_.events().cancel(event_);
-    event_ = sim::INVALID_EVENT;
+    timer_.stop();
     if (trace_)
         trace_->record(sim_.now(), obs::TraceEventType::CONTROLLER, 1,
                        static_cast<std::uint16_t>(cg_->id()));
@@ -185,7 +178,7 @@ Senpai::tick()
     auto &mcg = mm_.memcgOf(*cg_);
     const bool swap_high =
         mcg.anonChain &&
-        mcg.anonChain->utilization() > config_.swapHighWatermark;
+        mcg.anonChain->utilization() > SWAP_HIGH_WATERMARK;
     if (swap_high)
         reclaim *= 0.5;
     const double after_watermark = reclaim;
@@ -226,9 +219,6 @@ Senpai::tick()
         totalRequested_ += bytes;
         cg_->memoryReclaim(bytes, now);
     }
-
-    if (running_)
-        event_ = sim_.after(config_.interval, [this] { tick(); });
 }
 
 } // namespace tmo::core

@@ -13,8 +13,8 @@
  * As observed pressure approaches the threshold, the step shrinks to
  * zero, settling at a mild steady-state pressure where the workload
  * holds just the memory it needs. Production configuration:
- * reclaim_ratio = 0.0005, PSI_threshold = 0.1%, interval = 6 s,
- * step cap = 1% of the workload per interval.
+ * reclaim_ratio = 0.0005, PSI_threshold = 0.1%, step cap = 1% of the
+ * workload per interval; the interval is core::CONTROL_INTERVAL (6 s).
  *
  * Additional guards (§3.3, §4.5): IO pressure backoff (memory PSI
  * alone misses indirect slowdowns through the storage device), SSD
@@ -31,7 +31,7 @@
 #include "core/controller.hpp"
 #include "core/write_regulator.hpp"
 #include "mem/memory_manager.hpp"
-#include "sim/simulation.hpp"
+#include "sim/periodic.hpp"
 
 namespace tmo::core
 {
@@ -47,11 +47,11 @@ enum class PressureSource {
     AVG60,
 };
 
-/** Senpai tuning knobs. */
+/** Stop offloading anon when the swap partition is this full. */
+inline constexpr double SWAP_HIGH_WATERMARK = 0.9;
+
+/** Senpai tuning knobs. The reclaim period is CONTROL_INTERVAL. */
 struct SenpaiConfig {
-    /** Reclaim period. Six seconds in production: long enough to
-     *  observe the delayed impact (refaults) of the last step. */
-    sim::SimTime interval = 6 * sim::SEC;
     /** Target some-memory pressure (fraction of wall time). */
     double psiThreshold = 0.001; // 0.1%
     /** Base reclaim step as a fraction of current memory. */
@@ -62,8 +62,6 @@ struct SenpaiConfig {
     double ioPsiThreshold = 0.005;
     /** SSD swap-out write budget (bytes/s); <= 0 disables (§4.5). */
     double writeBudgetBytesPerSec = 0.0;
-    /** Stop offloading anon when the swap partition is this full. */
-    double swapHighWatermark = 0.9;
     /** Pressure reading used by the control law. */
     PressureSource source = PressureSource::INTERVAL;
 };
@@ -94,15 +92,13 @@ class Senpai final : public Controller
     Senpai(sim::Simulation &simulation, mem::MemoryManager &mm,
            cgroup::Cgroup &cg, SenpaiConfig config = {});
 
-    ~Senpai() override;
-
     /** Begin periodic control. */
     void start() override;
 
     /** Stop controlling (cgroup state is left as-is). */
     void stop() override;
 
-    bool running() const override { return running_; }
+    bool running() const override { return timer_.running(); }
 
     std::string name() const override { return "senpai"; }
 
@@ -147,10 +143,9 @@ class Senpai final : public Controller
     cgroup::Cgroup *cg_;
     SenpaiConfig config_;
     WriteRegulator regulator_;
+    sim::Periodic<Senpai, &Senpai::tick> timer_;
 
-    bool running_ = false;
     obs::TraceRing *trace_ = nullptr;
-    sim::EventId event_ = sim::INVALID_EVENT;
     sim::SimTime lastMemSome_ = 0;
     sim::SimTime lastIoSome_ = 0;
     sim::SimTime lastTick_ = 0;

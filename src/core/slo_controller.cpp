@@ -26,15 +26,10 @@ SloSenpai::SloSenpai(sim::Simulation &simulation,
                      mem::MemoryManager &mm, cgroup::Cgroup &cg,
                      SenpaiConfig senpai_config, SloConfig slo,
                      LatencyProbe probe)
-    : sim_(simulation), senpai_(simulation, mm, cg, senpai_config),
+    : senpai_(simulation, mm, cg, senpai_config),
       cgName_(cg.name()), base_(senpai_config), slo_(slo),
-      probe_(std::move(probe))
+      probe_(std::move(probe)), timer_(simulation, *this, CONTROL_INTERVAL)
 {
-}
-
-SloSenpai::~SloSenpai()
-{
-    stop();
 }
 
 double
@@ -44,7 +39,7 @@ SloSenpai::reclaimScale() const
       case SloState::VIOLATION:
         return 0.0;
       case SloState::CAUTION:
-        return slo_.cautionScale;
+        return SLO_CAUTION_SCALE;
       case SloState::STEADY:
         return 1.0;
     }
@@ -73,15 +68,15 @@ SloSenpai::tick()
                 ++escalations_;
             state_ = SloState::VIOLATION;
             healthyStreak_ = 0;
-        } else if (lastP99Us_ > slo_.cautionFraction * slo_.p99TargetUs) {
+        } else if (lastP99Us_ > SLO_CAUTION_FRACTION * slo_.p99TargetUs) {
             if (state_ == SloState::STEADY)
                 state_ = SloState::CAUTION;
             healthyStreak_ = 0;
-        } else if (lastP99Us_ <= slo_.clearFraction * slo_.p99TargetUs) {
+        } else if (lastP99Us_ <= SLO_CLEAR_FRACTION * slo_.p99TargetUs) {
             // De-escalate one level only after a sustained run of
             // healthy intervals: oscillation around the target must
             // not whipsaw the reclaim step.
-            if (++healthyStreak_ >= slo_.clearIntervals &&
+            if (++healthyStreak_ >= SLO_CLEAR_INTERVALS &&
                 state_ != SloState::STEADY) {
                 state_ = state_ == SloState::VIOLATION
                              ? SloState::CAUTION
@@ -95,7 +90,7 @@ SloSenpai::tick()
     } else if (state_ != SloState::STEADY) {
         // No signal (idle app / no serving): latency cannot be
         // violating an SLO nobody is measuring; relax gradually.
-        if (++healthyStreak_ >= slo_.clearIntervals) {
+        if (++healthyStreak_ >= SLO_CLEAR_INTERVALS) {
             state_ = state_ == SloState::VIOLATION ? SloState::CAUTION
                                                    : SloState::STEADY;
             healthyStreak_ = 0;
@@ -104,31 +99,26 @@ SloSenpai::tick()
     if (state_ == SloState::VIOLATION)
         ++violationIntervals_;
     applyScale();
-    if (running_)
-        event_ = sim_.after(slo_.interval, [this] { tick(); });
 }
 
 void
 SloSenpai::start()
 {
-    if (running_)
+    if (timer_.running())
         return;
-    running_ = true;
     // The SLO tick is scheduled before the inner Senpai's, so at a
     // shared deadline the scaled config is in place before Senpai
     // computes its reclaim step.
-    event_ = sim_.after(slo_.interval, [this] { tick(); });
+    timer_.start();
     senpai_.start();
 }
 
 void
 SloSenpai::stop()
 {
-    if (!running_)
+    if (!timer_.running())
         return;
-    running_ = false;
-    sim_.events().cancel(event_);
-    event_ = sim::INVALID_EVENT;
+    timer_.stop();
     senpai_.stop();
 }
 

@@ -34,21 +34,21 @@
 namespace tmo::core
 {
 
-/** SLO control knobs. */
+/** Enter CAUTION above this fraction of the target. */
+inline constexpr double SLO_CAUTION_FRACTION = 0.85;
+/** An interval only counts as healthy below this fraction. */
+inline constexpr double SLO_CLEAR_FRACTION = 0.70;
+/** Healthy intervals required to de-escalate one state. */
+inline constexpr unsigned SLO_CLEAR_INTERVALS = 3;
+/** Reclaim-step scale while in CAUTION. */
+inline constexpr double SLO_CAUTION_SCALE = 0.25;
+
+/** SLO control knobs. The state machine re-evaluates every
+ *  CONTROL_INTERVAL, Senpai's period, so every control tick sees a
+ *  fresh reading. */
 struct SloConfig {
     /** The p99 completion-latency target (µs). */
     double p99TargetUs = 2000.0;
-    /** Re-evaluation period; matches Senpai's interval so every
-     *  control tick sees a fresh reading. */
-    sim::SimTime interval = 6 * sim::SEC;
-    /** Enter CAUTION above this fraction of the target. */
-    double cautionFraction = 0.85;
-    /** An interval only counts as healthy below this fraction. */
-    double clearFraction = 0.70;
-    /** Healthy intervals required to de-escalate one state. */
-    unsigned clearIntervals = 3;
-    /** Reclaim-step scale while in CAUTION. */
-    double cautionScale = 0.25;
 };
 
 /** Latency-headroom states, escalating order. */
@@ -71,11 +71,9 @@ class SloSenpai final : public Controller
               cgroup::Cgroup &cg, SenpaiConfig senpai_config,
               SloConfig slo, LatencyProbe probe);
 
-    ~SloSenpai() override;
-
     void start() override;
     void stop() override;
-    bool running() const override { return running_; }
+    bool running() const override { return timer_.running(); }
     std::string name() const override { return "senpai-slo"; }
     StatsRow statsRow() const override;
     void setTrace(obs::TraceRing *ring) override;
@@ -96,14 +94,12 @@ class SloSenpai final : public Controller
     /** Reclaim scale currently applied to the inner Senpai. */
     double reclaimScale() const;
 
-    const SloConfig &sloConfig() const { return slo_; }
     Senpai &inner() { return senpai_; }
 
   private:
     void tick();
     void applyScale();
 
-    sim::Simulation &sim_;
     Senpai senpai_;
     /** Controlled cgroup's name (labels; statsRow is const). */
     std::string cgName_;
@@ -111,9 +107,8 @@ class SloSenpai final : public Controller
     SenpaiConfig base_;
     SloConfig slo_;
     LatencyProbe probe_;
+    sim::Periodic<SloSenpai, &SloSenpai::tick> timer_;
 
-    bool running_ = false;
-    sim::EventId event_ = sim::INVALID_EVENT;
     SloState state_ = SloState::STEADY;
     unsigned healthyStreak_ = 0;
     double lastP99Us_ = -1.0;

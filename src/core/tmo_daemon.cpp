@@ -9,7 +9,8 @@ namespace tmo::core
 
 TmoDaemon::TmoDaemon(sim::Simulation &simulation,
                      mem::MemoryManager &mm, SenpaiConfig base)
-    : sim_(simulation), mm_(mm), base_(base)
+    : sim_(simulation), mm_(mm), base_(base),
+      health_(simulation, *this, CONTROL_INTERVAL)
 {}
 
 SenpaiConfig
@@ -65,27 +66,19 @@ TmoDaemon::registerMetrics(obs::MetricRegistry &registry)
 }
 
 void
-TmoDaemon::startAll()
+TmoDaemon::start()
 {
     for (auto &s : senpais_)
         s->start();
-    if (!healthRunning_) {
-        healthRunning_ = true;
-        healthEvent_ =
-            sim_.after(base_.interval, [this] { healthTick(); });
-    }
+    health_.start();
 }
 
 void
-TmoDaemon::stopAll()
+TmoDaemon::stop()
 {
     for (auto &s : senpais_)
         s->stop();
-    if (healthRunning_) {
-        healthRunning_ = false;
-        sim_.events().cancel(healthEvent_);
-        healthEvent_ = sim::INVALID_EVENT;
-    }
+    health_.stop();
     if (oomd_)
         oomd_->stop();
 }
@@ -102,8 +95,6 @@ TmoDaemon::worstBackendStatus() const
 void
 TmoDaemon::healthTick()
 {
-    if (!healthRunning_)
-        return;
     if (worstBackendStatus() != backend::BackendStatus::HEALTHY) {
         if (!oomd_) {
             oomd_ = std::make_unique<OomdLite>(sim_);
@@ -131,7 +122,6 @@ TmoDaemon::healthTick()
         oomdArmed_ = false;
         oomd_->stop();
     }
-    healthEvent_ = sim_.after(base_.interval, [this] { healthTick(); });
 }
 
 bool

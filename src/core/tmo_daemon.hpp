@@ -20,7 +20,7 @@
 #include "core/oomd_lite.hpp"
 #include "core/senpai.hpp"
 #include "mem/memory_manager.hpp"
-#include "sim/simulation.hpp"
+#include "sim/periodic.hpp"
 
 namespace tmo::core
 {
@@ -47,16 +47,13 @@ class TmoDaemon final : public Controller
      */
     Senpai &manage(cgroup::Cgroup &cg);
 
-    /** Start every managed Senpai. */
-    void startAll();
-
-    /** Stop every managed Senpai. */
-    void stopAll();
-
     // --- Controller interface --------------------------------------------
 
-    void start() override { startAll(); }
-    void stop() override { stopAll(); }
+    /** Start every managed Senpai, then the health check. */
+    void start() override;
+
+    /** Stop every managed Senpai, the health check and oomd. */
+    void stop() override;
 
     /** True while any managed Senpai is running. */
     bool running() const override;
@@ -93,11 +90,11 @@ class TmoDaemon final : public Controller
 
   private:
     /**
-     * Periodic health check: while any managed container's backend is
-     * degraded or failed, an OomdLite watcher is armed over the
-     * managed containers — if pressure then persists at functional-OOM
-     * levels, it emergency-shrinks the container (§3.2.4 escalation).
-     * Inert in fault-free runs.
+     * Periodic health check, every CONTROL_INTERVAL: while any managed
+     * container's backend is degraded or failed, an OomdLite watcher
+     * is armed over the managed containers — if pressure then
+     * persists at functional-OOM levels, it emergency-shrinks the
+     * container (§3.2.4 escalation). Inert in fault-free runs.
      */
     void healthTick();
 
@@ -108,8 +105,7 @@ class TmoDaemon final : public Controller
     std::unique_ptr<OomdLite> oomd_;
     obs::TraceRing *trace_ = nullptr;
     bool oomdArmed_ = false;
-    bool healthRunning_ = false;
-    sim::EventId healthEvent_ = sim::INVALID_EVENT;
+    sim::Periodic<TmoDaemon, &TmoDaemon::healthTick> health_;
 };
 
 } // namespace tmo::core

@@ -11,31 +11,18 @@ namespace tmo::core
 WorkingsetProfiler::WorkingsetProfiler(sim::Simulation &simulation,
                                        cgroup::Cgroup &cg,
                                        double pressure_threshold,
-                                       sim::SimTime sample_interval,
-                                       double safety_margin)
+                                       sim::SimTime sample_interval)
     : sim_(simulation), cg_(&cg), threshold_(pressure_threshold),
-      interval_(sample_interval), margin_(safety_margin)
+      timer_(simulation, *this, sample_interval)
 {}
 
 void
 WorkingsetProfiler::start()
 {
-    if (running_)
+    if (timer_.running())
         return;
-    running_ = true;
-    lastSample_ = sim_.now();
     lastSome_ = cg_->psi().totalSome(psi::Resource::MEM, sim_.now());
-    event_ = sim_.after(interval_, [this] { sample(); });
-}
-
-void
-WorkingsetProfiler::stop()
-{
-    if (!running_)
-        return;
-    running_ = false;
-    sim_.events().cancel(event_);
-    event_ = sim::INVALID_EVENT;
+    timer_.start();
 }
 
 void
@@ -43,21 +30,18 @@ WorkingsetProfiler::sample()
 {
     const auto now = sim_.now();
     const auto some = cg_->psi().totalSome(psi::Resource::MEM, now);
-    const auto window = now - lastSample_;
+    // The timer calls one period after start() or the last sample.
+    const auto window = timer_.period();
     const double pressure =
         window ? static_cast<double>(some - lastSome_) /
                      static_cast<double>(window)
                : 0.0;
     lastSome_ = some;
-    lastSample_ = now;
 
     resident_.record(now, static_cast<double>(cg_->memCurrent()));
     pressure_.record(now, pressure);
     if (mm_)
         cold_.record(now, mm_->idleBreakdown(*cg_, now).cold);
-
-    if (running_)
-        event_ = sim_.after(interval_, [this] { sample(); });
 }
 
 WorkingsetEstimate
@@ -77,7 +61,7 @@ WorkingsetProfiler::estimate() const
     }
     estimate.minHealthyBytes = static_cast<std::uint64_t>(min_healthy);
     estimate.recommendedBytes = static_cast<std::uint64_t>(
-        min_healthy * (1.0 + margin_));
+        min_healthy * (1.0 + WORKINGSET_SAFETY_MARGIN));
     return estimate;
 }
 

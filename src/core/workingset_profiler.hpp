@@ -12,7 +12,7 @@
  * The profiler samples (resident size, pressure) pairs while a
  * controller probes the workload and derives a provisioning
  * recommendation: the smallest resident size observed while pressure
- * stayed within the health threshold, plus a safety margin.
+ * stayed within the health threshold, plus WORKINGSET_SAFETY_MARGIN.
  */
 
 #pragma once
@@ -20,7 +20,7 @@
 #include <cstdint>
 
 #include "cgroup/cgroup.hpp"
-#include "sim/simulation.hpp"
+#include "sim/periodic.hpp"
 #include "stats/timeseries.hpp"
 
 namespace tmo::mem
@@ -30,6 +30,9 @@ class MemoryManager;
 
 namespace tmo::core
 {
+
+/** Added to the minimum healthy size in a recommendation. */
+inline constexpr double WORKINGSET_SAFETY_MARGIN = 0.10;
 
 /** Provisioning recommendation derived from a profiling run. */
 struct WorkingsetEstimate {
@@ -67,12 +70,10 @@ class WorkingsetProfiler
      * @param pressure_threshold Health bound on the some-memory
      *        pressure within a sample window (fraction of wall time).
      * @param sample_interval Sampling cadence.
-     * @param safety_margin Added to the minimum healthy size.
      */
     WorkingsetProfiler(sim::Simulation &simulation, cgroup::Cgroup &cg,
                        double pressure_threshold = 0.001,
-                       sim::SimTime sample_interval = 30 * sim::SEC,
-                       double safety_margin = 0.10);
+                       sim::SimTime sample_interval = 30 * sim::SEC);
 
     WorkingsetProfiler(const WorkingsetProfiler &) = delete;
     WorkingsetProfiler &operator=(const WorkingsetProfiler &) = delete;
@@ -81,7 +82,7 @@ class WorkingsetProfiler
     void start();
 
     /** Stop sampling. */
-    void stop();
+    void stop() { timer_.stop(); }
 
     /**
      * Also sample the cgroup's idle-age breakdown (Fig. 2 coldness)
@@ -113,13 +114,9 @@ class WorkingsetProfiler
     cgroup::Cgroup *cg_;
     mem::MemoryManager *mm_ = nullptr;
     double threshold_;
-    sim::SimTime interval_;
-    double margin_;
+    sim::Periodic<WorkingsetProfiler, &WorkingsetProfiler::sample> timer_;
 
-    bool running_ = false;
-    sim::EventId event_ = sim::INVALID_EVENT;
     sim::SimTime lastSome_ = 0;
-    sim::SimTime lastSample_ = 0;
     stats::TimeSeries resident_{"resident_bytes"};
     stats::TimeSeries pressure_{"window_pressure"};
     stats::TimeSeries cold_{"cold_fraction"};

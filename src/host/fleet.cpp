@@ -45,8 +45,8 @@ Fleet::buildShard(Shard &shard)
     config.seed = mixSeed(config.seed, shard.index);
 
     // On a restart rebuild, the old host must die while its clock is
-    // still alive: controller destructors cancel their timers on the
-    // simulation they were scheduled on.
+    // still alive: its timers cancel their events on the simulation
+    // they were scheduled on as they are destroyed.
     shard.host.reset();
     shard.sim = std::make_unique<sim::Simulation>();
     const std::string name =
@@ -270,10 +270,8 @@ Fleet::restartEligibleShards()
         // Exponential backoff in sim-time, capped.
         double wait = static_cast<double>(restart_.backoff);
         for (unsigned i = 0; i < shard.restartAttempts; ++i)
-            wait *= restart_.multiplier;
-        if (restart_.maxBackoff)
-            wait = std::min(
-                wait, static_cast<double>(restart_.maxBackoff));
+            wait *= RESTART_BACKOFF_MULTIPLIER;
+        wait = std::min(wait, static_cast<double>(RESTART_MAX_BACKOFF));
         if (static_cast<double>(now_ - shard.failedAt) < wait)
             continue;
 

@@ -55,13 +55,16 @@ class Fleet;
 struct RestartPolicy {
     /** Rebuild attempts per host; 0 disables restarts. */
     unsigned maxAttempts = 0;
-    /** Wait after a failure before the first rebuild (sim-time). */
+    /** Wait after a failure before the first rebuild (sim-time); it
+     *  grows by RESTART_BACKOFF_MULTIPLIER per consecutive failure of
+     *  the same host, up to RESTART_MAX_BACKOFF. */
     sim::SimTime backoff = 30 * sim::SEC;
-    /** Backoff growth per consecutive failure of the same host. */
-    double multiplier = 2.0;
-    /** Backoff ceiling; 0 = uncapped. */
-    sim::SimTime maxBackoff = 10 * sim::MINUTE;
 };
+
+/** Backoff growth per consecutive failure of the same host. */
+inline constexpr double RESTART_BACKOFF_MULTIPLIER = 2.0;
+/** Backoff ceiling. */
+inline constexpr sim::SimTime RESTART_MAX_BACKOFF = 10 * sim::MINUTE;
 
 /** Declarative description of one container on a host. */
 struct AppSpec {

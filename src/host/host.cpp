@@ -1,6 +1,8 @@
 #include "host/host.hpp"
 
+#include <algorithm>
 #include <cstdlib>
+#include <iterator>
 
 namespace tmo::host
 {
@@ -33,7 +35,8 @@ Host::Host(sim::Simulation &simulation, HostConfig config,
           return spec;
       }(), config.seed ^ 0x77),
       cpu_(config.cpus, config.appTick),
-      mm_(config.mem, config.seed ^ 0x33)
+      mm_(config.mem, config.seed ^ 0x33),
+      watchdog_(simulation, *this, sim::SEC)
 {}
 
 void
@@ -206,7 +209,7 @@ Host::enableMetrics(sim::SimTime interval)
         }
     }
     if (controller_)
-        controller_->registerMetrics(*metrics_);
+        registerControllerMetrics();
     sampler_ =
         std::make_unique<obs::MetricSampler>(sim_, *metrics_, interval);
     sampler_->start();
@@ -306,16 +309,34 @@ Host::addApp(const workload::AppProfile &profile,
 core::Controller *
 Host::setController(std::unique_ptr<core::Controller> controller)
 {
-    if (controller_)
+    if (controller_) {
         controller_->stop();
+        for (const std::string &name : controllerProbes_)
+            metrics_->removeProbe(name);
+        controllerProbes_.clear();
+    }
     controller_ = std::move(controller);
     if (controller_) {
         if (trace_)
             controller_->setTrace(trace_.get());
         if (metrics_)
-            controller_->registerMetrics(*metrics_);
+            registerControllerMetrics();
     }
     return controller_.get();
+}
+
+void
+Host::registerControllerMetrics()
+{
+    // Controllers register names of their own (senpai.*, slo.*,
+    // tmo.*), so the names new to the registry are theirs.
+    const std::vector<std::string> before = metrics_->names();
+    controller_->registerMetrics(*metrics_);
+    const std::vector<std::string> after = metrics_->names();
+    controllerProbes_.clear();
+    std::set_difference(after.begin(), after.end(), before.begin(),
+                        before.end(),
+                        std::back_inserter(controllerProbes_));
 }
 
 void
@@ -326,18 +347,12 @@ Host::crashController(sim::SimTime restart_delay)
     // The crash kills the daemon process: stop and destroy the
     // object. Distinct from CONTROLLER_STALL, which suspends the same
     // object and resumes it with its state intact.
-    controller_->stop();
-    controller_.reset();
+    setController(nullptr);
     controllerRestartAt_ = sim_.now() + restart_delay;
-    if (controllerFactory_ && !watchdogArmed_) {
-        // Armed lazily on the first crash: fault-free runs keep an
-        // event queue byte-identical to pre-watchdog builds.
-        watchdogArmed_ = true;
-        sim_.every(sim::SEC, [this] {
-            watchdogTick();
-            return true;
-        });
-    }
+    // Started lazily on the first crash: fault-free runs keep an
+    // event queue byte-identical to pre-watchdog builds.
+    if (controllerFactory_)
+        watchdog_.start();
 }
 
 void

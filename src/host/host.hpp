@@ -28,7 +28,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sched/cpu_coordinator.hpp"
-#include "sim/simulation.hpp"
+#include "sim/periodic.hpp"
 #include "tier/tier_chain.hpp"
 #include "tier/tier_spec.hpp"
 #include "workload/app_model.hpp"
@@ -103,7 +103,8 @@ class Host
 
     /**
      * Give the host its userspace controller (replaces any previous
-     * one, stopping it first). Accepts nullptr for "no controller".
+     * one, stopping it first and taking its metric probes out of the
+     * registry). Accepts nullptr for "no controller".
      */
     core::Controller *setController(
         std::unique_ptr<core::Controller> controller);
@@ -216,6 +217,9 @@ class Host
      *  factory once its restart time has been reached. */
     void watchdogTick();
 
+    /** Register the controller's probes and note their names. */
+    void registerControllerMetrics();
+
     sim::Simulation &sim_;
     HostConfig config_;
     std::string name_;
@@ -227,9 +231,8 @@ class Host
     backend::NvmBackend nvm_;
     sched::CpuCoordinator cpu_;
     mem::MemoryManager mm_;
-    // The trace ring and metrics must be declared before (and so
-    // destroyed after) the controller: Senpai's destructor stops the
-    // control loop, which records a final CONTROLLER event.
+    // The trace ring and metrics are declared before (and so
+    // destroyed after) the controller, which points into them.
     std::unique_ptr<obs::TraceRing> trace_;
     std::unique_ptr<obs::MetricRegistry> metrics_;
     std::unique_ptr<obs::MetricSampler> sampler_;
@@ -237,6 +240,9 @@ class Host
     /** Page table entries reserved for the apps' footprints so far. */
     std::uint64_t reservedPages_ = 0;
     std::unique_ptr<core::Controller> controller_;
+    /** Names of the probes controller_ registered. They capture it,
+     *  so they leave the registry when it is destroyed. */
+    std::vector<std::string> controllerProbes_;
     /** Dedicated tier backends (capped zswap pools) built for chain
      *  specs; host singletons cover the uncapped tiers. */
     std::vector<std::unique_ptr<backend::OffloadBackend>> tierBackends_;
@@ -248,8 +254,8 @@ class Host
     ControllerFactory controllerFactory_;
     /** Earliest time the watchdog may rebuild a crashed controller. */
     sim::SimTime controllerRestartAt_ = 0;
-    /** The watchdog tick is scheduled (armed on the first crash). */
-    bool watchdogArmed_ = false;
+    /** Every second from the first crash on. */
+    sim::Periodic<Host, &Host::watchdogTick> watchdog_;
     std::uint64_t controllerRestarts_ = 0;
     bool started_ = false;
 };

@@ -538,7 +538,7 @@ void
 MemoryManager::kswapd(sim::SimTime now)
 {
     const auto watermark = static_cast<std::uint64_t>(
-        config_.kswapdWatermark * static_cast<double>(config_.ramBytes));
+        KSWAPD_WATERMARK * static_cast<double>(config_.ramBytes));
     if (freeBytes() >= watermark)
         return;
     ensureRoom(2 * watermark, now);
@@ -799,7 +799,7 @@ MemoryManager::tierMaintain(cgroup::Cgroup &cg, sim::SimTime now)
     }
 
     outcome.cpuTime = sim::fromUsec(static_cast<double>(scanned) *
-                                    config_.reclaimUsPerPage);
+                                    RECLAIM_US_PER_PAGE);
     if (trace_ &&
         (outcome.demotedPages || outcome.promotedPages ||
          outcome.evacuatedPages || outcome.lostPages)) {
@@ -824,7 +824,7 @@ MemoryManager::decayCosts(MemCg &mcg, sim::SimTime now)
         return;
     }
     const double dt = sim::toSeconds(now - mcg.lastCostDecay);
-    const double factor = std::exp2(-dt / config_.costHalfLifeSec);
+    const double factor = std::exp2(-dt / COST_HALF_LIFE_SEC);
     mcg.anonCost *= factor;
     mcg.fileCost *= factor;
     mcg.lastCostDecay = now;

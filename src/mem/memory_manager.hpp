@@ -55,6 +55,15 @@ enum class ReclaimMode {
     LEGACY_FILE_FIRST,
 };
 
+/** kswapd keeps free memory above this fraction of capacity. */
+inline constexpr double KSWAPD_WATERMARK = 0.02;
+/** CPU time per scanned page charged to direct reclaim (µs). */
+inline constexpr double RECLAIM_US_PER_PAGE = 0.3;
+/** Pages scanned per reclaim batch. */
+inline constexpr std::uint32_t SCAN_BATCH = 32;
+/** Half life of the anon/file cost balance (seconds). */
+inline constexpr double COST_HALF_LIFE_SEC = 120.0;
+
 /** Static memory-manager configuration. */
 struct MemoryConfig {
     /** Host DRAM capacity. */
@@ -64,16 +73,8 @@ struct MemoryConfig {
     std::uint32_t pageBytes = 64 * 1024;
     /** Reclaim algorithm (TMO vs. legacy). */
     ReclaimMode mode = ReclaimMode::TMO_BALANCED;
-    /** kswapd keeps free memory above this fraction of capacity. */
-    double kswapdWatermark = 0.02;
-    /** CPU time per scanned page charged to direct reclaim. */
-    double reclaimUsPerPage = 0.3;
-    /** Pages scanned per reclaim batch. */
-    std::uint32_t scanBatch = 32;
     /** Demote when inactive < active * inactiveRatio. */
     double inactiveRatio = 0.5;
-    /** Half life of the anon/file cost balance (seconds). */
-    double costHalfLifeSec = 120.0;
     /**
      * LRU mis-aging: probability, per evicted page, that a page from
      * the active tail is demoted straight to the inactive tail. Models
@@ -135,7 +136,8 @@ struct TierMaintainOutcome {
     std::uint64_t movedBytes = 0;
     /** Device time consumed by the moves (store + load latencies). */
     sim::SimTime deviceTime = 0;
-    /** CPU time for the scans (reclaimUsPerPage per examined page). */
+    /** CPU time for the scans (RECLAIM_US_PER_PAGE per examined
+     *  page). */
     sim::SimTime cpuTime = 0;
 };
 
@@ -539,7 +541,7 @@ class MemoryManager
     /**
      * Scratch for the batched reclaim scan: the tail indices gathered
      * per shrink batch. A member (not a local) so the hot loop never
-     * allocates; sized scanBatch. Single-threaded like everything here.
+     * allocates; sized SCAN_BATCH. Single-threaded like everything here.
      */
     std::vector<PageIdx> scanScratch_;
     /** Scratch for reclaim(): the subtree memcgs it spreads a request

@@ -180,7 +180,7 @@ MemoryManager::shrinkMemCg(MemCg &mcg, std::uint64_t target_bytes,
 
     std::uint64_t reclaimed_pages = 0;
     const std::uint64_t max_scan =
-        4 * mcg.lru.totalPages() + config_.scanBatch;
+        4 * mcg.lru.totalPages() + SCAN_BATCH;
 
     // Scan one type's inactive tail for up to `want` evictions,
     // bounded by one batch of scanning. Returns pages evicted.
@@ -193,7 +193,7 @@ MemoryManager::shrinkMemCg(MemCg &mcg, std::uint64_t target_bytes,
                                            : LruKind::INACTIVE_FILE;
         LruList &inactive = mcg.lru.list(inactive_kind);
         const std::uint32_t batch = static_cast<std::uint32_t>(
-            std::min<std::size_t>(config_.scanBatch, inactive.size()));
+            std::min<std::size_t>(SCAN_BATCH, inactive.size()));
         // Batched scan: gather the batch's indices in one prefetched
         // pointer walk from the cold tail, then evict from the local
         // batch — each Page cache line is pulled once, up front,
@@ -204,7 +204,7 @@ MemoryManager::shrinkMemCg(MemCg &mcg, std::uint64_t target_bytes,
         // never the uncollected remainder of the inactive chain.
         scanScratch_.clear();
         if (scanScratch_.capacity() < batch)
-            scanScratch_.reserve(config_.scanBatch);
+            scanScratch_.reserve(SCAN_BATCH);
         for (PageIdx cur = inactive.tail();
              cur != NO_PAGE && scanScratch_.size() < batch;) {
             const PageIdx warmer = pages_[cur].prev;
@@ -257,7 +257,7 @@ MemoryManager::shrinkMemCg(MemCg &mcg, std::uint64_t target_bytes,
                         // The victim is examined and evicted like any
                         // scanned page: it must count towards the
                         // scan totals, or max_scan and the
-                        // reclaimUsPerPage CPU model undercount the
+                        // RECLAIM_US_PER_PAGE CPU model undercount the
                         // work actually done.
                         ++outcome.scannedPages;
                         ++mcg.cg->stats().pgscan;
@@ -309,7 +309,7 @@ MemoryManager::shrinkMemCg(MemCg &mcg, std::uint64_t target_bytes,
     outcome.reclaimedBytes = reclaimed_pages * config_.pageBytes;
     outcome.cpuTime = sim::fromUsec(
         static_cast<double>(outcome.scannedPages) *
-        config_.reclaimUsPerPage);
+        RECLAIM_US_PER_PAGE);
     if (trace_) {
         trace_->record(
             now, obs::TraceEventType::RECLAIM_PASS,

@@ -1,6 +1,5 @@
 #include "obs/export.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -307,26 +306,31 @@ writeMetricsCsv(std::ostream &out,
     if (series.empty())
         return;
     out << "time_s";
-    std::size_t rows = 0;
-    for (const auto *ts : series) {
+    for (const auto *ts : series)
         out << ',' << ts->name();
-        rows = std::max(rows, ts->size());
-    }
     out << '\n';
-    for (std::size_t row = 0; row < rows; ++row) {
-        // All samplers stamp aligned timestamps; take the row's time
-        // from the first series that has this row.
+    // Join on time: next[i] is series i's first sample not yet
+    // written, and each row takes the earliest time among them.
+    std::vector<std::size_t> next(series.size(), 0);
+    for (;;) {
+        bool any = false;
         sim::SimTime t = 0;
-        for (const auto *ts : series)
-            if (row < ts->size()) {
-                t = ts->samples()[row].time;
-                break;
+        for (std::size_t i = 0; i < series.size(); ++i) {
+            const auto &samples = series[i]->samples();
+            if (next[i] < samples.size() &&
+                (!any || samples[next[i]].time < t)) {
+                t = samples[next[i]].time;
+                any = true;
             }
+        }
+        if (!any)
+            break;
         out << formatDouble(sim::toSeconds(t));
-        for (const auto *ts : series) {
+        for (std::size_t i = 0; i < series.size(); ++i) {
             out << ',';
-            if (row < ts->size())
-                out << formatDouble(ts->samples()[row].value);
+            const auto &samples = series[i]->samples();
+            if (next[i] < samples.size() && samples[next[i]].time == t)
+                out << formatDouble(samples[next[i]++].value);
         }
         out << '\n';
     }

@@ -66,7 +66,8 @@ void writeTraceFile(const std::string &path,
 
 /**
  * Metric series as CSV: time_s,<name>,... — one column per series,
- * rows joined on sample index (samplers emit aligned timestamps).
+ * one row per sample time. A series with no sample at a row's time
+ * (a probe that did not exist then) leaves its cell empty.
  */
 void writeMetricsCsv(std::ostream &out,
                      const std::vector<const stats::TimeSeries *> &series);

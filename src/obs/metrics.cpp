@@ -11,6 +11,21 @@ MetricRegistry::addProbe(const std::string &name,
 }
 
 void
+MetricRegistry::removeProbe(const std::string &name)
+{
+    probes_.erase(name);
+}
+
+std::vector<std::string>
+MetricRegistry::names() const
+{
+    std::vector<std::string> out;
+    for (const auto &entry : probes_)
+        out.push_back(entry.first);
+    return out;
+}
+
+void
 MetricRegistry::visit(const std::function<void(const std::string &,
                                                double)> &fn) const
 {
@@ -21,32 +36,9 @@ MetricRegistry::visit(const std::function<void(const std::string &,
 MetricSampler::MetricSampler(sim::Simulation &simulation,
                              MetricRegistry &registry,
                              sim::SimTime interval)
-    : sim_(simulation), registry_(registry), interval_(interval)
+    : sim_(simulation), registry_(registry),
+      timer_(simulation, *this, interval)
 {}
-
-MetricSampler::~MetricSampler()
-{
-    stop();
-}
-
-void
-MetricSampler::start()
-{
-    if (running_)
-        return;
-    running_ = true;
-    event_ = sim_.after(interval_, [this] { tick(); });
-}
-
-void
-MetricSampler::stop()
-{
-    if (!running_)
-        return;
-    running_ = false;
-    sim_.events().cancel(event_);
-    event_ = sim::INVALID_EVENT;
-}
 
 void
 MetricSampler::sampleOnce()
@@ -58,14 +50,6 @@ MetricSampler::sampleOnce()
             it = series_.emplace(name, stats::TimeSeries(name)).first;
         it->second.record(now, value);
     });
-}
-
-void
-MetricSampler::tick()
-{
-    sampleOnce();
-    if (running_)
-        event_ = sim_.after(interval_, [this] { tick(); });
 }
 
 std::vector<const stats::TimeSeries *>

@@ -17,7 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/simulation.hpp"
+#include "sim/periodic.hpp"
 #include "stats/timeseries.hpp"
 
 namespace tmo::obs
@@ -31,6 +31,13 @@ class MetricRegistry
      *  any previous probe of the same name. */
     void addProbe(const std::string &name,
                   std::function<double()> probe);
+
+    /** Remove the probe named @p name; its series keeps the samples
+     *  it has. Unknown names are ignored. */
+    void removeProbe(const std::string &name);
+
+    /** Every probe's name, in name order. */
+    std::vector<std::string> names() const;
 
     /** Visit every probe's value in name order. */
     void visit(const std::function<void(const std::string &name,
@@ -53,20 +60,17 @@ class MetricSampler
   public:
     MetricSampler(sim::Simulation &simulation, MetricRegistry &registry,
                   sim::SimTime interval);
-    ~MetricSampler();
 
     MetricSampler(const MetricSampler &) = delete;
     MetricSampler &operator=(const MetricSampler &) = delete;
 
     /** Begin periodic sampling (first sample one interval from now). */
-    void start();
-    void stop();
-    bool running() const { return running_; }
+    void start() { timer_.start(); }
+    void stop() { timer_.stop(); }
+    bool running() const { return timer_.running(); }
 
     /** Take one sample of every metric right now. */
     void sampleOnce();
-
-    sim::SimTime interval() const { return interval_; }
 
     /** All collected series, in name order. */
     std::vector<const stats::TimeSeries *> series() const;
@@ -75,14 +79,10 @@ class MetricSampler
     const stats::TimeSeries *find(const std::string &name) const;
 
   private:
-    void tick();
-
     sim::Simulation &sim_;
     MetricRegistry &registry_;
-    sim::SimTime interval_;
-    bool running_ = false;
-    sim::EventId event_ = sim::INVALID_EVENT;
     std::map<std::string, stats::TimeSeries> series_;
+    sim::Periodic<MetricSampler, &MetricSampler::sampleOnce> timer_;
 };
 
 } // namespace tmo::obs

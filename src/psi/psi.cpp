@@ -179,9 +179,13 @@ PsiGroup::taskCount(TaskState bit) const
 }
 
 std::size_t
-PsiTriggerSet::add(PsiTrigger trigger)
+PsiTriggerSet::add(PsiTrigger trigger, sim::SimTime now)
 {
     Entry entry;
+    entry.windowStart = now;
+    entry.startTotal = trigger.fullKind
+                           ? group_.totalFull(trigger.resource, now)
+                           : group_.totalSome(trigger.resource, now);
     entry.trigger = std::move(trigger);
     entries_.push_back(std::move(entry));
     return entries_.size() - 1;

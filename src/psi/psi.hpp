@@ -344,7 +344,8 @@ struct PsiTrigger {
 /**
  * A set of triggers attached to one PsiGroup. poll() should be called
  * periodically (e.g. every AVG_PERIOD); each trigger fires at most
- * once per window.
+ * once per window. A trigger's first window opens when it is added,
+ * as the kernel's does when the trigger is created.
  */
 class PsiTriggerSet
 {
@@ -353,8 +354,9 @@ class PsiTriggerSet
         : group_(group)
     {}
 
-    /** Register a trigger; returns its index. */
-    std::size_t add(PsiTrigger trigger);
+    /** Register a trigger whose first window opens at @p now;
+     *  returns its index. */
+    std::size_t add(PsiTrigger trigger, sim::SimTime now);
 
     /** Evaluate all triggers at time @p now. */
     void poll(sim::SimTime now);

@@ -2,28 +2,42 @@
 
 #include <utility>
 
+#include "sim/periodic.hpp"
+
 namespace tmo::sim
 {
+
+struct Simulation::Every {
+    Every(Simulation &simulation, SimTime period,
+          std::function<bool()> function)
+        : fn(std::move(function)), timer(simulation, *this, period)
+    {}
+
+    /** Run fn; once it returns false, destroy it and stop. */
+    void
+    fire()
+    {
+        if (fn())
+            return;
+        fn = nullptr;
+        timer.stop();
+    }
+
+    std::function<bool()> fn;
+    Periodic<Every, &Every::fire> timer;
+};
+
+Simulation::Simulation() = default;
+
+Simulation::~Simulation() = default;
 
 void
 Simulation::every(SimTime period, std::function<bool()> fn)
 {
-    periodics_.push_back(Periodic{period, std::move(fn)});
-    arm(std::prev(periodics_.end()));
-}
-
-void
-Simulation::arm(PeriodicIt it)
-{
-    // Two words: stored inline by EventFn, so a period allocates
-    // nothing. The next period takes its sequence number after fn()
-    // returns, as a fresh after() from inside fn() would have.
-    after(it->period, [this, it] {
-        if (it->fn())
-            arm(it);
-        else
-            periodics_.erase(it);
-    });
+    // A registration cannot erase itself from inside its own call:
+    // the finished ones are dropped here, outside their calls.
+    every_.remove_if([](const Every &e) { return !e.timer.running(); });
+    every_.emplace_back(*this, period, std::move(fn)).timer.start();
 }
 
 void

@@ -21,7 +21,8 @@ namespace tmo::sim
 class Simulation
 {
   public:
-    Simulation() = default;
+    Simulation();
+    ~Simulation();
 
     Simulation(const Simulation &) = delete;
     Simulation &operator=(const Simulation &) = delete;
@@ -52,9 +53,8 @@ class Simulation
     /**
      * Schedule a callback every @p period, starting one period from now,
      * until it returns false. @p fn is stored once, and destroyed when
-     * it returns false or the simulation ends; each period re-arms
-     * after @p fn returns, with a callable that fits EventFn's inline
-     * buffer.
+     * it returns false or the simulation ends; it runs on a
+     * sim::Periodic, so each period is scheduled after @p fn returns.
      */
     void every(SimTime period, std::function<bool()> fn);
 
@@ -68,23 +68,16 @@ class Simulation
     void runToCompletion();
 
   private:
-    /** One every() registration. */
-    struct Periodic {
-        SimTime period;
-        std::function<bool()> fn;
-    };
-    using PeriodicIt = std::list<Periodic>::iterator;
-
-    /** Schedule the next period of @p it. */
-    void arm(PeriodicIt it);
+    /** One every() registration: its function and its timer. */
+    struct Every;
 
     SimTime now_ = 0;
     EventQueue events_;
-    /** Live every() registrations; a list, so iterators held by
-     *  pending events stay valid. Declared after events_: destroyed
-     *  first, while the events that point into it only hold
-     *  iterators. */
-    std::list<Periodic> periodics_;
+    /** every() registrations; a list, so the timers' pending events
+     *  can point into it. A finished one is dropped by the next
+     *  every(). Declared after events_: destroyed first, while its
+     *  running timers can still cancel their events. */
+    std::list<Every> every_;
 };
 
 } // namespace tmo::sim

@@ -15,7 +15,7 @@ AppModel::AppModel(sim::Simulation &simulation, mem::MemoryManager &mm,
                    sim::SimTime tick, sched::CpuCoordinator *coordinator)
     : sim_(simulation), mm_(mm), cg_(&cg), profile_(std::move(profile)),
       hostCpus_(host_cpus), coordinator_(coordinator), rng_(seed),
-      tickLen_(tick)
+      tickLen_(tick), timer_(simulation, *this, tick)
 {
     assert(tickLen_ > 0);
     for (unsigned i = 0; i < profile_.threads; ++i) {
@@ -27,11 +27,6 @@ AppModel::AppModel(sim::Simulation &simulation, mem::MemoryManager &mm,
     for (std::size_t i = 0; i < tasks_.size(); ++i)
         timelines_[i].task = tasks_[i].get();
     buildRegions();
-}
-
-AppModel::~AppModel()
-{
-    stop();
 }
 
 void
@@ -506,35 +501,15 @@ AppModel::tick()
         }
     }
     sched::replayTimelines(timelines_, end, transitions_);
-
-    if (running_)
-        scheduleTick();
-}
-
-void
-AppModel::scheduleTick()
-{
-    tickEvent_ = sim_.after(tickLen_, [this] { tick(); });
 }
 
 void
 AppModel::start()
 {
-    if (running_)
+    if (timer_.running())
         return;
     allocateInitial(sim_.now());
-    running_ = true;
-    scheduleTick();
-}
-
-void
-AppModel::stop()
-{
-    if (!running_)
-        return;
-    running_ = false;
-    sim_.events().cancel(tickEvent_);
-    tickEvent_ = sim::INVALID_EVENT;
+    timer_.start();
 }
 
 void
@@ -552,7 +527,7 @@ AppModel::freeAll()
 void
 AppModel::restart()
 {
-    const bool was_running = running_;
+    const bool was_running = running();
     stop();
     freeAll();
     // In-flight requests die with the process; cumulative request

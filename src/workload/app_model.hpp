@@ -21,8 +21,8 @@
 #include "sched/cpu_coordinator.hpp"
 #include "sched/cpu_model.hpp"
 #include "sched/task.hpp"
+#include "sim/periodic.hpp"
 #include "sim/rng.hpp"
-#include "sim/simulation.hpp"
 #include "stats/ewma.hpp"
 #include "stats/histogram.hpp"
 #include "workload/app_profile.hpp"
@@ -84,8 +84,6 @@ class AppModel
              std::uint64_t seed, sim::SimTime tick = sim::SEC,
              sched::CpuCoordinator *coordinator = nullptr);
 
-    ~AppModel();
-
     AppModel(const AppModel &) = delete;
     AppModel &operator=(const AppModel &) = delete;
 
@@ -93,12 +91,12 @@ class AppModel
     void start();
 
     /** Stop ticking (container paused; memory stays). */
-    void stop();
+    void stop() { timer_.stop(); }
 
     /** Free all memory and start fresh (code-push restart, §4.2). */
     void restart();
 
-    bool running() const { return running_; }
+    bool running() const { return timer_.running(); }
 
     /** Results of the last completed tick. */
     const TickStats &lastTick() const { return lastTick_; }
@@ -175,7 +173,6 @@ class AppModel
                                     sim::SimTime now, Stalls &critical);
     void rollLatencyWindow(sim::SimTime now);
     void tick();
-    void scheduleTick();
     void freeAll();
 
     sim::Simulation &sim_;
@@ -202,8 +199,7 @@ class AppModel
     std::vector<sched::CpuShare> shares_;
     std::vector<sched::TaskTimeline> timelines_;
     std::vector<sched::Transition> transitions_;
-    bool running_ = false;
-    sim::EventId tickEvent_ = sim::INVALID_EVENT;
+    sim::Periodic<AppModel, &AppModel::tick> timer_;
     TickStats lastTick_;
     double growthCarry_ = 0.0;
     double churnCarry_ = 0.0;

@@ -16,12 +16,13 @@ TraceWorkload::TraceWorkload(sim::Simulation &simulation,
                              double anon_fraction, sim::SimTime tick)
     : sim_(simulation), mm_(mm), cg_(&cg), records_(std::move(records)),
       addressSpacePages_(address_space_pages),
-      anonFraction_(anon_fraction), tickLen_(tick),
+      anonFraction_(anon_fraction),
       mapping_(address_space_pages, mem::NO_PAGE),
-      task_(cg, cg.name() + "/trace"), timeline_(1)
+      task_(cg, cg.name() + "/trace"), timeline_(1),
+      timer_(simulation, *this, tick)
 {
     timeline_[0].task = &task_;
-    assert(tickLen_ > 0);
+    assert(tick > 0);
     if (!std::is_sorted(records_.begin(), records_.end(),
                         [](const TraceRecord &a, const TraceRecord &b) {
                             return a.time < b.time;
@@ -34,12 +35,6 @@ TraceWorkload::TraceWorkload(sim::Simulation &simulation,
             throw std::out_of_range(
                 "TraceWorkload: page beyond the address space");
     }
-}
-
-void
-TraceWorkload::start()
-{
-    sim_.after(tickLen_, [this] { tick(); });
 }
 
 std::uint64_t
@@ -55,7 +50,7 @@ void
 TraceWorkload::tick()
 {
     const sim::SimTime start = sim_.now();
-    const sim::SimTime end = start + tickLen_;
+    const sim::SimTime end = start + timer_.period();
 
     sim::SimTime mem_stall = 0, io_stall = 0;
     while (cursor_ < records_.size() &&
@@ -106,8 +101,8 @@ TraceWorkload::tick()
     push(io_stall - both, psi::TSK_IOWAIT);
     sched::replayTimelines(timeline_, end, transitions_);
 
-    if (!finished())
-        sim_.after(tickLen_, [this] { tick(); });
+    if (finished())
+        timer_.stop();
 }
 
 std::vector<TraceRecord>

@@ -20,8 +20,8 @@
 #include "cgroup/cgroup.hpp"
 #include "mem/memory_manager.hpp"
 #include "sched/task.hpp"
+#include "sim/periodic.hpp"
 #include "sim/rng.hpp"
-#include "sim/simulation.hpp"
 
 namespace tmo::workload
 {
@@ -69,7 +69,7 @@ class TraceWorkload
     TraceWorkload &operator=(const TraceWorkload &) = delete;
 
     /** Begin replay; finishes when the trace is exhausted. */
-    void start();
+    void start() { timer_.start(); }
 
     /** True once every record has been replayed. */
     bool finished() const { return cursor_ >= records_.size(); }
@@ -90,7 +90,6 @@ class TraceWorkload
     std::vector<TraceRecord> records_;
     std::uint64_t addressSpacePages_;
     double anonFraction_;
-    sim::SimTime tickLen_;
 
     /** Logical page -> host page (NO_PAGE until first touch). */
     std::vector<mem::PageIdx> mapping_;
@@ -101,6 +100,7 @@ class TraceWorkload
     std::vector<sched::TaskTimeline> timeline_;
     std::vector<sched::Transition> transitions_;
     TraceStats stats_;
+    sim::Periodic<TraceWorkload, &TraceWorkload::tick> timer_;
 };
 
 /** Knobs for the synthetic trace generator. */

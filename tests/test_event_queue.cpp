@@ -1,15 +1,18 @@
 /**
  * @file
- * Unit tests for the event queue and simulation loop.
+ * Unit tests for the event queue, the simulation loop and its
+ * periodic timer.
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "sim/event_queue.hpp"
+#include "sim/periodic.hpp"
 #include "sim/simulation.hpp"
 
 using namespace tmo;
@@ -324,4 +327,109 @@ TEST(SimulationTest, DispatchedForwardsTheQueueCount)
     s.runUntil(100);
     EXPECT_EQ(s.dispatched(), 10u);
     EXPECT_EQ(s.dispatched(), s.events().dispatched());
+}
+
+namespace
+{
+
+/** A sim::Periodic owner: logs the time of each call, then runs
+ *  @p hook from inside the call. */
+struct Ticker {
+    explicit Ticker(sim::Simulation &simulation)
+        : sim(simulation), timer(simulation, *this, 10)
+    {}
+
+    void
+    tick()
+    {
+        calls.push_back(sim.now());
+        if (hook)
+            hook();
+    }
+
+    sim::Simulation &sim;
+    std::vector<sim::SimTime> calls;
+    std::function<void()> hook;
+    sim::Periodic<Ticker, &Ticker::tick> timer;
+};
+
+} // namespace
+
+TEST(PeriodicTest, StopInsideTheCallEndsIt)
+{
+    sim::Simulation s;
+    Ticker ticker(s);
+    ticker.hook = [&] {
+        if (ticker.calls.size() == 2)
+            ticker.timer.stop();
+    };
+    ticker.timer.start();
+    s.runUntil(100);
+    EXPECT_EQ(ticker.calls, (std::vector<sim::SimTime>{10, 20}));
+    EXPECT_FALSE(ticker.timer.running());
+    EXPECT_TRUE(s.events().empty());
+}
+
+TEST(PeriodicTest, StartAfterStopRestartsThePeriod)
+{
+    sim::Simulation s;
+    Ticker ticker(s);
+    ticker.timer.start();
+    s.runUntil(15);
+    ticker.timer.stop();
+    s.runUntil(17);
+    ticker.timer.start();
+    s.runUntil(40);
+    // One full period after the restart, not on the old 10/20/30.
+    EXPECT_EQ(ticker.calls, (std::vector<sim::SimTime>{10, 27, 37}));
+}
+
+TEST(PeriodicTest, DestroyingARunningTimerCancelsIt)
+{
+    sim::Simulation s;
+    {
+        Ticker ticker(s);
+        ticker.timer.start();
+        s.runUntil(15);
+        EXPECT_EQ(s.events().size(), 1u);
+    }
+    EXPECT_TRUE(s.events().empty());
+    const auto dispatched = s.dispatched();
+    s.runUntil(100);
+    EXPECT_EQ(s.dispatched(), dispatched);
+}
+
+TEST(PeriodicTest, StartWhileRunningSchedulesNothing)
+{
+    sim::Simulation s;
+    Ticker ticker(s);
+    ticker.timer.start();
+    ticker.timer.start();
+    EXPECT_EQ(s.events().size(), 1u);
+    s.runUntil(10);
+    ticker.timer.start();
+    EXPECT_EQ(s.events().size(), 1u);
+    EXPECT_EQ(ticker.calls, (std::vector<sim::SimTime>{10}));
+}
+
+TEST(PeriodicTest, RearmsAfterTheCallReturns)
+{
+    // The next period takes its sequence number after the call
+    // returns: an event the call schedules for the same instant runs
+    // first (SimulationTest.EveryRearmsAfterItsFunctionReturns pins
+    // the same rule for every()).
+    sim::Simulation s;
+    Ticker ticker(s);
+    std::vector<std::string> order;
+    ticker.hook = [&] {
+        order.push_back("tick");
+        if (order.size() == 1)
+            s.after(10, [&] { order.push_back("inner"); });
+        if (ticker.calls.size() == 3)
+            ticker.timer.stop();
+    };
+    ticker.timer.start();
+    s.runToCompletion();
+    EXPECT_EQ(order, (std::vector<std::string>{"tick", "inner", "tick",
+                                               "tick"}));
 }

@@ -51,8 +51,7 @@ TEST(GswapTest, ReclaimsWhilePromotionsBelowTarget)
     ASSERT_EQ(reclaimPasses(ring), 0u);
 
     baseline::GswapController gswap(simulation, machine.memory(),
-                                    app.cgroup(), {50.0, 6 * sim::SEC,
-                                                   0.002});
+                                    app.cgroup(), {50.0});
     gswap.start();
     simulation.runUntil(5 * sim::MINUTE);
     EXPECT_LT(app.cgroup().memCurrent(), before);
@@ -72,8 +71,7 @@ TEST(GswapTest, BacksOffAboveTarget)
 
     // Target 0: never reclaim once any swap-in is observed.
     baseline::GswapController gswap(simulation, machine.memory(),
-                                    app.cgroup(), {0.0, 6 * sim::SEC,
-                                                   0.002});
+                                    app.cgroup(), {0.0});
     gswap.start();
     simulation.runUntil(2 * sim::MINUTE);
     // With a zero target the controller must never reclaim.
@@ -104,7 +102,7 @@ TEST(GswapTest, StaticTargetIgnoresDeviceSpeed)
     slow_app.start();
     fast_app.start();
 
-    baseline::GswapConfig gconfig{30.0, 6 * sim::SEC, 0.002};
+    baseline::GswapConfig gconfig{30.0};
     baseline::GswapController slow_ctl(simulation, slow_host.memory(),
                                        slow_app.cgroup(), gconfig);
     baseline::GswapController fast_ctl(simulation, fast_host.memory(),

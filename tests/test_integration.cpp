@@ -172,7 +172,7 @@ TEST(IntegrationTest, PsiBeatsGswapOnSlowDevice)
                         psi_app.cgroup());
     baseline::GswapController gswap(simulation, gsw_host.memory(),
                                     gsw_app.cgroup(),
-                                    {200.0, 6 * sim::SEC, 0.004});
+                                    {200.0, 0.004});
     senpai.start();
     gswap.start();
     simulation.runUntil(30 * sim::MINUTE);
@@ -216,7 +216,7 @@ TEST(IntegrationTest, HolisticOffloadCoversAppAndTax)
     daemon.manage(app.cgroup());
     daemon.manage(dc_tax.cgroup());
     daemon.manage(ms_tax.cgroup());
-    daemon.startAll();
+    daemon.start();
     simulation.runUntil(20 * sim::MINUTE);
 
     for (auto *cg : {&app.cgroup(), &dc_tax.cgroup(),

@@ -236,7 +236,7 @@ TEST(PsiTriggerTest, FiresAboveThreshold)
     t.threshold = 100 * sim::MSEC;
     t.window = sim::SEC;
     t.callback = [&](sim::SimTime) { ++fired; };
-    triggers.add(t);
+    triggers.add(t, 0);
 
     // 50% memstall: well above 10% threshold-in-window.
     g.taskChange(0, psi::TSK_MEMSTALL, 0);
@@ -255,7 +255,7 @@ TEST(PsiTriggerTest, QuietGroupDoesNotFire)
     t.threshold = sim::MSEC;
     t.window = sim::SEC;
     t.callback = [&](sim::SimTime) { ++fired; };
-    triggers.add(t);
+    triggers.add(t, 0);
     for (int i = 0; i < 10; ++i)
         triggers.poll(i * 100 * sim::MSEC);
     EXPECT_EQ(fired, 0);
@@ -270,7 +270,7 @@ TEST(PsiTriggerTest, FiresOncePerWindow)
     t.threshold = 10 * sim::MSEC;
     t.window = sim::SEC;
     t.callback = [&](sim::SimTime) { ++fired; };
-    triggers.add(t);
+    triggers.add(t, 0);
 
     g.taskChange(0, psi::TSK_MEMSTALL, 0);
     triggers.poll(0);

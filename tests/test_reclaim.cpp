@@ -341,7 +341,7 @@ TEST_F(ReclaimTest, MisAgingVictimsCountTowardScanTotals)
     EXPECT_EQ(cg->stats().pgdeactivate, 2u);
     // The CPU model charges for all four scanned pages.
     EXPECT_EQ(outcome.cpuTime,
-              sim::fromUsec(4 * config.reclaimUsPerPage));
+              sim::fromUsec(4 * mem::RECLAIM_US_PER_PAGE));
 }
 
 TEST_F(ReclaimTest, BalanceShiftsWithRelativeCost)

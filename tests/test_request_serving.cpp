@@ -461,7 +461,7 @@ struct SloFixture {
     ticks(unsigned n)
     {
         for (unsigned i = 0; i < n; ++i) {
-            clock += controller->sloConfig().interval;
+            clock += core::CONTROL_INTERVAL;
             simulation.runUntil(clock + sim::MSEC);
         }
     }
@@ -506,7 +506,7 @@ TEST(SloControllerTest, DeescalationNeedsSustainedHealth)
     fx.ticks(1);
     EXPECT_EQ(fx.controller->state(), core::SloState::CAUTION);
     EXPECT_DOUBLE_EQ(fx.controller->reclaimScale(),
-                     fx.controller->sloConfig().cautionScale);
+                     core::SLO_CAUTION_SCALE);
     fx.ticks(3);
     EXPECT_EQ(fx.controller->state(), core::SloState::STEADY);
     EXPECT_DOUBLE_EQ(fx.controller->reclaimScale(), 1.0);

@@ -11,7 +11,8 @@
  *  - Fleet::collect() excludes frozen (failed) hosts from fleet
  *    percentiles;
  *  - the controller watchdog rebuilds a crashed controller from the
- *    host's factory; a stalled controller resumes the same object;
+ *    host's factory, and its metric probes live exactly as long as
+ *    the object; a stalled controller resumes the same object;
  *  - tier evacuation drains an offline tier to the survivors within
  *    the maintenance budget, pages nobody can save are parked in
  *    Where::LOST, and touching one is a hard major fault;
@@ -29,6 +30,8 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -38,6 +41,7 @@
 #include "host/fleet.hpp"
 #include "mem/memory_manager.hpp"
 #include "mem/page.hpp"
+#include "obs/export.hpp"
 #include "tier/tier_chain.hpp"
 #include "workload/app_profile.hpp"
 
@@ -253,6 +257,75 @@ TEST(ControllerWatchdogTest, CrashIsRebuiltFromTheFactory)
     EXPECT_EQ(fleet.host(0).controllerRestarts(), 1u);
     ASSERT_NE(fleet.host(0).controller(), nullptr);
     EXPECT_TRUE(fleet.host(0).controller()->running());
+}
+
+TEST(ControllerWatchdogTest, CrashedControllerIsNotSampled)
+{
+    // The crashed controller's probes leave the registry with it (a
+    // sample would read the destroyed object) and come back with the
+    // rebuild, which the 1 s watchdog makes at 300 s + 20 s. The
+    // crash, scheduled when the plan was armed, runs before the
+    // sample due at 300 s.
+    host::Fleet fleet = fleetSpec(1, 3).build();
+    fleet.enableMetrics(6 * sim::SEC);
+    fleet.start();
+    auto injector =
+        armed(fleet, 0, "t=300 kind=controller-crash arg=20\n");
+    fleet.run(6 * sim::MINUTE);
+
+    host::Host &machine = fleet.host(0);
+    ASSERT_EQ(machine.controllerRestarts(), 1u);
+    const stats::TimeSeries *pressure =
+        machine.sampler()->find("senpai.feed.pressure");
+    ASSERT_NE(pressure, nullptr);
+    std::size_t in_gap = 0, after = 0;
+    const auto in_outage = [](sim::SimTime t) {
+        return t >= 300 * sim::SEC && t < 320 * sim::SEC;
+    };
+    for (const auto &sample : pressure->samples()) {
+        in_gap += in_outage(sample.time);
+        after += sample.time > 320 * sim::SEC;
+    }
+    EXPECT_EQ(in_gap, 0u);
+    EXPECT_EQ(after, 7u); // 324 s to 360 s
+
+    // The CSV joins on time: one row per sample time, and the gap's
+    // cells stay empty rather than shifting the series.
+    std::set<sim::SimTime> times;
+    for (const stats::TimeSeries *series : machine.sampler()->series())
+        for (const auto &sample : series->samples())
+            times.insert(sample.time);
+    const auto cells = [](const std::string &line) {
+        std::vector<std::string> out(1);
+        for (const char c : line)
+            if (c == ',')
+                out.emplace_back();
+            else
+                out.back() += c;
+        return out;
+    };
+    std::ostringstream csv;
+    obs::writeMetricsCsv(csv, machine.sampler()->series());
+    std::istringstream lines(csv.str());
+    std::string line;
+    std::getline(lines, line);
+    const auto header = cells(line);
+    const auto column = static_cast<std::size_t>(
+        std::find(header.begin(), header.end(), "senpai.feed.pressure") -
+        header.begin());
+    ASSERT_LT(column, header.size());
+    auto time = times.begin();
+    std::size_t rows = 0;
+    for (; std::getline(lines, line); ++rows) {
+        const auto row = cells(line);
+        ASSERT_EQ(row.size(), header.size());
+        ASSERT_NE(time, times.end());
+        const sim::SimTime t = *time++;
+        EXPECT_DOUBLE_EQ(std::stod(row[0]), sim::toSeconds(t));
+        EXPECT_EQ(row[column].empty(), in_outage(t))
+            << "at " << row[0] << " s";
+    }
+    EXPECT_EQ(rows, times.size());
 }
 
 TEST(ControllerWatchdogTest, StallResumesTheSameObjectWithoutRebuild)

@@ -94,7 +94,7 @@ TEST(WriteRegulatorTest, BurstBoundedByCredit)
 TEST(SenpaiConfigTest, ProductionValuesMatchPaper)
 {
     const auto config = core::senpaiProductionConfig();
-    EXPECT_EQ(config.interval, 6 * sim::SEC);
+    EXPECT_EQ(core::CONTROL_INTERVAL, 6 * sim::SEC);
     EXPECT_DOUBLE_EQ(config.psiThreshold, 0.001); // 0.1%
     EXPECT_DOUBLE_EQ(config.reclaimRatio, 0.0005);
     EXPECT_DOUBLE_EQ(config.maxProbeRatio, 0.01); // 1% cap

@@ -71,7 +71,7 @@ TEST(TmoDaemonTest, ManagesMultipleContainers)
     tax.start();
     daemon.manage(app.cgroup());
     daemon.manage(tax.cgroup());
-    daemon.startAll();
+    daemon.start();
     ASSERT_EQ(daemon.senpais().size(), 2u);
 
     simulation.runUntil(5 * sim::MINUTE);
@@ -80,7 +80,7 @@ TEST(TmoDaemonTest, ManagesMultipleContainers)
         EXPECT_GT(senpai->totalRequested(), 0u);
     }
 
-    daemon.stopAll();
+    daemon.stop();
     for (const auto &senpai : daemon.senpais())
         EXPECT_FALSE(senpai->running());
 }
@@ -106,7 +106,7 @@ TEST(TmoDaemonTest, LowPriorityTaxYieldsMoreRelativeSavings)
     svc.start();
     daemon.manage(tax.cgroup());
     daemon.manage(svc.cgroup());
-    daemon.startAll();
+    daemon.start();
     simulation.runUntil(10 * sim::MINUTE);
 
     const double tax_left = static_cast<double>(tax.cgroup().memCurrent());

@@ -20,7 +20,7 @@ namespace tmo::test
 
 /** A ring of 4096 events: every tick of a controller over a test
  *  run of a few simulated hours. Declare it before the controller
- *  that records into it, which records its stop on destruction. */
+ *  that records into it, which holds a pointer to it. */
 inline obs::TraceRing
 testRing()
 {
