@@ -68,8 +68,6 @@ Fleet::buildShard(Shard &shard)
     }
     if (traceBytesPerHost_)
         shard.host->enableTracing(traceBytesPerHost_);
-    if (metricsInterval_)
-        shard.host->enableMetrics(metricsInterval_);
 }
 
 Host &
@@ -79,6 +77,8 @@ Fleet::addHost(const HostBuilder &builder)
     shard.builder = builder;
     shard.index = shards_.size();
     buildShard(shard);
+    if (metricsInterval_)
+        shard.host->enableMetrics(metricsInterval_);
     shards_.push_back(std::move(shard));
     return *shards_.back().host;
 }
@@ -279,9 +279,18 @@ Fleet::restartEligibleShards()
         // Rebuild from the stored recipe (dropping the dead host and
         // its frozen clock), fast-forward the empty queue to the
         // fleet clock, then start services as Fleet::start() would —
-        // every periodic tick lands on now_ + period.
+        // every periodic tick lands on now_ + period. The metric
+        // series carry over from the dead host, and sampling starts
+        // after the fast-forward, which would sample an empty host.
+        obs::MetricSampler::Series series;
+        if (shard.host->sampler())
+            series = shard.host->sampler()->takeSeries();
         buildShard(shard);
         shard.sim->runUntil(now_);
+        if (metricsInterval_) {
+            shard.host->enableMetrics(metricsInterval_);
+            shard.host->sampler()->continueSeries(std::move(series));
+        }
         shard.host->start();
         for (const auto &app : shard.host->apps())
             app->start();

@@ -247,10 +247,12 @@ class Fleet
     };
 
     /** (Re)materialize shard state from its stored builder: fresh
-     *  clock, host, containers, controller, observability. */
+     *  clock, host, containers, controller, tracing. Its caller
+     *  starts the metric sampler once the clock is where it belongs. */
     void buildShard(Shard &shard);
 
-    /** Rebuild failed shards whose backoff elapsed (epoch barrier). */
+    /** Rebuild failed shards whose backoff elapsed (epoch barrier);
+     *  a rebuilt host continues its predecessor's metric series. */
     void restartEligibleShards();
 
     /** Run the invariant auditor over every healthy shard. */

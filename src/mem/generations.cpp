@@ -56,24 +56,6 @@ GenerationCounts::addMemcg()
 }
 
 void
-GenerationCounts::move(std::uint16_t memcg, sim::SimTime from,
-                       sim::SimTime to)
-{
-    --slot(memcg, from);
-    ++slot(memcg, to);
-}
-
-std::uint32_t &
-GenerationCounts::slot(std::uint16_t memcg, sim::SimTime stamp)
-{
-    const std::uint64_t gen = stamp / sim::SEC;
-    if (gen > head_)
-        advance(gen);
-    MemcgCounts &counts = memcgs_[memcg];
-    return gen + RING > head_ ? counts.ring[gen % RING] : counts.older;
-}
-
-void
 GenerationCounts::advance(std::uint64_t gen)
 {
     // Slot (head_ + k) % RING held generation head_ + k - RING, which

@@ -83,13 +83,17 @@ class GenerationCounts
     /** True once start() ran. */
     bool active() const { return !memcgs_.empty(); }
 
+    /** The newest generation's first instant; only a move, advancing
+     *  the rings, changes it. */
+    sim::SimTime newestStart() const { return newestStart_; }
+
     /** After start(): true when a stamp moving from @p from to @p to
      *  changes a count, because either lies outside the newest
-     *  generation. */
-    bool
-    moves(sim::SimTime from, sim::SimTime to) const
+     *  generation, which starts at @p newest_start (newestStart()). */
+    static bool
+    moves(sim::SimTime from, sim::SimTime to, sim::SimTime newest_start)
     {
-        return std::max(from - newestStart_, to - newestStart_) >=
+        return std::max(from - newest_start, to - newest_start) >=
                sim::SEC;
     }
 
@@ -125,7 +129,12 @@ class GenerationCounts
 
     /** Move a page of @p memcg from stamp @p from to @p to. Only
      *  after start(). */
-    void move(std::uint16_t memcg, sim::SimTime from, sim::SimTime to);
+    void
+    move(std::uint16_t memcg, sim::SimTime from, sim::SimTime to)
+    {
+        --slot(memcg, from);
+        ++slot(memcg, to);
+    }
 
     /** @p memcg's idle counts at @p now, or nullopt when they are not
      *  exact there (see the class comment) or before start(). */
@@ -145,7 +154,15 @@ class GenerationCounts
 
     /** The counter of @p memcg's pages stamped @p stamp, after
      *  advancing the rings to the stamp's generation if it is newer. */
-    std::uint32_t &slot(std::uint16_t memcg, sim::SimTime stamp);
+    std::uint32_t &
+    slot(std::uint16_t memcg, sim::SimTime stamp)
+    {
+        const std::uint64_t gen = stamp / sim::SEC;
+        if (gen > head_)
+            advance(gen);
+        MemcgCounts &counts = memcgs_[memcg];
+        return gen + RING > head_ ? counts.ring[gen % RING] : counts.older;
+    }
 
     /** Make @p gen the newest generation: the ring slots it and the
      *  generations before it take over fold into older. */

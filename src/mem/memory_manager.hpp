@@ -105,6 +105,56 @@ struct AccessResult {
     sim::SimTime ioStall = 0;
 };
 
+/**
+ * Stall time split by the PSI task states it counts towards. The
+ * memory and IO stalls of one access overlap, so an access adds the
+ * longer of the two to total().
+ */
+struct Stalls {
+    sim::SimTime memOnly = 0;
+    sim::SimTime memAndIo = 0;
+    sim::SimTime ioOnly = 0;
+
+    /** Add one access's stalls. */
+    void
+    add(const AccessResult &result)
+    {
+        const sim::SimTime both = std::min(result.memStall, result.ioStall);
+        memAndIo += both;
+        memOnly += result.memStall - both;
+        ioOnly += result.ioStall - both;
+    }
+
+    Stalls &
+    operator+=(const Stalls &other)
+    {
+        memOnly += other.memOnly;
+        memAndIo += other.memAndIo;
+        ioOnly += other.ioOnly;
+        return *this;
+    }
+
+    sim::SimTime
+    total() const
+    {
+        return memOnly + memAndIo + ioOnly;
+    }
+};
+
+/** Sums over the touches of one MemoryManager::touch() batch. */
+struct TouchTotals {
+    /** Touches made: fewer than asked when the stall budget ran out. */
+    std::uint64_t touches = 0;
+    std::uint64_t faults = 0;
+    std::uint64_t refaults = 0;
+    /** Their stalls; stalls.total() is the sum of each touch's
+     *  max(memStall, ioStall). */
+    Stalls stalls;
+};
+
+/** A touch() stall budget that no batch exhausts. */
+inline constexpr sim::SimTime NO_STALL_BUDGET = ~sim::SimTime{0};
+
 /** Result of a reclaim pass. */
 struct ReclaimOutcome {
     std::uint64_t reclaimedBytes = 0;
@@ -284,25 +334,83 @@ class MemoryManager
      * (backend read, refault detection, residency charge).
      *
      * Inline for the common case, a resident page that stays on its
-     * list: an active page, or an inactive one on its first touch
-     * since the last scan. It only gets its stamp and the referenced
-     * bit, at no stall; the stamp moves its generation count only
-     * when the old stamp or @p now leaves the newest generation, and
-     * never on a host idleBreakdown() has not queried. A second touch
-     * while inactive (activation) and every non-resident page take
-     * accessSlow().
+     * list (hits()): an active page, or an inactive one on its first
+     * touch since the last scan. It only gets its stamp and the
+     * referenced bit, at no stall; the stamp moves its generation
+     * count only when the old stamp or @p now leaves the newest
+     * generation, and never on a host idleBreakdown() has not
+     * queried. A second touch while inactive (activation) and every
+     * non-resident page take accessSlow().
      */
     AccessResult
     access(PageIdx idx, sim::SimTime now)
     {
         Page &page = pages_[idx];
-        const bool inactive = page.lru == LruKind::INACTIVE_ANON ||
-                              page.lru == LruKind::INACTIVE_FILE;
-        if (page.where != Where::RAM || (inactive && page.referenced()))
+        if (!hits(page))
             return accessSlow(idx, now);
         stamp(page, now);
         page.flags |= PG_REFERENCED;
         return AccessResult{};
+    }
+
+    /**
+     * Up to @p count touches at @p now, each of the page that
+     * @p pick() returns: what as many access() calls do, one after
+     * the other, with their sums. Before each touch, and before its
+     * pick() call, the batch stops once its touches have stalled for
+     * @p stall_budget in all (TouchTotals::stalls.total()). With
+     * @p dirty, every touched page is also marked PG_DIRTY.
+     *
+     * The request path's loop. A loop of access() calls reloads the
+     * page table, the generation state and its caller's counters and
+     * generator after every touch, because the hit's 1-byte flags
+     * store may alias any of them and its 8-byte stamp store any
+     * 64-bit field.
+     * Here the table base, the generation test and the sums live in
+     * locals, and so do the caller's generator and cursor when
+     * @p pick works on locals. The locals are read again after every
+     * accessSlow(): its backend calls may reallocate the table and
+     * its stamp may advance the generations.
+     */
+    template <typename Pick>
+    TouchTotals
+    touch(std::uint64_t count, sim::SimTime now, Pick &&pick,
+          sim::SimTime stall_budget, bool dirty)
+    {
+        TouchTotals totals;
+        const std::uint8_t hit_flags =
+            PG_REFERENCED | (dirty ? PG_DIRTY : 0);
+        Page *table = pages_.data();
+        bool counting = gens_.active();
+        sim::SimTime newest = gens_.newestStart();
+        sim::SimTime stalled = 0;
+        std::uint64_t made = 0;
+        for (; made < count && stalled < stall_budget; ++made) {
+            const PageIdx idx = pick();
+            Page &page = table[idx];
+            if (hits(page)) {
+                if (counting &&
+                    GenerationCounts::moves(page.lastAccess, now, newest)) {
+                    gens_.move(page.memcg, page.lastAccess, now);
+                    newest = gens_.newestStart();
+                }
+                page.lastAccess = now;
+                page.flags |= hit_flags;
+                continue;
+            }
+            const AccessResult result = accessSlow(idx, now);
+            table = pages_.data();
+            counting = gens_.active();
+            newest = gens_.newestStart();
+            if (dirty)
+                table[idx].flags |= PG_DIRTY;
+            totals.faults += result.faulted;
+            totals.refaults += result.refault;
+            totals.stalls.add(result);
+            stalled += std::max(result.memStall, result.ioStall);
+        }
+        totals.touches = made;
+        return totals;
     }
 
     /** Release a page entirely (workload freed the memory). */
@@ -381,8 +489,8 @@ class MemoryManager
      *
      * Generation rule: the first call walks the page table once and
      * starts the host's GenerationCounts; from then on attach(),
-     * newPage(), access() and freePage() keep them current, and
-     * nothing else changes a page's lastAccess or owner. A call at a
+     * newPage(), access(), touch() and freePage() keep them current,
+     * and nothing else changes a page's lastAccess or owner. A call at a
      * whole-second @p now (the profilers' cadence) sums at most a few
      * hundred generations. Any other @p now, or one more than ~200 s
      * before the newest stamp, walks the page table instead, with the
@@ -441,6 +549,17 @@ class MemoryManager
   private:
     friend struct ReclaimPass;
 
+    /** The hit test of access() and touch(): @p page is resident and
+     *  stays on its list, so a touch only stamps it and sets its
+     *  referenced bit. */
+    static bool
+    hits(const Page &page)
+    {
+        const bool inactive = page.lru == LruKind::INACTIVE_ANON ||
+                              page.lru == LruKind::INACTIVE_FILE;
+        return page.where == Where::RAM && !(inactive && page.referenced());
+    }
+
     /** access() for a touch that moves the page: the activation of a
      *  referenced inactive page, or the fault of a non-resident one. */
     AccessResult accessSlow(PageIdx idx, sim::SimTime now);
@@ -451,7 +570,9 @@ class MemoryManager
     void
     stamp(Page &page, sim::SimTime now)
     {
-        if (gens_.active() && gens_.moves(page.lastAccess, now))
+        if (gens_.active() &&
+            GenerationCounts::moves(page.lastAccess, now,
+                                    gens_.newestStart()))
             gens_.move(page.memcg, page.lastAccess, now);
         page.lastAccess = now;
     }

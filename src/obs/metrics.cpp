@@ -1,5 +1,7 @@
 #include "obs/metrics.hpp"
 
+#include <cassert>
+
 namespace tmo::obs
 {
 
@@ -50,6 +52,13 @@ MetricSampler::sampleOnce()
             it = series_.emplace(name, stats::TimeSeries(name)).first;
         it->second.record(now, value);
     });
+}
+
+void
+MetricSampler::continueSeries(Series earlier)
+{
+    assert(series_.empty() && "continueSeries after a sample");
+    series_ = std::move(earlier);
 }
 
 std::vector<const stats::TimeSeries *>

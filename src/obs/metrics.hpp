@@ -15,6 +15,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/periodic.hpp"
@@ -72,6 +73,17 @@ class MetricSampler
     /** Take one sample of every metric right now. */
     void sampleOnce();
 
+    /** Every series by metric name. */
+    using Series = std::map<std::string, stats::TimeSeries>;
+
+    /** Hand every series over, leaving this sampler with none. */
+    Series takeSeries() { return std::exchange(series_, {}); }
+
+    /** Continue @p earlier, the series of a sampler this one replaces
+     *  (a rebuilt host's): new samples append to them. Only before
+     *  this sampler's first sample. */
+    void continueSeries(Series earlier);
+
     /** All collected series, in name order. */
     std::vector<const stats::TimeSeries *> series() const;
 
@@ -81,7 +93,7 @@ class MetricSampler
   private:
     sim::Simulation &sim_;
     MetricRegistry &registry_;
-    std::map<std::string, stats::TimeSeries> series_;
+    Series series_;
     sim::Periodic<MetricSampler, &MetricSampler::sampleOnce> timer_;
 };
 

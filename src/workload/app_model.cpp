@@ -93,7 +93,7 @@ AppModel::growLazyRegions(sim::SimTime now, Stalls &stalls)
             mem::AccessResult result;
             region.pages.push_back(mm_.newPage(
                 *cg_, !region.spec.file, true, now, &result));
-            accumulate(result, stalls);
+            stalls.add(result);
         }
     }
 }
@@ -128,17 +128,20 @@ AppModel::churnColdAllocations(sim::SimTime now, Stalls &stalls)
         mem::AccessResult result;
         target->pages[slot] =
             mm_.newPage(*cg_, true, true, now, &result);
-        accumulate(result, stalls);
+        stalls.add(result);
     }
 }
 
 void
-AppModel::accumulate(const mem::AccessResult &result, Stalls &stalls)
+AppModel::count(const mem::TouchTotals &totals, bool critical,
+                Stalls &stalls)
 {
-    const sim::SimTime both = std::min(result.memStall, result.ioStall);
-    stalls.memAndIo += both;
-    stalls.memOnly += result.memStall - both;
-    stalls.ioOnly += result.ioStall - both;
+    lastTick_.touches += totals.touches;
+    if (critical)
+        lastTick_.criticalTouches += totals.touches;
+    lastTick_.faults += totals.faults;
+    lastTick_.refaults += totals.refaults;
+    stalls += totals.stalls;
 }
 
 void
@@ -148,7 +151,6 @@ AppModel::sweepRegion(Region &region, sim::SimTime now,
 {
     if (region.pages.empty())
         return;
-    Stalls &stalls = region.spec.critical ? critical : background;
     const double share = static_cast<double>(tickLen_) /
                          static_cast<double>(region.spec.reusePeriod);
     region.touchCarry +=
@@ -156,32 +158,38 @@ AppModel::sweepRegion(Region &region, sim::SimTime now,
     auto touches = static_cast<std::uint64_t>(region.touchCarry);
     region.touchCarry -= static_cast<double>(touches);
     touches = std::min<std::uint64_t>(touches, region.pages.size());
+    if (touches == 0)
+        return; // a small region's sweep is often empty
 
-    for (std::uint64_t i = 0; i < touches; ++i) {
-        if (critical.total() + background.total() >= stall_budget)
-            break; // app can't touch faster than it can fault
-        // Cold regions are touched sporadically at random; warm/hot
-        // regions cycle deterministically through their pages.
-        std::size_t pick;
-        if (region.spec.randomAccess) {
-            pick = rng_.uniformInt(region.pages.size());
-        } else {
-            pick = region.cursor % region.pages.size();
-            ++region.cursor;
-        }
-        const mem::PageIdx idx = region.pages[pick];
-        const auto result = mm_.access(idx, now);
-        ++lastTick_.touches;
-        if (region.spec.critical)
-            ++lastTick_.criticalTouches;
-        if (result.faulted)
-            ++lastTick_.faults;
-        if (result.refault)
-            ++lastTick_.refaults;
-        if (region.spec.dirty)
-            mm_.pages()[idx].flags |= mem::PG_DIRTY;
-        accumulate(result, stalls);
-    }
+    // The app can't touch faster than it can fault: the sweep stops
+    // once the tick's stalls reach the budget.
+    const sim::SimTime stalled = critical.total() + background.total();
+    const sim::SimTime budget =
+        stalled < stall_budget ? stall_budget - stalled : 0;
+    const mem::PageIdx *pages = region.pages.data();
+    const std::size_t size = region.pages.size();
+    // Cold regions are touched sporadically at random; warm/hot
+    // regions cycle deterministically through their pages, from where
+    // the last sweep stopped.
+    const bool random = region.spec.randomAccess;
+    sim::Rng rng = rng_;
+    std::size_t pos = random ? 0 : region.cursor % size;
+    const mem::TouchTotals totals = mm_.touch(
+        touches, now,
+        [&] {
+            if (random)
+                return pages[rng.uniformInt(size)];
+            const mem::PageIdx idx = pages[pos];
+            pos = pos + 1 == size ? 0 : pos + 1;
+            return idx;
+        },
+        budget, region.spec.dirty);
+    if (random)
+        rng_ = rng;
+    else
+        region.cursor += totals.touches;
+    count(totals, region.spec.critical,
+          region.spec.critical ? critical : background);
 }
 
 double
@@ -240,22 +248,17 @@ AppModel::touchCriticalPages(std::uint64_t touches, sim::SimTime now,
     // stall bucket — the §4.4 coupling, now per request.
     if (criticalPages_.empty())
         return 0;
-    sim::SimTime stall = 0;
-    for (std::uint64_t i = 0; i < touches; ++i) {
-        const auto result = mm_.access(
-            criticalPages_[rng_.uniformInt(criticalPages_.size())], now);
-        ++lastTick_.touches;
-        ++lastTick_.criticalTouches;
-        if (result.faulted)
-            ++lastTick_.faults;
-        if (result.refault)
-            ++lastTick_.refaults;
-        accumulate(result, critical);
-        // Wall-clock cost to the request: mem and IO stalls of one
-        // access overlap, so the longer one dominates.
-        stall += std::max(result.memStall, result.ioStall);
-    }
-    return stall;
+    const mem::PageIdx *pages = criticalPages_.data();
+    const std::size_t size = criticalPages_.size();
+    sim::Rng rng = rng_;
+    const mem::TouchTotals totals = mm_.touch(
+        touches, now, [&] { return pages[rng.uniformInt(size)]; },
+        mem::NO_STALL_BUDGET, false);
+    rng_ = rng;
+    count(totals, true, critical);
+    // Wall-clock cost to the request: mem and IO stalls of one
+    // access overlap, so the longer one dominates.
+    return totals.stalls.total();
 }
 
 void
@@ -413,11 +416,11 @@ AppModel::tick()
     const double completed = servingRequests()
                                  ? serveRequests(start, critical)
                                  : modelRequests(start, critical);
+    Stalls all = critical;
+    all += background;
     lastTick_.completedRps = completed / tick_s;
-    lastTick_.memStall = critical.memOnly + critical.memAndIo +
-                         background.memOnly + background.memAndIo;
-    lastTick_.ioStall = critical.ioOnly + critical.memAndIo +
-                        background.ioOnly + background.memAndIo;
+    lastTick_.memStall = all.memOnly + all.memAndIo;
+    lastTick_.ioStall = all.ioOnly + all.memAndIo;
     lastTick_.swapins = cg_->stats().pswpin - swapins_before;
 
     // --- PSI timelines --------------------------------------------------
@@ -446,10 +449,6 @@ AppModel::tick()
             }
         }
     }
-
-    const Stalls all{critical.memOnly + background.memOnly,
-                     critical.memAndIo + background.memAndIo,
-                     critical.ioOnly + background.ioOnly};
 
     for (std::size_t i = 0; i < tasks_.size(); ++i) {
         auto &tl = timelines_[i];

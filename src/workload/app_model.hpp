@@ -139,18 +139,7 @@ class AppModel
         double touchCarry = 0.0;
     };
 
-    /** Stall accounting buckets for one tick. */
-    struct Stalls {
-        sim::SimTime memOnly = 0;
-        sim::SimTime memAndIo = 0;
-        sim::SimTime ioOnly = 0;
-
-        sim::SimTime
-        total() const
-        {
-            return memOnly + memAndIo + ioOnly;
-        }
-    };
+    using Stalls = mem::Stalls;
 
     void buildRegions();
     void allocateInitial(sim::SimTime now);
@@ -159,7 +148,10 @@ class AppModel
     void sweepRegion(Region &region, sim::SimTime now,
                      sim::SimTime stall_budget, Stalls &critical,
                      Stalls &background);
-    void accumulate(const mem::AccessResult &result, Stalls &stalls);
+    /** Add one batch of touches to lastTick_ and to @p stalls; with
+     *  @p critical they count as critical touches too. */
+    void count(const mem::TouchTotals &totals, bool critical,
+               Stalls &stalls);
     double throttleFactor() const;
     /** Legacy closed-form RPS model (traffic disabled). Returns
      *  completed requests this tick. */

@@ -85,6 +85,17 @@ TrafficSpec::rateAt(sim::SimTime now) const
     return std::max(0.0, rate);
 }
 
+double
+TrafficSpec::peakTouchesPerSec() const
+{
+    double peak = baseRps;
+    if (kind == Kind::DIURNAL)
+        peak *= 1.0 + amplitude;
+    if (spikeMult > 0.0)
+        peak *= spikeMult;
+    return peak * (fanout > 0.0 ? fanout : PROFILE_FANOUT);
+}
+
 TrafficSpec
 TrafficSpec::parse(const std::string &text)
 {
@@ -173,6 +184,13 @@ TrafficSpec::parse(const std::string &text)
         fail(text, "spike needs mult=F (and at-min/dur-min)");
     if (spec.spikeMult > 0.0 && spec.spikeDuration == 0)
         fail(text, "spike window needs a positive duration");
+    // Each key is bounded, but their product is the cost of a run.
+    if (spec.peakTouchesPerSec() > MAX_PEAK_TOUCHES_PER_SEC)
+        fail(text, "peak offered touches per second, rps x (1 + amp) x "
+                   "spike-mult x fanout = " +
+                       stats::fmtExact(spec.peakTouchesPerSec()) +
+                       ", must be at most " +
+                       stats::fmtExact(MAX_PEAK_TOUCHES_PER_SEC));
     return spec;
 }
 

@@ -66,10 +66,27 @@ struct TrafficSpec {
     /** Admission queue-wait limit; longer waits shed the request. */
     sim::SimTime queueLimit = 500 * sim::MSEC;
 
+    /**
+     * Upper bound of peakTouchesPerSec(). A run makes about one page
+     * touch per offered touch, so this bounds what a spec costs per
+     * simulated second: at about 10 ns a touch, some 10 s of wall
+     * time.
+     */
+    static constexpr double MAX_PEAK_TOUCHES_PER_SEC = 1e9;
+    /** The touches per request peakTouchesPerSec() counts for fanout
+     *  0, which leaves them to the app profile: the most any preset
+     *  asks for (Web's 48). */
+    static constexpr double PROFILE_FANOUT = 48.0;
+
     bool enabled() const { return kind != Kind::NONE; }
 
     /** Instantaneous offered rate (requests/s) at @p now. */
     double rateAt(sim::SimTime now) const;
+
+    /** Peak offered page touches per simulated second: rps, times
+     *  1 + amp on a diurnal curve, times spike-mult when set, times
+     *  fanout (PROFILE_FANOUT for 0). */
+    double peakTouchesPerSec() const;
 
     /**
      * Parse a spec string:
@@ -84,7 +101,9 @@ struct TrafficSpec {
      * minutes keys are at most 1e6, queue-ms at most 1e9 and fanout
      * at most 1e6, so each converts to SimTime or a touch count
      * without overflow; period-min, spike-dur-min and queue-ms must
-     * also come to at least one nanosecond.
+     * also come to at least one nanosecond. A spec whose
+     * peakTouchesPerSec() exceeds MAX_PEAK_TOUCHES_PER_SEC is
+     * refused too, though each of its keys is in range.
      */
     static TrafficSpec parse(const std::string &text);
 

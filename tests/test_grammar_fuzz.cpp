@@ -270,22 +270,14 @@ TEST(GrammarFuzzTest, TrafficSpecParsesOrNamesTheError)
     EXPECT_GT(accepted.size(), seeds.size());
 
     // A run costs about one page touch per offered touch, and the
-    // grammar accepts up to 1e6 rps times a 1000x spike times 1e6
-    // touches per request, so only specs within a budget of offered
-    // touches per simulated second serve a web host (48 touches per
-    // request by default) on 48 MiB of RAM under Senpai.
+    // grammar accepts up to TrafficSpec::MAX_PEAK_TOUCHES_PER_SEC of
+    // them, so only specs within a smaller budget serve a web host (48
+    // touches per request by default) on 48 MiB of RAM under Senpai.
     constexpr double TOUCH_BUDGET = 20'000.0;
     std::size_t served = 0;
     for (const std::string &text : accepted) {
         const auto spec = workload::TrafficSpec::parse(text);
-        const double peak_rps =
-            spec.baseRps *
-            (spec.kind == workload::TrafficSpec::Kind::DIURNAL
-                 ? 1.0 + spec.amplitude
-                 : 1.0) *
-            std::max(1.0, spec.spikeMult);
-        const double touches = spec.fanout > 0.0 ? spec.fanout : 48.0;
-        if (peak_rps * touches > TOUCH_BUDGET)
+        if (spec.peakTouchesPerSec() > TOUCH_BUDGET)
             continue;
         SCOPED_TRACE(text);
         ++served;

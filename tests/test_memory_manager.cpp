@@ -7,8 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <functional>
+#include <map>
+#include <memory>
 #include <string>
+#include <vector>
 
+#include "backend/backend.hpp"
 #include "backend/filesystem.hpp"
 #include "backend/ssd.hpp"
 #include "backend/swap_backend.hpp"
@@ -23,6 +29,32 @@ namespace
 {
 
 constexpr std::uint32_t PAGE = 64 * 1024;
+
+/** One touch of page @p idx at @p now, through access() or through
+ *  the batch loop. */
+using Toucher = std::function<mem::AccessResult(
+    mem::MemoryManager &, mem::PageIdx, sim::SimTime)>;
+
+mem::AccessResult
+touchByAccess(mem::MemoryManager &mm, mem::PageIdx idx, sim::SimTime now)
+{
+    return mm.access(idx, now);
+}
+
+/** A batch of one touch, its sums turned back into an AccessResult. */
+mem::AccessResult
+touchByBatch(mem::MemoryManager &mm, mem::PageIdx idx, sim::SimTime now)
+{
+    const mem::TouchTotals totals = mm.touch(
+        1, now, [idx] { return idx; }, mem::NO_STALL_BUDGET, false);
+    EXPECT_EQ(totals.touches, 1u);
+    mem::AccessResult result;
+    result.faulted = totals.faults == 1;
+    result.refault = totals.refaults == 1;
+    result.memStall = totals.stalls.memOnly + totals.stalls.memAndIo;
+    result.ioStall = totals.stalls.ioOnly + totals.stalls.memAndIo;
+    return result;
+}
 
 /** Shared fixture wiring a manager to one cgroup with all backends. */
 class MemoryManagerTest : public ::testing::Test
@@ -58,6 +90,10 @@ class MemoryManagerTest : public ::testing::Test
     tier::TierChain zswapChain;
     mem::MemoryManager mm;
     cgroup::Cgroup *cg;
+
+    /** One touch, made by @p touch, from every state a page can be
+     *  in (AccessTransitionTable). */
+    void transitionTable(const Toucher &touch);
 };
 
 } // namespace
@@ -155,12 +191,9 @@ struct AccessRow {
 
 } // namespace
 
-TEST_F(MemoryManagerTest, AccessTransitionTable)
+void
+MemoryManagerTest::transitionTable(const Toucher &touch)
 {
-    // One touch from every state a page can be in. The expected
-    // transitions are those of access() as one function, before its
-    // hit path moved inline: the inline path and accessSlow() must
-    // split them without changing any.
     using enum mem::Where;
     constexpr auto IA = mem::LruKind::INACTIVE_ANON;
     constexpr auto AA = mem::LruKind::ACTIVE_ANON;
@@ -239,7 +272,7 @@ TEST_F(MemoryManagerTest, AccessTransitionTable)
         ASSERT_EQ(mm.shadowAge(idx) != 0, row.shadow);
 
         const auto activations = c.stats().pgactivate;
-        const auto result = mm.access(idx, now);
+        const auto result = touch(mm, idx, now);
         const mem::Page &after = mm.pages()[idx];
         EXPECT_EQ(after.where, RAM);
         EXPECT_EQ(after.lru, row.lruAfter);
@@ -255,6 +288,22 @@ TEST_F(MemoryManagerTest, AccessTransitionTable)
             EXPECT_EQ(result.ioStall, 0u);
         }
     }
+}
+
+TEST_F(MemoryManagerTest, AccessTransitionTable)
+{
+    // One touch from every state a page can be in. The expected
+    // transitions are those of access() as one function, before its
+    // hit path moved inline: the inline path and accessSlow() must
+    // split them without changing any.
+    transitionTable(touchByAccess);
+}
+
+TEST_F(MemoryManagerTest, AccessTransitionTableThroughTouch)
+{
+    // The batch loop's hit path is its own copy of access()'s: every
+    // row must come out of a batch of one touch as it does above.
+    transitionTable(touchByBatch);
 }
 
 TEST_F(MemoryManagerTest, SwapOutAndSwapInSsd)
@@ -703,4 +752,332 @@ TEST_F(MemoryManagerTest, IdleGenerationsMatchRecountAfterEveryStep)
     check("queries far before the newest stamp");
     clock += 2000 * sim::SEC;
     check("queries after the ring moved 2000 generations");
+}
+
+namespace
+{
+
+/**
+ * An offload tier whose load() allocates a page, as a backend's IO
+ * bookkeeping may: a fault through it grows the page table, and moves
+ * it when the table is full.
+ */
+class GrowOnLoadBackend : public backend::OffloadBackend
+{
+  public:
+    GrowOnLoadBackend(mem::MemoryManager &mm, cgroup::Cgroup &spare)
+        : mm_(mm), spare_(spare)
+    {}
+
+    const std::string &name() const override { return name_; }
+
+    backend::StoreResult
+    store(std::uint64_t page_bytes, double, sim::SimTime) override
+    {
+        used_ += page_bytes;
+        return {true, page_bytes, 0};
+    }
+
+    backend::LoadResult
+    load(std::uint64_t stored_bytes, sim::SimTime now) override
+    {
+        // A non-resident file page: only the table grows.
+        mm_.newPage(spare_, /*anon=*/false, /*resident=*/false, now);
+        used_ -= stored_bytes;
+        return {40 * sim::USEC, true};
+    }
+
+    void release(std::uint64_t stored_bytes) override
+    {
+        used_ -= stored_bytes;
+    }
+
+    std::uint64_t usedBytes() const override { return used_; }
+    bool isBlockDevice() const override { return true; }
+
+  private:
+    mem::MemoryManager &mm_;
+    cgroup::Cgroup &spare_;
+    std::string name_ = "grow-on-load";
+    std::uint64_t used_ = 0;
+};
+
+/**
+ * A manager whose pages are in every state a touch can meet: resident
+ * active, resident inactive with and without the referenced bit, in
+ * zswap, in swap, behind a tier that grows the table on load, on the
+ * filesystem (evicted or never read), and lost. Two worlds built with
+ * the same arguments are identical, so one can take a loop of
+ * access() calls and the other the same touches as one batch.
+ */
+struct TouchWorld {
+    /** Pages the touches pick from, in every cgroup. */
+    std::vector<mem::PageIdx> pages;
+    cgroup::CgroupTree tree;
+    backend::SsdDevice ssd{backend::ssdSpecForClass('C'), 1};
+    backend::SwapBackend swap{ssd, 256ull << 20};
+    backend::SwapBackend lostSwap{ssd, 256ull << 20};
+    backend::FilesystemBackend fs{ssd};
+    backend::ZswapPool zswap{{}, 2};
+    backend::ZswapPool lostZswap{{}, 5};
+    std::unique_ptr<mem::MemoryManager> mm;
+    std::unique_ptr<GrowOnLoadBackend> grow;
+    std::unique_ptr<tier::TierChain> zswapChain, swapChain, growChain,
+        lostChain;
+
+    /** @p counting starts the generation counts before any touch. */
+    TouchWorld(std::uint64_t seed, bool counting)
+    {
+        mem::MemoryConfig config;
+        // Below the pages made here: faults late in the batch take
+        // direct reclaim.
+        config.ramBytes = 96ull * PAGE;
+        config.pageBytes = PAGE;
+        mm = std::make_unique<mem::MemoryManager>(config, seed);
+        auto &spare = tree.create("spare");
+        grow = std::make_unique<GrowOnLoadBackend>(*mm, spare);
+        zswapChain = std::make_unique<tier::TierChain>(
+            "zswap", std::vector<backend::OffloadBackend *>{&zswap},
+            tier::TierPlacement::HOTNESS);
+        swapChain = std::make_unique<tier::TierChain>(
+            "swap", std::vector<backend::OffloadBackend *>{&swap},
+            tier::TierPlacement::HOTNESS);
+        growChain = std::make_unique<tier::TierChain>(
+            "grow", std::vector<backend::OffloadBackend *>{grow.get()},
+            tier::TierPlacement::HOTNESS);
+        lostChain = std::make_unique<tier::TierChain>(
+            "zswap+swap",
+            std::vector<backend::OffloadBackend *>{&lostZswap, &lostSwap},
+            tier::TierPlacement::HOTNESS);
+        mm->attach(spare, nullptr, &fs);
+
+        // Anon cgroups, one per tier chain, and one of file pages.
+        struct Group {
+            const char *name;
+            tier::TierChain *chain;
+            bool anon;
+        };
+        const Group groups[] = {
+            {"zswap", zswapChain.get(), true},
+            {"swap", swapChain.get(), true},
+            {"grow", growChain.get(), true},
+            {"lost", lostChain.get(), true},
+            {"file", swapChain.get(), false},
+        };
+        sim::Rng rng(seed);
+        for (const Group &group : groups) {
+            auto &c = tree.create(group.name);
+            mm->attach(c, group.chain, &fs);
+            std::vector<mem::PageIdx> own;
+            for (int i = 0; i < 24; ++i)
+                own.push_back(mm->newPage(c, group.anon, true, 0));
+            if (!group.anon)
+                for (int i = 0; i < 4; ++i) // never read
+                    own.push_back(mm->newPage(c, false, false, 0));
+            // Touch some pages once or twice: referenced, active.
+            for (int t = 1; t <= 3; ++t)
+                for (const mem::PageIdx idx : own)
+                    if (rng.chance(0.4))
+                        mm->access(idx, t * sim::SEC);
+            // Offload a third of the group from the inactive tails.
+            mm->reclaim(c, 8ull * PAGE, 4 * sim::SEC);
+            if (group.chain == lostChain.get()) {
+                lostChain->setTierOffline(0, true, 5 * sim::SEC);
+                lostChain->setTierOffline(1, true, 5 * sim::SEC);
+                mm->tierMaintain(c, 5 * sim::SEC);
+            }
+            pages.insert(pages.end(), own.begin(), own.end());
+        }
+        if (counting)
+            mm->idleBreakdown(spare, 5 * sim::SEC);
+        // Full: the first page a load allocates moves the table.
+        mm->pages().shrink_to_fit();
+    }
+
+    /** How many pages are in each state: the Where name, and for a
+     *  resident page its list and referenced bit. */
+    std::map<std::string, int>
+    states() const
+    {
+        static const char *const WHERE[] = {"ram", "zswap", "swap", "fs",
+                                            "lost"};
+        std::map<std::string, int> count;
+        for (const mem::PageIdx idx : pages) {
+            const mem::Page &page = mm->pages()[idx];
+            std::string state = WHERE[static_cast<int>(page.where)];
+            if (page.resident())
+                state += mem::lruIsActive(page.lru) ? " active"
+                         : page.referenced()        ? " inactive+ref"
+                                                    : " inactive";
+            ++count[state];
+        }
+        return count;
+    }
+};
+
+/** The touches that @p picks ask for, at @p now, as a plain loop of
+ *  access() calls with touch()'s budget test and dirty marking. */
+mem::TouchTotals
+accessLoop(mem::MemoryManager &mm, const std::vector<mem::PageIdx> &picks,
+           sim::SimTime now, sim::SimTime budget, bool dirty)
+{
+    mem::TouchTotals totals;
+    sim::SimTime stalled = 0;
+    for (const mem::PageIdx idx : picks) {
+        if (stalled >= budget)
+            break;
+        const mem::AccessResult result = mm.access(idx, now);
+        if (dirty)
+            mm.pages()[idx].flags |= mem::PG_DIRTY;
+        ++totals.touches;
+        totals.faults += result.faulted;
+        totals.refaults += result.refault;
+        totals.stalls.add(result);
+        stalled += std::max(result.memStall, result.ioStall);
+    }
+    return totals;
+}
+
+void
+expectSameWorld(const TouchWorld &a, const TouchWorld &b,
+                sim::SimTime now)
+{
+    const auto &pa = a.mm->pages();
+    const auto &pb = b.mm->pages();
+    ASSERT_EQ(pa.size(), pb.size());
+    for (std::size_t i = 0; i < pa.size(); ++i) {
+        SCOPED_TRACE("page " + std::to_string(i));
+        EXPECT_EQ(pa[i].prev, pb[i].prev);
+        EXPECT_EQ(pa[i].next, pb[i].next);
+        EXPECT_EQ(pa[i].memcg, pb[i].memcg);
+        EXPECT_EQ(pa[i].flags, pb[i].flags);
+        EXPECT_EQ(pa[i].store, pb[i].store);
+        EXPECT_EQ(pa[i].where, pb[i].where);
+        EXPECT_EQ(pa[i].lru, pb[i].lru);
+        EXPECT_EQ(pa[i].heat, pb[i].heat);
+        EXPECT_EQ(pa[i].heatEpoch, pb[i].heatEpoch);
+        EXPECT_EQ(pa[i].storedBytes, pb[i].storedBytes);
+        EXPECT_EQ(pa[i].lastAccess, pb[i].lastAccess);
+        EXPECT_EQ(a.mm->shadowAge(static_cast<mem::PageIdx>(i)),
+                  b.mm->shadowAge(static_cast<mem::PageIdx>(i)));
+    }
+    ASSERT_EQ(a.mm->memcgCount(), b.mm->memcgCount());
+    for (std::size_t m = 0; m < a.mm->memcgCount(); ++m) {
+        const mem::MemCg &ma = a.mm->memcgAt(m);
+        const mem::MemCg &mb = b.mm->memcgAt(m);
+        SCOPED_TRACE(ma.cg->name());
+        for (std::size_t k = 0; k < mem::NUM_LRU_LISTS; ++k) {
+            const auto kind = static_cast<mem::LruKind>(k);
+            EXPECT_EQ(ma.lru.list(kind).head(), mb.lru.list(kind).head());
+            EXPECT_EQ(ma.lru.list(kind).tail(), mb.lru.list(kind).tail());
+            EXPECT_EQ(ma.lru.list(kind).size(), mb.lru.list(kind).size());
+        }
+        // VmStats is all 64-bit counters.
+        EXPECT_EQ(std::memcmp(&ma.cg->stats(), &mb.cg->stats(),
+                              sizeof(cgroup::VmStats)),
+                  0);
+        EXPECT_EQ(ma.cg->memCurrent(), mb.cg->memCurrent());
+        // At whole seconds, counted or walked alike.
+        const sim::SimTime first = (now / sim::SEC + 1) * sim::SEC;
+        for (const sim::SimTime at : {first, first + 90 * sim::SEC,
+                                      first + 240 * sim::SEC}) {
+            const mem::IdleBreakdown ia = a.mm->idleBreakdown(*ma.cg, at);
+            const mem::IdleBreakdown ib = b.mm->idleBreakdown(*mb.cg, at);
+            EXPECT_EQ(ia.used1min, ib.used1min);
+            EXPECT_EQ(ia.used2min, ib.used2min);
+            EXPECT_EQ(ia.used5min, ib.used5min);
+            EXPECT_EQ(ia.cold, ib.cold);
+        }
+    }
+    EXPECT_EQ(a.mm->residentPages(), b.mm->residentPages());
+    EXPECT_EQ(a.mm->ramUsed(), b.mm->ramUsed());
+}
+
+void
+expectSameTotals(const mem::TouchTotals &a, const mem::TouchTotals &b)
+{
+    EXPECT_EQ(a.touches, b.touches);
+    EXPECT_EQ(a.faults, b.faults);
+    EXPECT_EQ(a.refaults, b.refaults);
+    EXPECT_EQ(a.stalls.memOnly, b.stalls.memOnly);
+    EXPECT_EQ(a.stalls.memAndIo, b.stalls.memAndIo);
+    EXPECT_EQ(a.stalls.ioOnly, b.stalls.ioOnly);
+}
+
+} // namespace
+
+TEST(TouchBatchTest, WorldHoldsEveryPageState)
+{
+    for (const std::uint64_t seed : {11ull, 12ull, 13ull}) {
+        const TouchWorld world(seed, false);
+        const auto states = world.states();
+        for (const char *state :
+             {"ram active", "ram inactive+ref", "ram inactive", "zswap",
+              "swap", "fs", "lost"})
+            EXPECT_GT(states.count(state), 0u)
+                << "seed " << seed << ": no page in state " << state;
+    }
+}
+
+TEST(TouchBatchTest, BatchEqualsAccessLoop)
+{
+    constexpr std::size_t TOUCHES = 400;
+    const sim::SimTime now = 7 * sim::SEC + 250 * sim::MSEC;
+    for (const std::uint64_t seed : {11ull, 12ull, 13ull}) {
+        for (const bool counting : {false, true}) {
+            for (const bool dirty : {false, true}) {
+                // The picks: random pages of the world, many touched
+                // twice (a second touch activates an inactive page).
+                std::vector<mem::PageIdx> picks;
+                {
+                    const TouchWorld probe(seed, counting);
+                    sim::Rng rng(seed * 31);
+                    for (std::size_t i = 0; i < TOUCHES; ++i)
+                        picks.push_back(probe.pages[rng.uniformInt(
+                            probe.pages.size())]);
+                }
+                // The stalls of every touch, to set a budget that
+                // runs out partway.
+                sim::SimTime all_stall = 0;
+                {
+                    TouchWorld full(seed, counting);
+                    all_stall = accessLoop(*full.mm, picks, now,
+                                           mem::NO_STALL_BUDGET, dirty)
+                                    .stalls.total();
+                }
+                ASSERT_GT(all_stall, 0u);
+                for (const sim::SimTime budget :
+                     {mem::NO_STALL_BUDGET, all_stall / 2}) {
+                    SCOPED_TRACE("seed " + std::to_string(seed) +
+                                 (counting ? " counting" : "") +
+                                 (dirty ? " dirty" : "") +
+                                 (budget == mem::NO_STALL_BUDGET
+                                      ? ""
+                                      : " budget"));
+                    TouchWorld loop(seed, counting);
+                    TouchWorld batch(seed, counting);
+                    const std::size_t table = batch.mm->pages().size();
+                    ASSERT_EQ(batch.mm->pages().capacity(), table);
+                    const mem::TouchTotals expected =
+                        accessLoop(*loop.mm, picks, now, budget, dirty);
+                    std::size_t drawn = 0;
+                    const mem::TouchTotals got = batch.mm->touch(
+                        picks.size(), now,
+                        [&] { return picks[drawn++]; }, budget, dirty);
+                    if (budget == mem::NO_STALL_BUDGET) {
+                        EXPECT_EQ(got.touches, picks.size());
+                        // A load grew the full table, so moved it.
+                        EXPECT_GT(batch.mm->pages().size(), table);
+                    } else {
+                        EXPECT_GT(got.touches, 0u);
+                        EXPECT_LT(got.touches, picks.size());
+                    }
+                    // pick() runs only for the touches made.
+                    EXPECT_EQ(drawn, got.touches);
+                    expectSameTotals(expected, got);
+                    expectSameWorld(loop, batch, now);
+                }
+            }
+        }
+    }
 }

@@ -163,6 +163,84 @@ TEST(TrafficSpecTest, LengthsBelowOneNanosecondAreRejected)
     }
 }
 
+TEST(TrafficSpecTest, RejectsSpecsPastThePeakTouchBound)
+{
+    // Every key is in range, but 1e6 rps, twice that at the diurnal
+    // peak, a 1000x spike and 1e6 touches per request come to 2e15
+    // page touches per simulated second.
+    std::string error;
+    EXPECT_FALSE(workload::isValidTrafficSpec(
+        "diurnal:rps=1e6,amp=1,spike-mult=1000,spike-at-min=1,"
+        "spike-dur-min=1,fanout=1e6",
+        &error));
+    EXPECT_NE(error.find("peak offered touches per second, rps x "
+                         "(1 + amp) x spike-mult x fanout = 2e+15"),
+              std::string::npos)
+        << error;
+
+    // The bound itself parses; a touch more does not.
+    using workload::TrafficSpec;
+    EXPECT_EQ(TrafficSpec::parse("flat:rps=1000,fanout=1e6")
+                  .peakTouchesPerSec(),
+              TrafficSpec::MAX_PEAK_TOUCHES_PER_SEC);
+    EXPECT_FALSE(
+        workload::isValidTrafficSpec("flat:rps=1000.001,fanout=1e6", &error));
+    EXPECT_FALSE(workload::isValidTrafficSpec(
+        "diurnal:rps=5e5,amp=1,fanout=1001", &error));
+    EXPECT_FALSE(workload::isValidTrafficSpec(
+        "spike:rps=1e6,mult=1000,at-min=1,dur-min=1", &error));
+    // fanout 0 leaves the count to the app profile, and counts as the
+    // most any preset asks for.
+    EXPECT_EQ(TrafficSpec::parse("flat:rps=1e6").peakTouchesPerSec(),
+              1e6 * TrafficSpec::PROFILE_FANOUT);
+    for (const std::string &name : workload::appPresetNames())
+        EXPECT_LE(workload::appPreset(name, 64ull << 20).touchesPerRequest,
+                  TrafficSpec::PROFILE_FANOUT)
+            << name;
+    for (const char *name : {"dc_logging", "dc_profiling", "dc_discovery",
+                             "ms_proxy", "ms_router"})
+        EXPECT_LE(
+            workload::sidecarPreset(name, 64ull << 20).touchesPerRequest,
+            TrafficSpec::PROFILE_FANOUT)
+            << name;
+}
+
+TEST(TrafficSpecTest, EverySpecInUseParses)
+{
+    // The specs of the tmo usage text, the benches, perfbench, the
+    // tests, the README and CI: the touch bound refuses none.
+    for (const char *text : {
+             // tmo --help, README.md
+             "flat:rps=2000",
+             "diurnal:rps=2000,amp=0.6,period-min=60",
+             "spike:rps=2000,mult=4,at-min=30,dur-min=10",
+             "diurnal:rps=400,amp=0.6,period-min=60",
+             // bench_runner, perfbench, ctest
+             "diurnal:rps=400,amp=0.5,period-min=8",
+             "flat:rps=30",
+             "diurnal:rps=1200,amp=0.3,period-min=10",
+             "diurnal:rps=300,amp=0.5,period-min=4",
+             // CI
+             "diurnal:rps=300,amp=0.6,period-min=4",
+             "flat:rps=200,spike-mult=3,spike-at-min=1,spike-dur-min=1",
+             // tests
+             "diurnal:rps=1000,amp=0.5,period-min=4,phase-min=1",
+             "diurnal:rps=50,amp=1.0,period-min=4",
+             "flat:rps=300,spike-mult=2.5,spike-at-min=3,spike-dur-min=3",
+             "spike:rps=100,mult=5,at-min=2,dur-min=1",
+             "spike:rps=150,mult=3,at-min=1,dur-min=2",
+             "flat:rps=10,spike-mult=2,spike-at-min=0.5,spike-dur-min=1,"
+             "fanout=12,queue-ms=50",
+             "diurnal:rps=200,amp=0.6,period-min=60,queue-ms=250",
+             "diurnal:rps=100,period-min=1e6,phase-min=1e6,spike-mult=2,"
+             "spike-at-min=1e6,spike-dur-min=1e6,queue-ms=1e9,fanout=1e6",
+         }) {
+        std::string error;
+        EXPECT_TRUE(workload::isValidTrafficSpec(text, &error))
+            << text << ": " << error;
+    }
+}
+
 TEST(TrafficSpecTest, ToStringPrintsTheGrammarBack)
 {
     EXPECT_EQ(workload::TrafficSpec::parse("flat:rps=1200").toString(),

@@ -42,6 +42,8 @@
 #include "mem/memory_manager.hpp"
 #include "mem/page.hpp"
 #include "obs/export.hpp"
+#include "obs/metrics.hpp"
+#include "stats/timeseries.hpp"
 #include "tier/tier_chain.hpp"
 #include "workload/app_profile.hpp"
 
@@ -226,6 +228,54 @@ TEST(HostRestartTest, RecoveryIsBitIdenticalAcrossJobs)
     };
 
     EXPECT_EQ(digest(1), digest(4));
+}
+
+TEST(HostRestartTest, RebuiltHostContinuesItsMetricSeries)
+{
+    host::Fleet fleet = fleetSpec(2, 7).build();
+    fleet.setRestartPolicy(restartPolicy(2));
+    fleet.enableMetrics(30 * sim::SEC);
+    fleet.start();
+    auto injector = armed(fleet, 0, "t=75 kind=host-crash\n");
+
+    fleet.run(6 * sim::MINUTE);
+    ASSERT_EQ(fleet.restartedCount(), 1u);
+
+    // One series per metric, from the first incarnation's first
+    // sample on. The rebuilt host samples only once its clock has
+    // caught up with the fleet's, so no sample shows an empty host
+    // and the time between crash and rebuild has none.
+    const obs::MetricSampler *sampler = fleet.host(0).sampler();
+    ASSERT_NE(sampler, nullptr);
+    const std::string mem_current =
+        "app." + fleet.host(0).apps().front()->cgroup().name() +
+        ".mem_current";
+    for (const std::string &name :
+         {std::string("sim.events_dispatched"), mem_current}) {
+        SCOPED_TRACE(name);
+        const stats::TimeSeries *series = sampler->find(name);
+        ASSERT_NE(series, nullptr);
+        const auto &samples = series->samples();
+        ASSERT_FALSE(samples.empty());
+        // Sampled every 30 s, up to the crash at 75 s.
+        EXPECT_EQ(samples[0].time, 30 * sim::SEC);
+        EXPECT_EQ(samples[1].time, 60 * sim::SEC);
+        std::size_t after_crash = 0;
+        for (std::size_t i = 0; i < samples.size(); ++i) {
+            EXPECT_GT(samples[i].value, 0.0) << "at " << samples[i].time;
+            if (i > 0) {
+                EXPECT_GT(samples[i].time, samples[i - 1].time);
+            }
+            if (samples[i].time > 75 * sim::SEC) {
+                ++after_crash;
+                // The host failed at the 90 s barrier and was rebuilt
+                // one 30 s backoff later.
+                EXPECT_GT(samples[i].time, 120 * sim::SEC);
+            }
+        }
+        // 150 s, 180 s, ..., 360 s.
+        EXPECT_EQ(after_crash, 8u);
+    }
 }
 
 TEST(FleetCollectTest, FrozenHostsStayOutOfFleetPercentiles)

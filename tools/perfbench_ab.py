@@ -17,8 +17,11 @@ For each workload the script makes K pairs of timed runs
 which side runs first from one pair to the next, so that a slow spell
 on a shared machine hits both sides alike rather than one old figure.
 It prints, per side, the fastest and the median host_sim_s_per_wall_s
-with the quartiles, the change/base ratio of each, the pairs the
-change won, and whether every run of both sides printed one digest.
+with the quartiles, the change/base ratio of each and the pairs the
+change won; then the same from the same pairs for the two other
+end-to-end metrics of BENCHMARK.json, setup_s and peak_rss_mib, whose
+perfbench/run.py value is the median (lower wins); and whether every
+run of both sides printed one digest.
 A run with a failed host or an OOM event counts as failed, not as a
 speed sample. It writes nothing under perfbench/. Building and running
 tmo_perfbench are perfbench_digest_check.py's build() and run().
@@ -64,26 +67,66 @@ def base_tree(rev):
     return sha, tree
 
 
+# BENCHMARK.json's end-to-end metrics and whether the higher value
+# wins. perfbench/run.py reports the fastest run of the first and the
+# median of the others.
+METRICS = (("host_sim_s_per_wall_s", True), ("setup_s", False),
+           ("peak_rss_mib", False))
+
+
 def timed_run(binary, workload, seed):
-    """One timed run: (host_sim_s_per_wall_s as perfbench/run.py
-    computes it, digest), or (None, why the run failed)."""
+    """One timed run: ({metric: value as perfbench/run.py computes
+    it}, digest), or (None, why the run failed)."""
     result, why = run(binary, workload, seed, "timed")
     if why:
         return None, why
     try:
-        speed = result["hosts"] * result["sim_s"] / result["run_s"]
-        return (speed, result["digest"]), None
+        metrics = {
+            "host_sim_s_per_wall_s":
+                result["hosts"] * result["sim_s"] / result["run_s"],
+            "setup_s": result["setup_s"],
+            "peak_rss_mib": result["peak_rss_mib"],
+        }
+        return (metrics, result["digest"]), None
     except (KeyError, TypeError, ZeroDivisionError):
         return None, "tmo_perfbench printed no usable JSON result"
+
+
+def report(name, higher, values, wins, pairs):
+    """Print one metric's rows: per side its fastest run (for the
+    metric taken from the fastest run), median and quartiles, then the
+    change/base ratios and the pairs the change won."""
+    fastest = name == "host_sim_s_per_wall_s"
+    print(f"  {name:<22} {'fastest' if fastest else '':>10} "
+          f"{'median':>10}  [first quartile, third quartile]")
+    for side, sample in values.items():
+        if not sample:
+            print(f"  {side:<22} {'-':>10} {'-':>10}")
+            continue
+        quartiles = statistics.quantiles(sample, n=4) \
+            if len(sample) > 1 else sample * 3
+        best = f"{max(sample):.6g}" if fastest else ""
+        print(f"  {side:<22} {best:>10} "
+              f"{statistics.median(sample):>10.6g}"
+              f"  [{quartiles[0]:.6g}, {quartiles[2]:.6g}]")
+    if not (values["base"] and values["change"]):
+        return
+    median = (statistics.median(values["change"])
+              / statistics.median(values["base"]))
+    best = (f"{max(values['change']) / max(values['base']):>9.3f}x"
+            if fastest else f"{'':>10}")
+    print(f"  {'change / base':<22} {best} {median:>9.3f}x")
+    verdict = "faster" if fastest else ("higher" if higher else "lower")
+    print(f"  change {verdict} in {wins} of {pairs} pairs")
 
 
 def compare(binaries, workload, seed, pairs):
     """Alternate @pairs pairs of runs; print the verdict, return the
     number of problems (failed runs and digest mismatches)."""
-    speeds = {"base": [], "change": []}
+    values = {name: {"base": [], "change": []} for name, _ in METRICS}
+    wins = dict.fromkeys(values, 0)
     digests = set()
     problems = 0
-    wins = 0
     for pair in range(pairs):
         order = ("base", "change") if pair % 2 == 0 else ("change", "base")
         this_pair = {}
@@ -93,32 +136,22 @@ def compare(binaries, workload, seed, pairs):
                 print(f"  pair {pair + 1} {side} run FAILED: {error}")
                 problems += 1
                 continue
-            speed, digest = result
-            speeds[side].append(speed)
+            metrics, digest = result
+            for name, value in metrics.items():
+                values[name][side].append(value)
             digests.add(digest)
-            this_pair[side] = speed
-        if len(this_pair) == 2 and this_pair["change"] > this_pair["base"]:
-            wins += 1
+            this_pair[side] = metrics
+        if len(this_pair) < 2:
+            continue
+        for name, higher in METRICS:
+            change, base = this_pair["change"][name], this_pair["base"][name]
+            if (change > base) if higher else (change < base):
+                wins[name] += 1
 
     print(f"== {workload}  seed {seed}  {pairs} pair(s), order flipped "
           "each pair")
-    print(f"  {'host_sim_s_per_wall_s':<22} {'fastest':>10} {'median':>10}"
-          "  [first quartile, third quartile]")
-    for side, values in speeds.items():
-        if not values:
-            print(f"  {side:<22} {'-':>10} {'-':>10}")
-            continue
-        quartiles = statistics.quantiles(values, n=4) \
-            if len(values) > 1 else values * 3
-        print(f"  {side:<22} {max(values):>10.6g} "
-              f"{statistics.median(values):>10.6g}"
-              f"  [{quartiles[0]:.6g}, {quartiles[2]:.6g}]")
-    if speeds["base"] and speeds["change"]:
-        fastest = max(speeds["change"]) / max(speeds["base"])
-        median = (statistics.median(speeds["change"])
-                  / statistics.median(speeds["base"]))
-        print(f"  {'change / base':<22} {fastest:>9.3f}x {median:>9.3f}x")
-        print(f"  change faster in {wins} of {pairs} pairs")
+    for name, higher in METRICS:
+        report(name, higher, values[name], wins[name], pairs)
     if len(digests) > 1:
         problems += 1
         print(f"  digests DIFFER: {', '.join(sorted(digests))}")
