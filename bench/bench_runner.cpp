@@ -369,9 +369,7 @@ runTierChainBench(Report &report)
 {
     // --- placement: decayedHeat + placementIndex per eviction --------
     {
-        auto zc = backend::ZswapConfig{};
-        zc.simulatedPageBytes = PAGE;
-        backend::ZswapPool warm(zc, 2);
+        backend::ZswapPool warm({}, 2, PAGE);
         auto mid_spec = backend::nvmSpecPreset("cxl-dram");
         mid_spec.simulatedPageBytes = PAGE;
         mid_spec.capacityBytes = 8ull << 30;
@@ -451,9 +449,7 @@ runTierChainBench(Report &report)
         simulation.runUntil(5 * sim::SEC);
 
         // Evict hot: everything lands in the warm tier, then cools.
-        const auto epoch = mem::heatEpochAt(
-            simulation.now(),
-            machine.memory().config().heatDecayPeriod);
+        const auto epoch = mem::heatEpochAt(simulation.now());
         for (auto &page : machine.memory().pages()) {
             page.heat = 7;
             page.heatEpoch = epoch;

@@ -32,13 +32,10 @@ struct Result {
 };
 
 Result
-run(const std::string &label, const std::string &tiers,
-    const std::string &nvm_preset = "optane")
+run(const std::string &label, const std::string &tiers)
 {
     sim::Simulation simulation;
-    auto config = bench::standardHost();
-    config.nvmPreset = nvm_preset;
-    host::Host machine(simulation, config);
+    host::Host machine(simulation, bench::standardHost());
     auto profile = workload::appPreset("web", 1300ull << 20);
     profile.growthSeconds = 0.0;
     for (auto &region : profile.regions)
@@ -82,8 +79,8 @@ main()
         run("ssd-C", "ssd"),
         run("zswap", "zswap"),
         run("tiered(zswap+ssd)", "zswap+ssd;placement=workingset"),
-        run("nvm-optane", "nvm", "optane"),
-        run("cxl-dram", "nvm", "cxl-dram"),
+        run("nvm-optane", "nvm"),
+        run("cxl-dram", "cxl"),
     };
 
     stats::Table table;

@@ -22,12 +22,6 @@ nvmSpecPreset(const std::string &name)
                                 "' (expected optane|cxl-dram)");
 }
 
-bool
-isKnownNvmPreset(const std::string &name)
-{
-    return name == "optane" || name == "cxl-dram";
-}
-
 NvmBackend::NvmBackend(NvmSpec spec, std::uint64_t seed)
     : spec_(std::move(spec)),
       readLatencyUs_(sim::Rng::lognormalParams(

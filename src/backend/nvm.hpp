@@ -38,12 +38,10 @@ struct NvmSpec {
 
 /**
  * Presets: "optane" (DCPMM-class persistent memory, ~2 us reads) and
- * "cxl-dram" (CXL-attached DRAM, sub-microsecond reads).
+ * "cxl-dram" (CXL-attached DRAM, sub-microsecond reads). A host
+ * builds one device of each, the `nvm` and `cxl` chain tiers.
  */
 NvmSpec nvmSpecPreset(const std::string &name);
-
-/** True when @p name is a known NVM preset (parse-time validation). */
-bool isKnownNvmPreset(const std::string &name);
 
 /** Byte-addressable slow-memory tier. */
 class NvmBackend : public OffloadBackend

@@ -120,7 +120,6 @@ class SsdDevice
      * internal GC latency spikes.
      */
     void injectLatencyMultiplier(double factor);
-    double latencyMultiplier() const { return latencyMultiplier_; }
 
     /** Take the device offline / bring it back. While offline the swap
      *  partition rejects stores and serves loads via an error-recovery
@@ -130,7 +129,6 @@ class SsdDevice
 
     /** Fraction of writes that fail with an IO error, in [0, 1]. */
     void setWriteErrorRate(double rate);
-    double writeErrorRate() const { return writeErrorRate_; }
 
     /**
      * Deterministically sample whether the next write fails. Draws from

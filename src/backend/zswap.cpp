@@ -47,11 +47,14 @@ isKnownAllocator(const std::string &name)
     return name == "zbud" || name == "z3fold" || name == "zsmalloc";
 }
 
-ZswapPool::ZswapPool(ZswapConfig config, std::uint64_t seed)
+ZswapPool::ZswapPool(ZswapConfig config, std::uint64_t seed,
+                     std::uint32_t simulated_page_bytes,
+                     std::uint64_t max_pool_bytes)
     : config_(std::move(config)),
       name_("zswap-" + config_.compressor.name + "-" +
             config_.allocator.name),
-      rng_(seed)
+      simulatedPageBytes_(simulated_page_bytes),
+      maxPoolBytes_(max_pool_bytes), rng_(seed)
 {}
 
 BackendStatus
@@ -59,7 +62,7 @@ ZswapPool::status() const
 {
     if (stallUs_ > 0.0)
         return BackendStatus::DEGRADED;
-    if (config_.maxPoolBytes && usedBytes_ >= config_.maxPoolBytes)
+    if (maxPoolBytes_ && usedBytes_ >= maxPoolBytes_)
         return BackendStatus::DEGRADED;
     return BackendStatus::HEALTHY;
 }
@@ -67,7 +70,7 @@ ZswapPool::status() const
 void
 ZswapPool::setMaxPoolBytes(std::uint64_t max_pool_bytes)
 {
-    config_.maxPoolBytes = max_pool_bytes;
+    maxPoolBytes_ = max_pool_bytes;
 }
 
 void
@@ -105,22 +108,22 @@ ZswapPool::store(std::uint64_t page_bytes, double compressibility,
     const double mean_ratio =
         std::max(1.0, compressibility * config_.compressor.ratioFactor);
     const double ratio = std::max(
-        1.0, rng_.normal(mean_ratio, config_.ratioSpread * mean_ratio));
+        1.0, rng_.normal(mean_ratio, ZSWAP_RATIO_SPREAD * mean_ratio));
 
     double compressed =
         static_cast<double>(page_bytes) / ratio;
 
     StoreResult result;
     if (compressed >
-        config_.rejectThreshold * static_cast<double>(page_bytes)) {
+        ZSWAP_REJECT_THRESHOLD * static_cast<double>(page_bytes)) {
         ++rejectedPages_;
         result.accepted = false;
         traceOp(now, OP_STORE_REJECT, 0, page_bytes, 0, false);
         return result;
     }
-    if (config_.maxPoolBytes &&
+    if (maxPoolBytes_ &&
         usedBytes_ + static_cast<std::uint64_t>(compressed) >
-            config_.maxPoolBytes) {
+            maxPoolBytes_) {
         ++rejectedPages_;
         result.accepted = false;
         traceOp(now, OP_STORE_REJECT, 0, page_bytes, 0, false);
@@ -142,7 +145,6 @@ ZswapPool::store(std::uint64_t page_bytes, double compressibility,
         config_.compressor.compressUs * pages4k + effectiveStallUs());
 
     usedBytes_ += result.storedBytes;
-    ++storedPages_;
     traceOp(now, OP_STORE, result.latency, result.storedBytes, 0,
             false);
     return result;
@@ -153,7 +155,7 @@ ZswapPool::load(std::uint64_t stored_bytes, sim::SimTime now)
 {
     // How many real 4 KiB pages one simulated page stands for.
     const double units = std::max(
-        1.0, static_cast<double>(config_.simulatedPageBytes) / 4096.0);
+        1.0, static_cast<double>(simulatedPageBytes_) / 4096.0);
 
     release(stored_bytes);
 
@@ -161,8 +163,8 @@ ZswapPool::load(std::uint64_t stored_bytes, sim::SimTime now)
     // Per-real-page fault overhead + decompression, with a little
     // spread so the reported p90 (~40 us for 4 KiB, §2.5) is a
     // distribution tail.
-    const double us = config_.faultOverheadUs +
-                      config_.compressor.decompressUs;
+    const double us =
+        ZSWAP_FAULT_OVERHEAD_US + config_.compressor.decompressUs;
     result.latency = sim::fromUsec(
         units * std::max(1.0, rng_.normal(us * 0.85, us * 0.15)) +
         effectiveStallUs());
@@ -175,8 +177,6 @@ void
 ZswapPool::release(std::uint64_t stored_bytes)
 {
     usedBytes_ -= std::min(usedBytes_, stored_bytes);
-    if (storedPages_ > 0)
-        --storedPages_;
 }
 
 } // namespace tmo::backend

@@ -59,32 +59,19 @@ AllocatorSpec allocatorPreset(const std::string &name);
 /** True when @p name is a known allocator (parse-time validation). */
 bool isKnownAllocator(const std::string &name);
 
-/** Configuration of a zswap pool. */
+/** Fixed fault-path overhead on top of decompression; the paper
+ *  reports ~40 us p90 for a 4 KiB compressed-memory read. */
+inline constexpr double ZSWAP_FAULT_OVERHEAD_US = 30.0;
+/** Pages compressing worse than this fraction of their size are
+ *  rejected and stay resident. */
+inline constexpr double ZSWAP_REJECT_THRESHOLD = 0.9;
+/** Sampled per-page ratio spread around the workload mean. */
+inline constexpr double ZSWAP_RATIO_SPREAD = 0.15;
+
+/** The device model of a zswap pool: compressor and allocator. */
 struct ZswapConfig {
     CompressorSpec compressor = compressorPreset("zstd");
     AllocatorSpec allocator = allocatorPreset("zsmalloc");
-    /** Fixed fault-path overhead on top of decompression; the paper
-     *  reports ~40 us p90 for a 4 KiB compressed-memory read. */
-    double faultOverheadUs = 30.0;
-    /** Pages compressing worse than this fraction of their size are
-     *  rejected and stay resident. */
-    double rejectThreshold = 0.9;
-    /** Sampled per-page ratio spread around the workload mean. */
-    double ratioSpread = 0.15;
-    /**
-     * The simulator's page granularity. A coarse simulated page of
-     * N x 4 KiB faults as N real pages, each paying the fault
-     * overhead once (keeps stall per byte faithful at coarse
-     * granularities). The host sets this to its memory page size.
-     */
-    std::uint32_t simulatedPageBytes = 4096;
-    /**
-     * Pool size cap; stores beyond it are rejected (0 = unbounded).
-     * Under the tiered-hierarchy policy (§5.2) a rejected store falls
-     * through to the cold backend, bounding the DRAM the pool itself
-     * consumes.
-     */
-    std::uint64_t maxPoolBytes = 0;
 };
 
 /**
@@ -94,7 +81,22 @@ struct ZswapConfig {
 class ZswapPool : public OffloadBackend
 {
   public:
-    explicit ZswapPool(ZswapConfig config = {}, std::uint64_t seed = 2);
+    /**
+     * @param config Compressor and allocator.
+     * @param seed Seed of the per-page ratio and fault-latency draws.
+     * @param simulated_page_bytes The simulator's page granularity. A
+     *        coarse simulated page of N x 4 KiB faults as N real
+     *        pages, each paying the fault overhead once (keeps stall
+     *        per byte faithful at coarse granularities). A host
+     *        passes its memory page size.
+     * @param max_pool_bytes Pool size cap; stores beyond it are
+     *        rejected (0 = unbounded). In a tier chain a rejected
+     *        store falls through to the next tier (§5.2), bounding
+     *        the DRAM the pool itself consumes.
+     */
+    explicit ZswapPool(ZswapConfig config = {}, std::uint64_t seed = 2,
+                       std::uint32_t simulated_page_bytes = 4096,
+                       std::uint64_t max_pool_bytes = 0);
 
     const std::string &name() const override { return name_; }
 
@@ -116,11 +118,9 @@ class ZswapPool : public OffloadBackend
 
     bool storesInHostDram() const override { return true; }
 
-    /** Pages rejected as incompressible since construction. */
+    /** Stores rejected (incompressible page or pool cap) since
+     *  construction. */
     std::uint64_t rejectedPages() const { return rejectedPages_; }
-
-    /** Pages currently stored. */
-    std::uint64_t storedPages() const { return storedPages_; }
 
     const ZswapConfig &config() const { return config_; }
 
@@ -148,9 +148,11 @@ class ZswapPool : public OffloadBackend
 
     ZswapConfig config_;
     std::string name_;
+    std::uint32_t simulatedPageBytes_;
+    /** 0 = unbounded. */
+    std::uint64_t maxPoolBytes_;
     sim::Rng rng_;
     std::uint64_t usedBytes_ = 0;
-    std::uint64_t storedPages_ = 0;
     std::uint64_t rejectedPages_ = 0;
     std::uint64_t retries_ = 0;
     double stallUs_ = 0.0;

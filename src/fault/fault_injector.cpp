@@ -28,10 +28,10 @@ mib(double value)
 backend::BackendStatus
 hostBackendStatus(host::Host &machine)
 {
-    auto status = backend::worseStatus(machine.swap().status(),
-                                       machine.zswap().status());
-    // Chains fold in offline tiers and dedicated (capped) pools the
-    // host singletons above do not cover.
+    auto status = machine.swap().status();
+    for (const backend::ZswapPool *pool : machine.zswapPools())
+        status = backend::worseStatus(status, pool->status());
+    // Chains fold in their offline tiers.
     for (const tier::TierChain *chain : machine.chains())
         status = backend::worseStatus(status, chain->status());
     return status;
@@ -40,18 +40,10 @@ hostBackendStatus(host::Host &machine)
 std::uint64_t
 hostDegradationEvents(host::Host &machine)
 {
-    std::uint64_t events = machine.swap().storeErrors() +
-                           machine.swap().loadErrors() +
-                           machine.zswap().rejectedPages();
-    // Dedicated per-chain pools reject independently of the host
-    // singleton; each owned pool lives in exactly one chain, so this
-    // never double-counts.
-    for (tier::TierChain *chain : machine.chains())
-        for (std::size_t i = 0; i < chain->size(); ++i)
-            if (auto *pool = dynamic_cast<backend::ZswapPool *>(
-                    chain->tier(i)))
-                if (pool != &machine.zswap())
-                    events += pool->rejectedPages();
+    std::uint64_t events =
+        machine.swap().storeErrors() + machine.swap().loadErrors();
+    for (const backend::ZswapPool *pool : machine.zswapPools())
+        events += pool->rejectedPages();
     return events;
 }
 
@@ -109,11 +101,15 @@ FaultInjector::apply(const FaultEvent &event)
         host_.ssd().injectLatencyMultiplier(1.0);
         host_.ssd().setWriteErrorRate(0.0);
         break;
+      // The zswap kinds reach every pool the host built: the shared
+      // pool and the dedicated pools of capped chain tokens alike.
       case FaultKind::ZSWAP_CAP:
-        host_.zswap().setMaxPoolBytes(mib(event.arg));
+        for (backend::ZswapPool *pool : host_.zswapPools())
+            pool->setMaxPoolBytes(mib(event.arg));
         break;
       case FaultKind::ZSWAP_STALL:
-        host_.zswap().setStallUs(std::max(0.0, event.arg));
+        for (backend::ZswapPool *pool : host_.zswapPools())
+            pool->setStallUs(std::max(0.0, event.arg));
         break;
       case FaultKind::SWAP_EXHAUST: {
         auto &swap = host_.swap();

@@ -25,11 +25,14 @@
 namespace tmo::fault
 {
 
-/** Worst status across a host's anon offload backends (swap + zswap). */
+/** Worst status across a host's anon offload backends: the swap
+ *  partition, every zswap pool, and every tier chain (which folds in
+ *  its offline tiers). */
 backend::BackendStatus hostBackendStatus(host::Host &machine);
 
 /** Total backend degradation events a host has absorbed: swap IO
- *  errors (store + load) plus zswap store rejections. */
+ *  errors (store + load) plus the store rejections of every zswap
+ *  pool. */
 std::uint64_t hostDegradationEvents(host::Host &machine);
 
 /** Schedules one FaultPlan onto one host's simulation clock. */

@@ -40,10 +40,11 @@ enum class FaultKind {
     /** Bring the swap device back and clear latency/write-error
      *  impairments (arg ignored). */
     SSD_ONLINE,
-    /** Shrink the zswap pool cap to arg MiB (0 lifts the cap). */
+    /** Set the cap of every zswap pool on the host (the shared pool
+     *  and each dedicated one) to arg MiB (0 lifts the cap). */
     ZSWAP_CAP,
     /** Add arg microseconds of allocator-compaction stall to every
-     *  zswap store/load (0 clears). */
+     *  store/load of every zswap pool on the host (0 clears). */
     ZSWAP_STALL,
     /** Shrink the swap partition to arg (fraction) of its current
      *  size — slots in use survive, so arg below utilization means

@@ -104,8 +104,10 @@ auditHost(host::Host &machine)
     }
 
     std::uint64_t lruTotal = 0;
-    // A page may sit on at most one tier list, across all cgroups.
-    std::vector<bool> listed(pages.size(), false);
+    // The tier list (numbered from 1 across all cgroups) whose walk
+    // reached each page; 0 = none. A page may sit on at most one.
+    std::vector<std::uint32_t> walkedBy(pages.size(), 0);
+    std::uint32_t listNumber = 0;
 
     for (std::size_t i = 0; i < ncg; ++i) {
         const mem::MemCg &mcg = mm.memcgAt(i);
@@ -157,48 +159,69 @@ auditHost(host::Host &machine)
         lruTotal += mcg.lru.totalPages();
 
         // Tier-list walk: membership, ownership, tier mapping, and
-        // the per-tier byte counters.
+        // the per-tier byte counters. The links alone end a walk, not
+        // the list's size counter, which a corrupt list may have
+        // wrapped: a walk stops at the first page any walk reached
+        // before, or at a link past the page table, so all walks
+        // together take at most one step per page. Bad pages are
+        // counted per list, so a corrupt list yields a few named
+        // violations, not one per page.
         const tier::TierChain *chain = mcg.anonChain;
+        const auto &registry = mm.backendRegistry();
         std::uint64_t walked = 0;
         for (std::size_t t = 0; t < mcg.tierLists.size(); ++t) {
             const mem::LruList &list = mcg.tierLists[t];
+            const std::string where =
+                name + ": tier list " + std::to_string(t);
+            ++listNumber;
             std::uint64_t bytes = 0;
-            std::size_t steps = 0;
-            for (mem::PageIdx cur = list.head();
-                 cur != mem::NO_PAGE && steps <= list.size();
+            std::uint64_t steps = 0;
+            std::uint64_t unflagged = 0, foreign = 0, resident = 0,
+                          misplaced = 0;
+            for (mem::PageIdx cur = list.head(); cur != mem::NO_PAGE;
                  ++steps) {
+                if (cur >= pages.size()) {
+                    violations.push_back(where +
+                                         " links past the page table");
+                    break;
+                }
+                if (walkedBy[cur] != 0) {
+                    violations.push_back(
+                        where + (walkedBy[cur] == listNumber
+                                     ? " loops back to page "
+                                     : " reaches a page of another "
+                                       "tier list, page ") +
+                        std::to_string(cur));
+                    break;
+                }
+                walkedBy[cur] = listNumber;
                 const mem::Page &page = pages[cur];
-                if (listed[cur])
-                    violations.push_back(name + ": page on two tier "
-                                                "lists (tier " +
-                                         std::to_string(t) + ")");
-                listed[cur] = true;
                 ++walked;
                 bytes += page.storedBytes;
                 if (!(page.flags & mem::PG_TIER_LISTED))
-                    violations.push_back(
-                        name + ": tier-listed page without "
-                               "PG_TIER_LISTED (tier " +
-                        std::to_string(t) + ")");
+                    ++unflagged;
                 if (page.memcg != mcg.index)
-                    violations.push_back(
-                        name + ": foreign page on tier list " +
-                        std::to_string(t));
+                    ++foreign;
                 if (page.where != mem::Where::ZSWAP &&
                     page.where != mem::Where::SWAP)
-                    violations.push_back(
-                        name + ": non-offloaded page on tier list " +
-                        std::to_string(t));
-                const auto &registry = mm.backendRegistry();
+                    ++resident;
                 if (!chain || page.store >= registry.size() ||
                     chain->indexOf(registry[page.store]) !=
                         static_cast<int>(t))
-                    violations.push_back(
-                        name + ": page on tier list " +
-                        std::to_string(t) +
-                        " stored in a different tier");
+                    ++misplaced;
                 cur = page.next;
             }
+            const auto report = [&](std::uint64_t count,
+                                    const char *what) {
+                if (count)
+                    violations.push_back(where + ": " +
+                                         std::to_string(count) + " " +
+                                         what);
+            };
+            report(unflagged, "pages without PG_TIER_LISTED");
+            report(foreign, "pages of another cgroup");
+            report(resident, "pages not offloaded");
+            report(misplaced, "pages stored in a different tier");
             if (steps != list.size())
                 mismatch(violations, name, "tier-list length", steps,
                          list.size());

@@ -18,7 +18,10 @@
  *    the first audit of a host starts them);
  *  - tier lists: every listed page carries PG_TIER_LISTED, belongs to
  *    the cgroup, maps to the tier it is listed under, and no page is
- *    on two lists; per-tier byte counters match;
+ *    on two lists; per-tier byte counters and list lengths match. A
+ *    walk ends at the first page any walk reached before, so a
+ *    corrupt list (a loop, a wrapped length) costs at most one step
+ *    per page and yields a few named violations;
  *  - global: the manager's resident-page counter == the LRU sums,
  *    every offload backend's usedBytes == the storedBytes its pages
  *    reference (the filesystem is exempt — file contents live there

@@ -128,20 +128,6 @@ class HostBuilder
     }
 
     HostBuilder &
-    nvm_preset(std::string preset)
-    {
-        config_.nvmPreset = std::move(preset);
-        return *this;
-    }
-
-    HostBuilder &
-    swap_bytes(std::uint64_t bytes)
-    {
-        config_.swapBytes = bytes;
-        return *this;
-    }
-
-    HostBuilder &
     seed(std::uint64_t seed)
     {
         config_.seed = seed;
@@ -317,8 +303,6 @@ class FleetSpec
     FleetSpec &page_kb(std::uint64_t kb) { proto_.page_kb(kb); return *this; }
     FleetSpec &cpus(unsigned n) { proto_.cpus(n); return *this; }
     FleetSpec &ssd_class(char cls) { proto_.ssd_class(cls); return *this; }
-    FleetSpec &nvm_preset(std::string p) { proto_.nvm_preset(std::move(p)); return *this; }
-    FleetSpec &swap_bytes(std::uint64_t b) { proto_.swap_bytes(b); return *this; }
     FleetSpec &seed(std::uint64_t s) { proto_.seed(s); return *this; }
     FleetSpec &app_tick(sim::SimTime t) { proto_.app_tick(t); return *this; }
     FleetSpec &tiers(const tier::TierChainSpec &spec) { proto_.tiers(spec); return *this; }
@@ -330,16 +314,6 @@ class FleetSpec
     FleetSpec &controller(ControllerFactory factory) { proto_.controller(std::move(factory)); return *this; }
     FleetSpec &controller(const std::string &name) { proto_.controller(name); return *this; }
     // clang-format on
-
-    std::size_t hostCount() const { return hosts_; }
-    sim::SimTime epochLength() const { return epoch_; }
-    const std::string &namePrefix() const { return prefix_; }
-    const RestartPolicy &restartPolicy() const { return restart_; }
-    const std::function<void(std::size_t, HostBuilder &)> &
-    customizer() const
-    {
-        return customize_;
-    }
 
     /** Materialize the fleet (hosts, containers, controllers). */
     Fleet build() const;

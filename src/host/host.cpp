@@ -10,13 +10,13 @@ namespace tmo::host
 namespace
 {
 
-/** Sync the zswap pool's fault-amplification with the page size. */
-backend::ZswapConfig
-zswapConfigFor(const HostConfig &config)
+/** A byte-addressable device preset at the host's page size. */
+backend::NvmSpec
+nvmSpecFor(const std::string &preset, const HostConfig &config)
 {
-    backend::ZswapConfig zconfig = config.zswap;
-    zconfig.simulatedPageBytes = config.mem.pageBytes;
-    return zconfig;
+    auto spec = backend::nvmSpecPreset(preset);
+    spec.simulatedPageBytes = config.mem.pageBytes;
+    return spec;
 }
 
 } // namespace
@@ -25,15 +25,11 @@ Host::Host(sim::Simulation &simulation, HostConfig config,
            std::string name)
     : sim_(simulation), config_(config), name_(std::move(name)),
       ssd_(backend::ssdSpecForClass(config.ssdClass), config.seed ^ 0x55),
-      swap_(ssd_, config.swapBytes ? config.swapBytes
-                                   : config.mem.ramBytes),
-      fs_(ssd_),
-      zswap_(zswapConfigFor(config), config.seed ^ 0xaa),
-      nvm_([&] {
-          auto spec = backend::nvmSpecPreset(config.nvmPreset);
-          spec.simulatedPageBytes = config.mem.pageBytes;
-          return spec;
-      }(), config.seed ^ 0x77),
+      swap_(ssd_, config.mem.ramBytes), fs_(ssd_),
+      zswap_(config.zswap, config.seed ^ 0xaa, config.mem.pageBytes),
+      // The two devices share a seed; each draws its own stream.
+      nvm_(nvmSpecFor("optane", config), config.seed ^ 0x77),
+      cxl_(nvmSpecFor("cxl-dram", config), config.seed ^ 0x77),
       cpu_(config.cpus, config.appTick),
       mm_(config.mem, config.seed ^ 0x33),
       watchdog_(simulation, *this, sim::SEC)
@@ -81,10 +77,11 @@ Host::enableTracing(std::size_t capacity_bytes)
     swap_.setTrace(ring, obs::TRACK_SWAP_SSD);
     zswap_.setTrace(ring, obs::TRACK_ZSWAP);
     nvm_.setTrace(ring, obs::TRACK_NVM);
+    cxl_.setTrace(ring, obs::TRACK_NVM);
     fs_.setTrace(ring, obs::TRACK_FILESYSTEM);
-    // Dedicated tier pools (capped zswap) built before tracing was on.
-    for (const auto &be : tierBackends_)
-        be->setTrace(ring, obs::TRACK_ZSWAP);
+    // Dedicated pools (capped zswap) built before tracing was on.
+    for (const auto &pool : dedicatedPools_)
+        pool->setTrace(ring, obs::TRACK_ZSWAP);
     for (const auto &cg : tree_.all())
         cg->psi().setTrace(ring,
                            static_cast<std::uint16_t>(cg->id()));
@@ -222,6 +219,8 @@ Host::buildChain(const tier::TierChainSpec &spec)
     if (spec.empty())
         return nullptr;
     std::vector<backend::OffloadBackend *> tiers;
+    // The host keeps the new pools only once the chain accepted them.
+    std::vector<std::unique_ptr<backend::ZswapPool>> pools;
     for (std::size_t i = 0; i < spec.tiers.size(); ++i) {
         const auto &tspec = spec.tiers[i];
         switch (tspec.kind) {
@@ -232,15 +231,14 @@ Host::buildChain(const tier::TierChainSpec &spec)
                 // Dedicated capped pool: its own compression RNG and
                 // DRAM accounting, seeded per tier position so chains
                 // stay deterministic and distinct.
-                auto zconfig = zswapConfigFor(config_);
-                zconfig.maxPoolBytes = tspec.capBytes;
                 auto pool = std::make_unique<backend::ZswapPool>(
-                    zconfig,
-                    config_.seed ^ 0xaa ^ ((i + 1) * 0x5bd1u));
+                    config_.zswap,
+                    config_.seed ^ 0xaa ^ ((i + 1) * 0x5bd1u),
+                    config_.mem.pageBytes, tspec.capBytes);
                 if (trace_)
                     pool->setTrace(trace_.get(), obs::TRACK_ZSWAP);
                 tiers.push_back(pool.get());
-                tierBackends_.push_back(std::move(pool));
+                pools.push_back(std::move(pool));
             }
             break;
           case tier::TierKind::SSD:
@@ -249,10 +247,15 @@ Host::buildChain(const tier::TierChainSpec &spec)
           case tier::TierKind::NVM:
             tiers.push_back(&nvm_);
             break;
+          case tier::TierKind::CXL:
+            tiers.push_back(&cxl_);
+            break;
         }
     }
     chains_.push_back(std::make_unique<tier::TierChain>(
-        spec.toString(), std::move(tiers), spec.placement, spec.tiers));
+        spec.toString(), std::move(tiers), spec.placement));
+    for (auto &pool : pools)
+        dedicatedPools_.push_back(std::move(pool));
     return chains_.back().get();
 }
 
@@ -264,6 +267,17 @@ Host::chains() const
     for (const auto &chain : chains_)
         chains.push_back(chain.get());
     return chains;
+}
+
+std::vector<backend::ZswapPool *>
+Host::zswapPools()
+{
+    std::vector<backend::ZswapPool *> pools;
+    pools.reserve(1 + dedicatedPools_.size());
+    pools.push_back(&zswap_);
+    for (const auto &pool : dedicatedPools_)
+        pools.push_back(pool.get());
+    return pools;
 }
 
 void

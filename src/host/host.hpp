@@ -3,10 +3,13 @@
  * A simulated server.
  *
  * A Host assembles the substrate: DRAM + memory manager, one NVMe SSD
- * shared by the filesystem and the swap partition, a zswap pool, a
- * cgroup tree with machine-wide PSI, and the workloads running in
- * containers. Periodic host services (PSI averaging, kswapd) are
- * scheduled on the shared simulation.
+ * shared by the filesystem and the swap partition, a shared zswap
+ * pool, an Optane-class NVM device and a CXL-DRAM device, a cgroup
+ * tree with machine-wide PSI, and the workloads running in
+ * containers. Which of the offload devices a container's anon pages
+ * reach, in which order, is its tier chain spec's business alone.
+ * Periodic host services (PSI averaging, kswapd) are scheduled on the
+ * shared simulation.
  */
 
 #pragma once
@@ -47,16 +50,18 @@ class Host;
 using ControllerFactory =
     std::function<std::unique_ptr<core::Controller>(Host &)>;
 
-/** Host hardware/software configuration. */
+/**
+ * Host hardware/software configuration: device models only. The tier
+ * chain spec of each container (addApp) names the offload devices it
+ * uses, and caps its dedicated zswap pools; the swap partition is
+ * sized like RAM.
+ */
 struct HostConfig {
     mem::MemoryConfig mem;
     unsigned cpus = 16;
     /** SSD device class A-G (Fig. 5). */
     char ssdClass = 'C';
-    /** NVM device preset ("optane" or "cxl-dram"). */
-    std::string nvmPreset = "optane";
-    /** Swap partition size (0: size it like RAM). */
-    std::uint64_t swapBytes = 0;
+    /** Compressor and allocator of every zswap pool. */
     backend::ZswapConfig zswap;
     std::uint64_t seed = 42;
     /** Workload tick length. */
@@ -151,7 +156,7 @@ class Host
     /**
      * Allocate a trace ring of roughly @p capacity_bytes and wire it
      * into every instrumented component: per-cgroup PSI trackers, the
-     * memory manager's reclaim passes, all four offload backends, and
+     * memory manager's reclaim passes, every offload backend, and
      * the controller (present or installed later). Idempotent; the
      * ring records on the host's own sim-clock, so merged fleet traces
      * are identical for serial and parallel runs.
@@ -181,14 +186,23 @@ class Host
     cgroup::CgroupTree &cgroups() { return tree_; }
     mem::MemoryManager &memory() { return mm_; }
     backend::SsdDevice &ssd() { return ssd_; }
+    /** The shared zswap pool (the `zswap` chain token). */
     backend::ZswapPool &zswap() { return zswap_; }
+    /** The Optane-class device (the `nvm` chain token). */
     backend::NvmBackend &nvm() { return nvm_; }
-    sched::CpuCoordinator &cpuCoordinator() { return cpu_; }
+    /** The CXL-DRAM device (the `cxl` chain token). */
+    backend::NvmBackend &cxl() { return cxl_; }
+    /** The swap partition on the SSD (the `ssd` chain token). */
     backend::SwapBackend &swap() { return swap_; }
     backend::FilesystemBackend &filesystem() { return fs_; }
 
     /** Every tier chain this host built (fault injection, reports). */
     std::vector<tier::TierChain *> chains() const;
+
+    /** Every zswap pool this host built: the shared pool first, then
+     *  the dedicated pools of `zswap:<cap>` tokens in build order
+     *  (fault injection, reports). */
+    std::vector<backend::ZswapPool *> zswapPools();
 
     const std::string &name() const { return name_; }
     const HostConfig &config() const { return config_; }
@@ -199,11 +213,12 @@ class Host
 
   private:
     /**
-     * Materialize a chain spec against this host's backends: plain
-     * "zswap"/"ssd"/"nvm" tiers use the shared host singletons (so
-     * fault injection and machine.zswap()-style introspection keep
-     * working), capped zswap tiers get a dedicated pool owned by the
-     * host.
+     * Materialize a chain spec against this host's devices: the
+     * "zswap", "ssd", "nvm" and "cxl" tokens name the host's shared
+     * devices (so fault injection and machine.zswap()-style
+     * introspection keep working), and each capped zswap token gets a
+     * dedicated pool owned by the host. Throws std::invalid_argument
+     * for a spec naming one shared device twice (TierChain).
      */
     tier::TierChain *buildChain(const tier::TierChainSpec &spec);
 
@@ -229,6 +244,7 @@ class Host
     backend::FilesystemBackend fs_;
     backend::ZswapPool zswap_;
     backend::NvmBackend nvm_;
+    backend::NvmBackend cxl_;
     sched::CpuCoordinator cpu_;
     mem::MemoryManager mm_;
     // The trace ring and metrics are declared before (and so
@@ -243,9 +259,9 @@ class Host
     /** Names of the probes controller_ registered. They capture it,
      *  so they leave the registry when it is destroyed. */
     std::vector<std::string> controllerProbes_;
-    /** Dedicated tier backends (capped zswap pools) built for chain
-     *  specs; host singletons cover the uncapped tiers. */
-    std::vector<std::unique_ptr<backend::OffloadBackend>> tierBackends_;
+    /** Dedicated zswap pools built for the capped tokens of chain
+     *  specs; the shared devices cover the other tokens. */
+    std::vector<std::unique_ptr<backend::ZswapPool>> dedicatedPools_;
     /** Chains built by buildChain(), one per addApp/setTiers call. */
     std::vector<std::unique_ptr<tier::TierChain>> chains_;
     /** Cgroups with a maintenance tick already scheduled. */

@@ -25,7 +25,6 @@ MemoryManager::MemoryManager(MemoryConfig config, std::uint64_t seed)
 {
     assert(config_.pageBytes > 0);
     assert(config_.ramBytes >= config_.pageBytes);
-    assert(config_.heatDecayPeriod > 0);
 }
 
 MemCg &
@@ -322,7 +321,7 @@ MemoryManager::accessSlow(PageIdx idx, sim::SimTime now)
         // Activation is the cheap warmth signal feeding tiered
         // placement (a fault later adds more heat).
         if (page.isAnon() && mcg.anonChain)
-            touchHeat(page, heatEpochAt(now, config_.heatDecayPeriod), 1);
+            touchHeat(page, heatEpochAt(now), 1);
         return result;
     }
 
@@ -345,8 +344,7 @@ MemoryManager::accessSlow(PageIdx idx, sim::SimTime now)
         // will place it in a faster tier (promotion via refault).
         tierListRemove(mcg, idx, page);
         if (mcg.anonChain)
-            touchHeat(page, heatEpochAt(now, config_.heatDecayPeriod),
-                      2);
+            touchHeat(page, heatEpochAt(now), 2);
         const bool in_zswap = page.where == Where::ZSWAP;
         load = backends_[page.store]->load(page.storedBytes, now);
         unchargeOffload(mcg, idx);
@@ -419,8 +417,7 @@ MemoryManager::accessSlow(PageIdx idx, sim::SimTime now)
         result.memStall +=
             sim::fromUsec(static_cast<double>(LOST_REFAULT_PENALTY_US));
         if (page.isAnon() && mcg.anonChain)
-            touchHeat(page, heatEpochAt(now, config_.heatDecayPeriod),
-                      2);
+            touchHeat(page, heatEpochAt(now), 2);
         target = page.isAnon() ? LruKind::INACTIVE_ANON
                                : LruKind::INACTIVE_FILE;
         break;
@@ -689,8 +686,7 @@ MemoryManager::tierMaintain(cgroup::Cgroup &cg, sim::SimTime now)
     if (!chain || chain->placement() == tier::TierPlacement::WORKINGSET ||
         chain->size() < 2)
         return outcome;
-    const std::uint8_t epoch =
-        heatEpochAt(now, config_.heatDecayPeriod);
+    const std::uint8_t epoch = heatEpochAt(now);
     const std::uint32_t batch = tier::MOVE_SCAN_BATCH;
     std::uint64_t budget = tier::MOVE_BUDGET_BYTES;
     std::uint64_t scanned = 0;

@@ -85,12 +85,6 @@ struct MemoryConfig {
      * over-aggressive configurations hurt (Fig. 13).
      */
     double lruMisagingRate = 0.10;
-    /**
-     * Length of one hotness decay epoch: a page's heat counter is
-     * halved per elapsed epoch (tiered placement, TPP-style). Only
-     * consulted when a cgroup runs a TierChain.
-     */
-    sim::SimTime heatDecayPeriod = 30 * sim::SEC;
 };
 
 /** Outcome of one page access. */

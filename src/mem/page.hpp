@@ -136,11 +136,18 @@ struct Page {
 static_assert(sizeof(Page) == 32, "Page grew past 32 bytes; "
                                   "move cold fields to SoA arrays");
 
-/** Decay epoch at @p now for the given decay period. */
+/**
+ * Length of one hotness decay epoch: a page's heat counter is halved
+ * per elapsed epoch (tiered placement, TPP-style). Only consulted
+ * when a cgroup runs a TierChain.
+ */
+inline constexpr sim::SimTime HEAT_DECAY_PERIOD = 30 * sim::SEC;
+
+/** Decay epoch at @p now. */
 inline std::uint8_t
-heatEpochAt(sim::SimTime now, sim::SimTime period)
+heatEpochAt(sim::SimTime now)
 {
-    return static_cast<std::uint8_t>(now / period);
+    return static_cast<std::uint8_t>(now / HEAT_DECAY_PERIOD);
 }
 
 /**

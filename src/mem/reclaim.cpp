@@ -95,8 +95,7 @@ MemoryManager::shrinkMemCg(MemCg &mcg, std::uint64_t target_bytes,
         }
     };
 
-    const std::uint8_t heat_epoch =
-        heatEpochAt(now, config_.heatDecayPeriod);
+    const std::uint8_t heat_epoch = heatEpochAt(now);
 
     auto evict_anon = [&](PageIdx idx) -> bool {
         // Tiered placement (§5.2): the chain picks an entry tier from

@@ -59,20 +59,6 @@ const double ALPHA300 = avgAlpha(300 * sim::SEC);
 
 } // namespace
 
-const char *
-resourceName(Resource r)
-{
-    switch (r) {
-      case Resource::CPU:
-        return "cpu";
-      case Resource::MEM:
-        return "memory";
-      case Resource::IO:
-        return "io";
-    }
-    return "?";
-}
-
 void
 PsiGroup::rejectChange(unsigned clear, unsigned set) const
 {

@@ -50,9 +50,6 @@ enum class Resource { CPU = 0, MEM = 1, IO = 2 };
 /** Number of tracked resources. */
 inline constexpr std::size_t NUM_RESOURCES = 3;
 
-/** Human-readable resource name ("cpu", "memory", "io"). */
-const char *resourceName(Resource r);
-
 /**
  * Task state bits, combinable. A task waiting for swap-in from disk is
  * MEMSTALL | IOWAIT: it contributes to both memory and IO pressure,

@@ -8,16 +8,24 @@ namespace tmo::tier
 
 TierChain::TierChain(std::string name,
                      std::vector<backend::OffloadBackend *> tiers,
-                     TierPlacement placement, std::vector<TierSpec> specs)
+                     TierPlacement placement)
     : name_(std::move(name)), tiers_(std::move(tiers)),
-      placement_(placement), specs_(std::move(specs)),
-      offline_(tiers_.size(), false), health_(tiers_.size())
+      placement_(placement), offline_(tiers_.size(), false),
+      health_(tiers_.size())
 {
     if (tiers_.empty())
         throw std::invalid_argument("tier chain needs at least one tier");
-    for (const auto *be : tiers_)
-        if (!be)
+    for (std::size_t i = 0; i < tiers_.size(); ++i) {
+        if (!tiers_[i])
             throw std::invalid_argument("tier chain tier is null");
+        const int first = indexOf(tiers_[i]);
+        if (first != static_cast<int>(i))
+            throw std::invalid_argument(
+                "bad tier chain '" + name_ + "': device '" +
+                tiers_[i]->name() + "' stands at tiers " +
+                std::to_string(first) + " and " + std::to_string(i) +
+                "; a chain names each device at most once");
+    }
 }
 
 backend::BackendStatus
@@ -109,14 +117,6 @@ TierChain::indexOf(const backend::OffloadBackend *be) const
     return it == tiers_.end()
                ? -1
                : static_cast<int>(it - tiers_.begin());
-}
-
-std::string
-TierChain::tierToken(std::size_t i) const
-{
-    if (i < specs_.size())
-        return specs_[i].token();
-    return tiers_[i]->name();
 }
 
 void

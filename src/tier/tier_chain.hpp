@@ -91,14 +91,18 @@ class TierChain
 
     /**
      * @param name Chain name for reports (canonical spec string).
-     * @param tiers Backends fastest-first; at least one.
+     * @param tiers Backends fastest-first; at least one, each at most
+     *        once: an offloaded page's tier is found by its backend
+     *        (indexOf), so a backend at two positions would unlink
+     *        pages from the wrong tier list.
      * @param placement Entry-tier policy; only HOTNESS chains move
      *        pages in the background.
-     * @param specs Per-tier specs (for reports); may be empty.
+     * @throws std::invalid_argument for no tiers, a null tier, or a
+     *         backend given twice (the error names it).
      */
     TierChain(std::string name,
               std::vector<backend::OffloadBackend *> tiers,
-              TierPlacement placement, std::vector<TierSpec> specs = {});
+              TierPlacement placement);
 
     // --- name and aggregate views -------------------------------------
 
@@ -146,10 +150,6 @@ class TierChain
 
     /** Index of @p be in the chain, -1 when absent. */
     int indexOf(const backend::OffloadBackend *be) const;
-
-    /** Per-tier spec tokens ("zswap:256mb"); backend name when the
-     *  chain was built without specs. */
-    std::string tierToken(std::size_t i) const;
 
     TierPlacement placement() const { return placement_; }
 
@@ -221,7 +221,6 @@ class TierChain
     std::string name_;
     std::vector<backend::OffloadBackend *> tiers_;
     TierPlacement placement_;
-    std::vector<TierSpec> specs_;
     std::vector<bool> offline_;
     std::vector<TierHealth> health_;
     stats::Histogram demoteLatencyUs_{0.1, 1e7, 10};

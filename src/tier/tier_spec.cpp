@@ -63,8 +63,10 @@ parseTier(const std::string &token)
         spec.kind = TierKind::ZSWAP;
     else if (name == "ssd")
         spec.kind = TierKind::SSD;
-    else if (name == "nvm" || name == "cxl")
+    else if (name == "nvm")
         spec.kind = TierKind::NVM;
+    else if (name == "cxl")
+        spec.kind = TierKind::CXL;
     else
         throw std::invalid_argument(
             "unknown tier '" + name +
@@ -135,6 +137,8 @@ tierKindName(TierKind kind)
         return "ssd";
       case TierKind::NVM:
         return "nvm";
+      case TierKind::CXL:
+        return "cxl";
     }
     return "?";
 }

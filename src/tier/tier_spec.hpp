@@ -7,8 +7,10 @@
  * compressed warm tier in front of the SSD swap partition — plus the
  * placement policy that picks a page's entry tier. The spec is a pure
  * value type: parsing and validation happen here, materializing the
- * actual backends (host singletons or dedicated capped pools) is the
- * Host's job. It is the only way to configure where anon pages go.
+ * actual backends (the host's shared devices or dedicated capped
+ * pools) is the Host's job. It is the only way to configure where
+ * anon pages go, and the only description of a host's offload
+ * devices: each token names one device.
  */
 
 #pragma once
@@ -20,17 +22,20 @@
 namespace tmo::tier
 {
 
-/** The kinds of tier a chain can compose. */
+/** The kinds of tier a chain can compose, one per offload device. */
 enum class TierKind {
-    /** Compressed RAM pool (host zswap, or a dedicated capped pool). */
+    /** Compressed RAM pool (the host's shared pool, or a dedicated
+     *  capped pool). */
     ZSWAP,
     /** SSD swap partition. */
     SSD,
-    /** Byte-addressable NVM / CXL memory (host NVM preset). */
+    /** Optane-class byte-addressable persistent memory. */
     NVM,
+    /** CXL-attached DRAM. */
+    CXL,
 };
 
-/** Spec name of a kind ("zswap", "ssd", "nvm"). */
+/** Spec name of a kind ("zswap", "ssd", "nvm", "cxl"). */
 const char *tierKindName(TierKind kind);
 
 /** How a chain picks the entry tier for an evicted page. */
@@ -48,10 +53,10 @@ enum class TierPlacement {
 struct TierSpec {
     TierKind kind = TierKind::ZSWAP;
     /**
-     * Capacity cap in bytes; 0 = the host default (the shared host
-     * singleton backend). A nonzero cap on a ZSWAP tier materializes a
-     * dedicated pool with that maxPoolBytes, so a chain can stack
-     * several compressed tiers of different sizes.
+     * Capacity cap in bytes; 0 = the host's shared device of this
+     * kind. A nonzero cap on a ZSWAP tier materializes a dedicated
+     * pool of that size, so a chain can stack several compressed
+     * tiers of different sizes.
      */
     std::uint64_t capBytes = 0;
 
@@ -79,12 +84,12 @@ struct TierChainSpec {
 
     /**
      * Parse "tier[+tier...][;placement=hotness|workingset]" where each
-     * tier is `zswap|ssd|nvm|cxl[:<cap>]` and cap is an integer with a
+     * tier is `zswap[:<cap>]|ssd|nvm|cxl` and cap is an integer with a
      * kb/mb/gb suffix (e.g. "zswap:256mb+ssd"). "none" or "" parses
-     * to the empty chain, which takes no keys. "cxl" is an alias for
-     * "nvm" (the host's NVM preset decides the device model).
-     * Placement defaults to hotness; it only matters for chains of two
-     * or more tiers.
+     * to the empty chain, which takes no keys. Placement defaults to
+     * hotness; it only matters for chains of two or more tiers. A
+     * spec may name a shared device twice ("ssd+ssd"); building such
+     * a chain is refused (TierChain's constructor).
      *
      * @throws std::invalid_argument naming the offending token: an
      * unknown tier, key or value, a duplicate key, an empty value, or

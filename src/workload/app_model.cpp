@@ -363,14 +363,6 @@ AppModel::serveRequests(sim::SimTime start, Stalls &critical)
     return static_cast<double>(served);
 }
 
-void
-AppModel::setTraffic(const TrafficSpec &traffic)
-{
-    profile_.traffic = traffic;
-    // Rebuilt on the next tick with the new thread/queue settings.
-    server_.reset();
-}
-
 double
 AppModel::throttleFactor() const
 {

@@ -104,9 +104,6 @@ class AppModel
     /** Change offered load mid-run. */
     void setOfferedRps(double rps) { profile_.offeredRps = rps; }
 
-    /** Switch to (or reconfigure) request-level serving mid-run. */
-    void setTraffic(const TrafficSpec &traffic);
-
     /** Whether request-level serving is active. */
     bool servingRequests() const { return profile_.traffic.enabled(); }
 

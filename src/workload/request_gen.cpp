@@ -93,7 +93,9 @@ TrafficSpec::peakTouchesPerSec() const
         peak *= 1.0 + amplitude;
     if (spikeMult > 0.0)
         peak *= spikeMult;
-    return peak * (fanout > 0.0 ? fanout : PROFILE_FANOUT);
+    // A request costs at least its arrival, however few pages it
+    // touches.
+    return peak * (fanout > 0.0 ? std::max(1.0, fanout) : PROFILE_FANOUT);
 }
 
 TrafficSpec
@@ -187,7 +189,7 @@ TrafficSpec::parse(const std::string &text)
     // Each key is bounded, but their product is the cost of a run.
     if (spec.peakTouchesPerSec() > MAX_PEAK_TOUCHES_PER_SEC)
         fail(text, "peak offered touches per second, rps x (1 + amp) x "
-                   "spike-mult x fanout = " +
+                   "spike-mult x max(1, fanout) = " +
                        stats::fmtExact(spec.peakTouchesPerSec()) +
                        ", must be at most " +
                        stats::fmtExact(MAX_PEAK_TOUCHES_PER_SEC));

@@ -85,7 +85,9 @@ struct TrafficSpec {
 
     /** Peak offered page touches per simulated second: rps, times
      *  1 + amp on a diurnal curve, times spike-mult when set, times
-     *  fanout (PROFILE_FANOUT for 0). */
+     *  max(1, fanout) (PROFILE_FANOUT for 0). A request counts as at
+     *  least one touch, so a fanout below 1 does not hide the request
+     *  rate from the bound. */
     double peakTouchesPerSec() const;
 
     /**

@@ -24,6 +24,7 @@
 #include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
 #include "host/fleet.hpp"
+#include "mem/page.hpp"
 #include "psi/psi.hpp"
 
 using namespace tmo;
@@ -396,6 +397,45 @@ TEST(FaultInjectionTest, TmoDaemonSeesWorstBackendStatus)
               backend::BackendStatus::FAILED);
     fleet.run(2 * sim::MINUTE); // health tick arms the oomd watcher
     EXPECT_TRUE(daemon->running());
+}
+
+TEST(FaultInjectionTest, ZswapFaultsReachEveryPool)
+{
+    // A zswap:<cap> token gives the chain a pool of its own: the zswap
+    // fault kinds must reach it as they reach the host's shared pool.
+    host::Fleet fleet = fleetSpec(1, 17)
+                            .tiers("zswap:64mb+ssd;placement=workingset")
+                            .build();
+    fleet.start();
+    fault::FaultInjector injector(
+        fleet.host(0), fault::FaultPlan::parseString(
+                           "t=0 kind=zswap-cap arg=1\n"
+                           "t=0 kind=zswap-stall arg=500\n"));
+    injector.arm();
+    fleet.run(sim::MINUTE);
+
+    auto &machine = fleet.host(0);
+    auto *own = dynamic_cast<backend::ZswapPool *>(
+        machine.chains().front()->tier(0));
+    ASSERT_NE(own, nullptr);
+    ASSERT_NE(own, &machine.zswap());
+    EXPECT_DOUBLE_EQ(machine.zswap().stallUs(), 500.0);
+    EXPECT_DOUBLE_EQ(own->stallUs(), 500.0);
+    EXPECT_EQ(fault::hostBackendStatus(machine),
+              backend::BackendStatus::DEGRADED);
+
+    // Every page prefers the chain's pool, which the cap holds to
+    // 1 MiB; the rest falls through to the SSD.
+    for (auto &page : machine.memory().pages())
+        page.flags |= mem::PG_WORKINGSET;
+    const auto outcome = machine.memory().reclaim(
+        machine.apps().front()->cgroup(), 160ull << 20, fleet.now());
+    EXPECT_GT(outcome.anonPages, 0u);
+    EXPECT_LE(own->usedBytes(), 1ull << 20);
+    EXPECT_GT(own->rejectedPages(), 0u);
+    EXPECT_GT(machine.swap().usedBytes(), 0u);
+    EXPECT_GE(fault::hostDegradationEvents(machine),
+              own->rejectedPages());
 }
 
 // --- fleet failure isolation ---------------------------------------------

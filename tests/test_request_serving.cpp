@@ -174,8 +174,18 @@ TEST(TrafficSpecTest, RejectsSpecsPastThePeakTouchBound)
         "spike-dur-min=1,fanout=1e6",
         &error));
     EXPECT_NE(error.find("peak offered touches per second, rps x "
-                         "(1 + amp) x spike-mult x fanout = 2e+15"),
+                         "(1 + amp) x spike-mult x max(1, fanout) = "
+                         "2e+15"),
               std::string::npos)
+        << error;
+
+    // A request costs at least one touch: below a fanout of 1 the
+    // request rate itself is bounded, 2e9 requests a second here.
+    EXPECT_FALSE(workload::isValidTrafficSpec(
+        "diurnal:rps=1e6,amp=1,spike-mult=1000,spike-at-min=1,"
+        "spike-dur-min=1,fanout=0.5",
+        &error));
+    EXPECT_NE(error.find("max(1, fanout) = 2e+09"), std::string::npos)
         << error;
 
     // The bound itself parses; a touch more does not.

@@ -38,12 +38,8 @@ TEST(FaultAmplificationTest, LargeReadsChargeProportionalStall)
 
 TEST(FaultAmplificationTest, ZswapLoadScalesWithSimulatedPageSize)
 {
-    backend::ZswapConfig small_config;
-    small_config.simulatedPageBytes = 4096;
-    backend::ZswapConfig big_config;
-    big_config.simulatedPageBytes = 64 * 1024;
-    backend::ZswapPool small_pool(small_config, 2);
-    backend::ZswapPool big_pool(big_config, 2);
+    backend::ZswapPool small_pool({}, 2, 4096);
+    backend::ZswapPool big_pool({}, 2, 64 * 1024);
 
     double small_total = 0, big_total = 0;
     for (int i = 0; i < 2000; ++i) {

@@ -101,9 +101,7 @@ armed(host::Fleet &fleet, std::size_t i, const std::string &plan)
 void
 setAllHeat(host::Host &machine, std::uint8_t heat)
 {
-    const auto epoch = mem::heatEpochAt(
-        machine.simulation().now(),
-        machine.memory().config().heatDecayPeriod);
+    const auto epoch = mem::heatEpochAt(machine.simulation().now());
     for (auto &page : machine.memory().pages()) {
         page.heat = heat;
         page.heatEpoch = epoch;
@@ -707,6 +705,47 @@ TEST(InvariantAuditorTest, PlantedCorruptionIsReported)
     mcg.zswapBytes += 1;
     EXPECT_FALSE(fault::auditHost(rig.machine).empty());
     mcg.zswapBytes -= 1;
+    EXPECT_TRUE(fault::auditHost(rig.machine).empty());
+}
+
+TEST(InvariantAuditorTest, LoopingTierListYieldsFewNamedViolations)
+{
+    ChainRig rig;
+    rig.offloadCold(200ull << 20);
+    ASSERT_TRUE(fault::auditHost(rig.machine).empty());
+    auto &pages = rig.machine.memory().pages();
+    const mem::LruList &ssd_list =
+        rig.machine.memory().memcgOf(rig.app->cgroup()).tierLists[1];
+    ASSERT_GT(ssd_list.size(), 100u);
+
+    // Point the SSD tier list's third page back at its second: the
+    // list loops after three pages while its length counter still
+    // counts them all. A walk that trusted the counter would go round
+    // the loop once per counted page (and forever once the counter
+    // wrapped below zero), with a violation at every step.
+    const mem::PageIdx second = pages[ssd_list.head()].next;
+    const mem::PageIdx third = pages[second].next;
+    const mem::PageIdx fourth = pages[third].next;
+    pages[third].next = second;
+    // The loop, and the list's length, bytes and flagged pages that
+    // the shortened walk no longer matches.
+    const auto violations = fault::auditHost(rig.machine);
+    EXPECT_EQ(violations.size(), 4u)
+        << ::testing::PrintToString(violations);
+    const auto reported = [&](const std::string &text) {
+        return std::any_of(violations.begin(), violations.end(),
+                           [&](const std::string &v) {
+                               return v.find(text) != std::string::npos;
+                           });
+    };
+    EXPECT_TRUE(reported("tier list 1 loops back to page " +
+                         std::to_string(second)))
+        << ::testing::PrintToString(violations);
+    EXPECT_TRUE(reported("tier-list length counter " +
+                         std::to_string(ssd_list.size()) + " != 3"))
+        << ::testing::PrintToString(violations);
+
+    pages[third].next = fourth;
     EXPECT_TRUE(fault::auditHost(rig.machine).empty());
 }
 

@@ -6,14 +6,17 @@
  * and offline tiers, background maintenance demotes cooled pages and
  * promotes reheated ones under the movement budget, placement is
  * invisible on one-tier chains, every chain exports per-tier
- * metrics, tier faults degrade (not fail) the aggregate status, and a
- * three-tier fleet run is bit-identical for any --jobs.
+ * metrics, tier faults degrade (not fail) the aggregate status, a
+ * three-tier fleet run is bit-identical for any --jobs, each token
+ * names one device, and every short chain either runs with a clean
+ * audit or is refused for naming a device twice.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -23,6 +26,7 @@
 #include "core/senpai.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
+#include "fault/invariant_auditor.hpp"
 #include "host/fleet.hpp"
 #include "host/host.hpp"
 #include "psi/psi.hpp"
@@ -61,9 +65,16 @@ TEST(TierSpecTest, ParsesChainsAndRoundTrips)
     EXPECT_EQ(chain.toString(), "zswap:256mb+ssd");
     EXPECT_EQ(tier::TierChainSpec::parse(chain.toString()), chain);
 
-    // "cxl" is an alias for the NVM backend.
-    EXPECT_EQ(tier::TierChainSpec::parse("cxl").tiers[0].kind,
+    // "nvm" and "cxl" name two devices, and each prints back as
+    // itself.
+    EXPECT_EQ(tier::TierChainSpec::parse("nvm").tiers[0].kind,
               tier::TierKind::NVM);
+    EXPECT_EQ(tier::TierChainSpec::parse("cxl").tiers[0].kind,
+              tier::TierKind::CXL);
+    EXPECT_EQ(tier::TierChainSpec::parse("zswap+cxl").toString(),
+              "zswap+cxl");
+    EXPECT_EQ(tier::TierChainSpec::parse("nvm+cxl").toString(),
+              "nvm+cxl");
 
     // Empty chains: no anon offloading.
     EXPECT_TRUE(tier::TierChainSpec::parse("").empty());
@@ -85,7 +96,8 @@ TEST(TierSpecTest, ParsesChainsAndRoundTrips)
     EXPECT_EQ(hot.toString(), "zswap:64mb+ssd");
     for (const char *text :
          {"zswap", "ssd;placement=workingset", "cxl;placement=hotness",
-          "zswap:1gb+nvm;placement=workingset", "none"}) {
+          "zswap:1gb+nvm;placement=workingset", "zswap:64mb+cxl+nvm",
+          "none"}) {
         const auto spec = tier::TierChainSpec::parse(text);
         EXPECT_EQ(tier::TierChainSpec::parse(spec.toString()), spec)
             << text;
@@ -244,9 +256,7 @@ TEST(TierChainTest, StoreFallsThroughCapsAndOfflineTiers)
 
 TEST(TierChainTest, AggregatesStatusUtilizationAndOverhead)
 {
-    backend::ZswapConfig zconfig;
-    zconfig.simulatedPageBytes = PAGE;
-    backend::ZswapPool pool(zconfig);
+    backend::ZswapPool pool({}, 2, PAGE);
     auto cold = nvmTier(4);
     tier::TierChain chain("test", {&pool, cold.get()},
                           tier::TierPlacement::HOTNESS);
@@ -280,9 +290,7 @@ namespace
 void
 setAllHeat(host::Host &machine, std::uint8_t heat)
 {
-    const auto epoch = mem::heatEpochAt(
-        machine.simulation().now(),
-        machine.memory().config().heatDecayPeriod);
+    const auto epoch = mem::heatEpochAt(machine.simulation().now());
     for (auto &page : machine.memory().pages()) {
         page.heat = heat;
         page.heatEpoch = epoch;
@@ -624,4 +632,118 @@ TEST(TieredFleetTest, ThreeTierRunBitIdenticalAcrossJobs)
     const auto serial = tieredFleetDigest(7, 1);
     EXPECT_FALSE(serial.empty());
     EXPECT_EQ(serial, tieredFleetDigest(7, 4));
+}
+
+// --- one device per token, at most once per chain --------------------------
+
+TEST(TierDeviceTest, CxlTokenBuildsTheCxlDramDevice)
+{
+    // FleetSpec, and through it the tmo CLI, builds the host's
+    // CXL-DRAM device for `cxl` and its Optane-class one for `nvm`.
+    host::Fleet fleet = host::FleetSpec{}
+                            .ram_mb(256)
+                            .page_kb(PAGE >> 10)
+                            .tiers("zswap+cxl")
+                            .workload("feed", 192)
+                            .build();
+    host::Host &machine = fleet.host(0);
+    ASSERT_EQ(machine.chains().size(), 1u);
+    tier::TierChain *chain = machine.chains().front();
+    EXPECT_EQ(chain->name(), "zswap+cxl");
+    ASSERT_EQ(chain->size(), 2u);
+    EXPECT_EQ(chain->tier(1), &machine.cxl());
+
+    // Median read latency per 4 KiB: the CXL-DRAM preset's is 0.6 us,
+    // the Optane-class preset's 2 us.
+    const auto median_read_us = [](backend::OffloadBackend &device) {
+        std::vector<double> us;
+        for (int i = 0; i < 101; ++i) {
+            const auto stored = device.store(PAGE, 1.0, 0);
+            EXPECT_TRUE(stored.accepted);
+            us.push_back(
+                sim::toUsec(device.load(stored.storedBytes, 0).latency) /
+                (PAGE / 4096.0));
+        }
+        std::nth_element(us.begin(), us.begin() + 50, us.end());
+        return us[50];
+    };
+    EXPECT_LT(median_read_us(*chain->tier(1)), 1.0);
+    EXPECT_GT(median_read_us(machine.nvm()), 1.0);
+}
+
+TEST(TierChainPropertyTest, EveryShortChainRunsCleanOrIsRefusedByName)
+{
+    // Each chain of two and three tokens under both placements. A
+    // chain naming one of the host's shared devices twice is refused
+    // when the host is built, by the device's name: an offloaded page
+    // finds its tier list by its device, so a device at two positions
+    // would corrupt the lists. Every other chain runs under an
+    // aggressive controller with the invariant auditor after every
+    // 30 s epoch.
+    sim::Simulation reference_sim;
+    host::Host reference(reference_sim, host::HostConfig{});
+    const std::map<std::string, std::string> shared = {
+        {"zswap", reference.zswap().name()},
+        {"ssd", reference.swap().name()},
+        {"nvm", reference.nvm().name()},
+        {"cxl", reference.cxl().name()},
+    };
+    const std::vector<std::string> tokens = {"zswap", "zswap:64mb", "ssd",
+                                             "nvm", "cxl"};
+    std::vector<std::vector<std::string>> chains;
+    for (const auto &a : tokens)
+        for (const auto &b : tokens) {
+            chains.push_back({a, b});
+            for (const auto &c : tokens)
+                chains.push_back({a, b, c});
+        }
+
+    std::size_t ran = 0, refused = 0;
+    for (const auto &chain : chains) {
+        std::string repeated;
+        std::string text;
+        for (std::size_t i = 0; i < chain.size(); ++i) {
+            text += (i ? "+" : "") + chain[i];
+            if (shared.count(chain[i]) &&
+                std::count(chain.begin(), chain.begin() + i, chain[i]))
+                repeated = chain[i];
+        }
+        for (const char *placement : {"", ";placement=workingset"}) {
+            const std::string spec_text = text + placement;
+            auto spec = host::FleetSpec{}
+                            .epoch(30 * sim::SEC)
+                            .ram_mb(24)
+                            .page_kb(4)
+                            .tiers(spec_text)
+                            .workload("feed", 32)
+                            .controller("senpai-aggressive");
+            if (!repeated.empty()) {
+                ++refused;
+                try {
+                    (void)spec.build();
+                    ADD_FAILURE() << spec_text << " was built";
+                } catch (const std::invalid_argument &error) {
+                    EXPECT_NE(std::string(error.what())
+                                  .find("device '" + shared.at(repeated) +
+                                        "'"),
+                              std::string::npos)
+                        << spec_text << ": " << error.what();
+                }
+                continue;
+            }
+            ++ran;
+            host::Fleet fleet = spec.build();
+            fleet.enableInvariantAudit(fault::auditHost);
+            fleet.start();
+            fleet.run(2 * sim::MINUTE);
+            EXPECT_EQ(fleet.failedCount(), 0u)
+                << spec_text << ": " << fleet.hostError(0);
+            EXPECT_TRUE(fleet.auditViolations().empty())
+                << spec_text << ": "
+                << ::testing::PrintToString(fleet.auditViolations());
+        }
+    }
+    // 25 + 125 chains: 4 + 52 of them repeat a shared device.
+    EXPECT_EQ(refused, 2u * 56u);
+    EXPECT_EQ(ran, 2u * 94u);
 }

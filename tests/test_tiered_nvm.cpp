@@ -172,11 +172,12 @@ TEST(TieredTest, IncompressibleFallsThroughToSsd)
 TEST(TieredTest, PoolCapBoundsZswapDram)
 {
     sim::Simulation simulation;
-    auto config = hostConfig();
-    config.zswap.maxPoolBytes = 8ull << 20; // tiny warm tier
-    host::Host machine(simulation, config);
+    host::Host machine(simulation, hostConfig());
     auto profile = workload::appPreset("feed", 512ull << 20);
-    auto &app = machine.addApp(profile, tiered());
+    // A tiny warm tier: the chain's own 8 MiB pool.
+    auto &app = machine.addApp(
+        profile,
+        tier::TierChainSpec::parse("zswap:8mb+ssd;placement=workingset"));
     machine.start();
     app.start();
     simulation.runUntil(5 * sim::SEC);
@@ -184,7 +185,10 @@ TEST(TieredTest, PoolCapBoundsZswapDram)
         page.flags |= mem::PG_WORKINGSET; // all prefer the warm tier
     machine.memory().reclaim(app.cgroup(), 300ull << 20,
                              simulation.now());
-    EXPECT_LE(machine.zswap().usedBytes(), 8ull << 20);
+    const backend::OffloadBackend *warm = machine.chains().front()->tier(0);
+    EXPECT_GT(warm->usedBytes(), 0u);
+    EXPECT_LE(warm->usedBytes(), 8ull << 20);
+    EXPECT_EQ(machine.zswap().usedBytes(), 0u); // the shared pool idles
     EXPECT_GT(machine.swap().usedBytes(), 0u); // overflow demoted
 }
 

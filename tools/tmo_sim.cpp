@@ -23,11 +23,17 @@
  *   --footprint-mb N     workload footprint [1024]
  *   --ram-mb N           host DRAM [2048]
  *   --tiers SPEC         anon tier chain, fastest first [zswap], e.g.
- *                        ssd, zswap:256mb+ssd or zswap+zswap:1gb+nvm
- *                        ("none" disables anon offloading); append
- *                        ";placement=workingset" for the two-tier
- *                        working-set hierarchy without background
- *                        movement (default placement=hotness)
+ *                        ssd, zswap:256mb+ssd or zswap+zswap:1gb+nvm;
+ *                        each token names one offload device, at most
+ *                        once per chain: zswap (the host's shared
+ *                        compressed pool), zswap:<cap> (a pool of its
+ *                        own), ssd (the swap partition), nvm (the
+ *                        Optane-class device), cxl (the CXL-DRAM
+ *                        device); "none" disables anon offloading.
+ *                        Append ";placement=workingset" for the
+ *                        two-tier working-set hierarchy without
+ *                        background movement (default
+ *                        placement=hotness)
  *   --ssd-class C        SSD device class A-G [C]
  *   --zswap-compressor C lzo|lz4|zstd [zstd]
  *   --zswap-allocator A  zbud|z3fold|zsmalloc [zsmalloc]
@@ -138,6 +144,17 @@ usage()
            "[--ram-mb N] [--page-kb N]\n"
            "               [--tiers SPEC e.g. zswap:256mb+ssd or "
            "zswap+ssd;placement=workingset]\n"
+           "                 tiers fastest first, joined by '+', each "
+           "device at most once:\n"
+           "                 zswap        the host's shared compressed "
+           "pool\n"
+           "                 zswap:<cap>  a compressed pool of its own, "
+           "capped at <cap> (kb|mb|gb)\n"
+           "                 ssd          the swap partition on the "
+           "SSD\n"
+           "                 nvm          the Optane-class NVM device\n"
+           "                 cxl          the CXL-DRAM device\n"
+           "                 none         no anon offloading\n"
            "               [--ssd-class A-G]\n"
            "               [--controller "
            "none|senpai|senpai-aggressive|senpai-slo|tmo|gswap]\n"
@@ -601,9 +618,6 @@ main(int argc, char **argv)
     base_config.zswap.allocator =
         backend::allocatorPreset(options.zswapAllocator);
 
-    // "cxl" anywhere in the chain picks the CXL-DRAM NVM preset.
-    const bool wants_cxl = options.tiers.find("cxl") != std::string::npos;
-
     host::Fleet fleet;
     try {
         auto spec =
@@ -616,7 +630,6 @@ main(int argc, char **argv)
                 .ram_mb(options.ramMb)
                 .page_kb(options.pageKb)
                 .ssd_class(options.ssdClass)
-                .nvm_preset(wants_cxl ? "cxl-dram" : "optane")
                 .seed(options.seed)
                 .tiers(options.tiers)
                 .workload(options.app, options.footprintMb)
