@@ -112,7 +112,7 @@ class SsdDevice
      *  endurance). */
     void resetStats();
 
-    // --- fault injection (§4 incidents, driven by fault::FaultInjector) --
+    // --- fault injection (§4 incidents, driven by host::FaultInjector) --
 
     /**
      * Multiply sampled device latency by @p factor (>= 1; 1 restores

@@ -10,6 +10,11 @@
  * one-way — faults mutate backend/device/controller state; recovery
  * happens either through explicit plan events (ssd-online) or through
  * the graceful-degradation paths the faults exercise.
+ *
+ * A fleet builds one injector per host whose HostBuilder carries a
+ * plan (HostBuilder::faults) and keeps it across the host's rebuilds
+ * (resume), so its counts span all of the host's lives. Build one
+ * directly only for a lone Host.
  */
 
 #pragma once
@@ -19,31 +24,32 @@
 
 #include "backend/backend.hpp"
 #include "core/controller.hpp"
-#include "fault/fault_plan.hpp"
+#include "host/fault_plan.hpp"
 #include "host/host.hpp"
 
-namespace tmo::fault
+namespace tmo::host
 {
 
 /** Worst status across a host's anon offload backends: the swap
  *  partition, every zswap pool, and every tier chain (which folds in
  *  its offline tiers). */
-backend::BackendStatus hostBackendStatus(host::Host &machine);
+backend::BackendStatus hostBackendStatus(Host &machine);
 
 /** Total backend degradation events a host has absorbed: swap IO
  *  errors (store + load) plus the store rejections of every zswap
  *  pool. */
-std::uint64_t hostDegradationEvents(host::Host &machine);
+std::uint64_t hostDegradationEvents(Host &machine);
 
 /** Schedules one FaultPlan onto one host's simulation clock. */
 class FaultInjector
 {
   public:
     /**
-     * @param machine The target host (must outlive the injector).
+     * @param machine The target host (must outlive the injector, or
+     *        hand over to its rebuild through resume()).
      * @param plan The schedule to deliver.
      */
-    FaultInjector(host::Host &machine, FaultPlan plan);
+    FaultInjector(Host &machine, FaultPlan plan);
 
     FaultInjector(const FaultInjector &) = delete;
     FaultInjector &operator=(const FaultInjector &) = delete;
@@ -53,6 +59,14 @@ class FaultInjector
      * whose time already passed fire immediately). Idempotent.
      */
     void arm();
+
+    /**
+     * Follow the host into @p rebuilt, the host that replaces it after
+     * a crash, and schedule there the plan's events strictly after
+     * its clock: those that fell while the host was down never fire.
+     * The counts go on from the earlier lives.
+     */
+    void resume(Host &rebuilt);
 
     const FaultPlan &plan() const { return plan_; }
 
@@ -73,11 +87,11 @@ class FaultInjector
   private:
     void apply(const FaultEvent &event);
 
-    host::Host &host_;
+    Host *host_;
     FaultPlan plan_;
     bool armed_ = false;
     std::uint64_t injected_ = 0;
     std::array<std::uint64_t, NUM_FAULT_KINDS> perKind_{};
 };
 
-} // namespace tmo::fault
+} // namespace tmo::host

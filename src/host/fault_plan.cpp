@@ -1,4 +1,4 @@
-#include "fault/fault_plan.hpp"
+#include "host/fault_plan.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -9,7 +9,7 @@
 #include "sim/rng.hpp"
 #include "stats/table.hpp"
 
-namespace tmo::fault
+namespace tmo::host
 {
 
 namespace
@@ -265,4 +265,4 @@ FaultPlan::toString() const
     return out.str();
 }
 
-} // namespace tmo::fault
+} // namespace tmo::host

@@ -9,7 +9,7 @@
  * injection time and one numeric argument — parsed from a simple
  * line-based spec (`t=<sec> kind=<event> arg=<v>`) or sampled from a
  * seeded RNG for chaos runs. The plan itself is inert data; a
- * fault::FaultInjector delivers it into one host's event queue.
+ * host::FaultInjector delivers it into one host's event queue.
  */
 
 #pragma once
@@ -22,7 +22,7 @@
 
 #include "sim/time.hpp"
 
-namespace tmo::fault
+namespace tmo::host
 {
 
 /** The injectable fault vocabulary (each maps to a §4 mechanism). */
@@ -131,4 +131,4 @@ struct FaultPlan {
     std::string toString() const;
 };
 
-} // namespace tmo::fault
+} // namespace tmo::host

@@ -31,11 +31,6 @@ constexpr std::size_t GROUP_HOSTS = 64;
 
 } // namespace
 
-Fleet::Fleet(const FleetSpec &spec)
-{
-    *this = spec.build();
-}
-
 void
 Fleet::buildShard(Shard &shard)
 {
@@ -46,7 +41,12 @@ Fleet::buildShard(Shard &shard)
 
     // On a restart rebuild, the old host must die while its clock is
     // still alive: its timers cancel their events on the simulation
-    // they were scheduled on as they are destroyed.
+    // they were scheduled on as they are destroyed. Its trace ring
+    // leaves it first, so the new host's events follow the old
+    // host's crash record.
+    std::unique_ptr<obs::TraceRing> ring;
+    if (shard.host)
+        ring = shard.host->takeTrace();
     shard.host.reset();
     shard.sim = std::make_unique<sim::Simulation>();
     const std::string name =
@@ -66,7 +66,9 @@ Fleet::buildShard(Shard &shard)
         shard.host->setControllerFactory(
             shard.builder.controllerFactory());
     }
-    if (traceBytesPerHost_)
+    if (ring)
+        shard.host->continueTrace(std::move(ring));
+    else if (traceBytesPerHost_)
         shard.host->enableTracing(traceBytesPerHost_);
 }
 
@@ -193,12 +195,27 @@ Fleet::metricSeries()
 void
 Fleet::start()
 {
-    for (auto &shard : shards_) {
-        shard.host->start();
-        for (const auto &app : shard.host->apps())
-            app->start();
-        if (shard.host->controller())
-            shard.host->controller()->start();
+    for (auto &shard : shards_)
+        startShard(shard);
+}
+
+void
+Fleet::startShard(Shard &shard)
+{
+    shard.host->start();
+    for (const auto &app : shard.host->apps())
+        app->start();
+    if (shard.host->controller())
+        shard.host->controller()->start();
+    // The plan goes last, so its events queue behind the services'
+    // first ticks. An injector already here served the host before
+    // its crash and keeps counting.
+    if (shard.faults) {
+        shard.faults->resume(*shard.host);
+    } else if (!shard.builder.faultPlan().empty()) {
+        shard.faults = std::make_unique<FaultInjector>(
+            *shard.host, shard.builder.faultPlan());
+        shard.faults->arm();
     }
 }
 
@@ -278,10 +295,11 @@ Fleet::restartEligibleShards()
         ++shard.restartAttempts;
         // Rebuild from the stored recipe (dropping the dead host and
         // its frozen clock), fast-forward the empty queue to the
-        // fleet clock, then start services as Fleet::start() would —
-        // every periodic tick lands on now_ + period. The metric
-        // series carry over from the dead host, and sampling starts
-        // after the fast-forward, which would sample an empty host.
+        // fleet clock, then start it as Fleet::start() would —
+        // every periodic tick lands on now_ + period, and the plan's
+        // events after now_ follow. The metric series carry over
+        // from the dead host, and sampling starts after the
+        // fast-forward, which would sample an empty host.
         obs::MetricSampler::Series series;
         if (shard.host->sampler())
             series = shard.host->sampler()->takeSeries();
@@ -291,16 +309,10 @@ Fleet::restartEligibleShards()
             shard.host->enableMetrics(metricsInterval_);
             shard.host->sampler()->continueSeries(std::move(series));
         }
-        shard.host->start();
-        for (const auto &app : shard.host->apps())
-            app->start();
-        if (shard.host->controller())
-            shard.host->controller()->start();
+        startShard(shard);
         shard.failed = false;
         shard.error.clear();
         ++restartedCount_;
-        if (restartHook_)
-            restartHook_(shard.index, *shard.host);
     }
 }
 

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "host/fault_injector.hpp"
 #include "host/fleet_spec.hpp"
 #include "host/host.hpp"
 #include "obs/export.hpp"
@@ -40,9 +41,6 @@ class Fleet
   public:
     Fleet() = default;
 
-    /** Build every host a FleetSpec describes. */
-    explicit Fleet(const FleetSpec &spec);
-
     Fleet(const Fleet &) = delete;
     Fleet &operator=(const Fleet &) = delete;
     Fleet(Fleet &&) = default;
@@ -55,7 +53,8 @@ class Fleet
      */
     Host &addHost(const HostBuilder &builder);
 
-    /** Start host services, workloads, and controllers everywhere. */
+    /** Start host services, workloads, controllers and then fault
+     *  plans everywhere. Call once, before the first run(). */
     void start();
 
     /**
@@ -99,11 +98,8 @@ class Fleet
 
     // --- self-healing -----------------------------------------------------
 
-    /** Host restart policy (default: maxAttempts = 0, disabled). */
-    void setRestartPolicy(const RestartPolicy &policy)
-    {
-        restart_ = policy;
-    }
+    /** Host restart policy, from FleetSpec::restart (default:
+     *  maxAttempts = 0, disabled). */
     const RestartPolicy &restartPolicy() const { return restart_; }
 
     /** Hosts rebuilt after a failure so far (counts every rebuild,
@@ -118,15 +114,15 @@ class Fleet
     std::size_t permanentlyFailedCount() const;
 
     /**
-     * Called (main thread, epoch barrier, shard-index order) right
-     * after a host is rebuilt and restarted — the hook for tools to
-     * re-attach per-host state such as fault injectors. Only events
-     * scheduled after now() should be re-armed: FaultInjector::arm
-     * fires past events immediately.
+     * The injector delivering host @p i's fault plan
+     * (HostBuilder::faults), or nullptr when the host has none. One
+     * injector serves all of the host's lives, so its counts and
+     * summary rows span its rebuilds.
      */
-    void onHostRestart(std::function<void(std::size_t, Host &)> hook)
+    const FaultInjector *
+    injector(std::size_t i) const
     {
-        restartHook_ = std::move(hook);
+        return shards_[i].faults.get();
     }
 
     /** Per-host invariant audit result: a list of violation strings
@@ -244,12 +240,23 @@ class Fleet
         sim::SimTime failedAt = 0;
         /** Rebuilds consumed from the restart budget. */
         unsigned restartAttempts = 0;
+        /** Delivers the builder's fault plan to every life of the
+         *  host; created by the first startShard(). */
+        std::unique_ptr<FaultInjector> faults;
     };
 
+    friend class FleetSpec;
+
     /** (Re)materialize shard state from its stored builder: fresh
-     *  clock, host, containers, controller, tracing. Its caller
-     *  starts the metric sampler once the clock is where it belongs. */
+     *  clock, host, containers, controller, tracing (a rebuilt host
+     *  records into its predecessor's ring). Its caller starts the
+     *  metric sampler once the clock is where it belongs. */
     void buildShard(Shard &shard);
+
+    /** Start host services, apps and controller, then the fault plan:
+     *  all of it on the first start, the events strictly after now()
+     *  on a rebuild. */
+    void startShard(Shard &shard);
 
     /** Rebuild failed shards whose backoff elapsed (epoch barrier);
      *  a rebuilt host continues its predecessor's metric series. */
@@ -307,7 +314,6 @@ class Fleet
     std::unique_ptr<sim::ShardedExecutor> executor_;
     RestartPolicy restart_;
     std::uint64_t restartedCount_ = 0;
-    std::function<void(std::size_t, Host &)> restartHook_;
     AuditFn audit_;
     std::vector<std::string> auditViolations_;
     /** First violation already dumped a trace excerpt to stderr. */

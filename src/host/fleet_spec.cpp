@@ -16,8 +16,7 @@ HostBuilder::workload(const std::string &preset,
     try {
         profile = workload::appPreset(preset, footprint_mb << 20);
     } catch (const std::invalid_argument &) {
-        // Sidecar/tax presets share the vocabulary (tmo_sim does the
-        // same fallback).
+        // Sidecar/tax presets share the vocabulary.
         profile = workload::sidecarPreset(preset, footprint_mb << 20);
     }
     AppSpec spec;
@@ -55,7 +54,7 @@ FleetSpec::build() const
 {
     Fleet fleet;
     fleet.setEpoch(epoch_);
-    fleet.setRestartPolicy(restart_);
+    fleet.restart_ = restart_;
     for (std::size_t i = 0; i < hosts_; ++i) {
         HostBuilder builder = proto_;
         if (builder.hostName().empty())

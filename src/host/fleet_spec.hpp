@@ -15,10 +15,11 @@
  *   fleet.start();
  *   fleet.run(sim::HOUR, 8);
  *
- * HostBuilder describes ONE host (hardware, containers, controller);
- * FleetSpec stamps N hosts from a prototype builder with an optional
- * per-index customize() hook for heterogeneous fleets. Fluent setters
- * are snake_case to read like the flags they mirror.
+ * HostBuilder describes ONE host (hardware, containers, controller,
+ * fault plan); FleetSpec stamps N hosts from a prototype builder with
+ * an optional per-index customize() hook for heterogeneous fleets, and
+ * holds the fleet's restart policy. Fluent setters are snake_case to
+ * read like the flags they mirror.
  */
 
 #pragma once
@@ -32,6 +33,7 @@
 
 #include "cgroup/cgroup.hpp"
 #include "core/controller.hpp"
+#include "host/fault_plan.hpp"
 #include "host/host.hpp"
 #include "sim/time.hpp"
 #include "workload/app_profile.hpp"
@@ -135,13 +137,6 @@ class HostBuilder
     }
 
     HostBuilder &
-    app_tick(sim::SimTime tick)
-    {
-        config_.appTick = tick;
-        return *this;
-    }
-
-    HostBuilder &
     name(std::string name)
     {
         name_ = std::move(name);
@@ -209,6 +204,20 @@ class HostBuilder
         return *this;
     }
 
+    // --- faults ----------------------------------------------------------
+
+    /**
+     * The host's fault plan. The fleet arms it right after it starts
+     * the host; when it rebuilds the host after a crash, the events
+     * strictly after the rebuild follow.
+     */
+    HostBuilder &
+    faults(FaultPlan plan)
+    {
+        faults_ = std::move(plan);
+        return *this;
+    }
+
     // --- control plane ---------------------------------------------------
 
     /** Attach a controller built per host once its containers exist. */
@@ -234,6 +243,7 @@ class HostBuilder
     {
         return controller_;
     }
+    const FaultPlan &faultPlan() const { return faults_; }
 
     /** The declared containers with default chains resolved. */
     std::vector<AppSpec> resolvedApps() const;
@@ -246,6 +256,7 @@ class HostBuilder
     workload::TrafficSpec traffic_;
     std::vector<AppSpec> apps_;
     ControllerFactory controller_;
+    FaultPlan faults_;
 };
 
 /** Stamp N hosts out of a prototype HostBuilder. */
@@ -275,7 +286,8 @@ class FleetSpec
         return *this;
     }
 
-    /** Per-index tweak of the stamped builder (heterogeneous fleets). */
+    /** Per-index tweak of the stamped builder (heterogeneous fleets,
+     *  per-host fault plans). */
     FleetSpec &
     customize(std::function<void(std::size_t, HostBuilder &)> fn)
     {
@@ -291,10 +303,6 @@ class FleetSpec
         return *this;
     }
 
-    /** Direct access to the prototype host description. */
-    HostBuilder &prototype() { return proto_; }
-    const HostBuilder &prototype() const { return proto_; }
-
     // --- prototype forwarders, so one chain describes the fleet ----------
 
     // clang-format off
@@ -304,7 +312,6 @@ class FleetSpec
     FleetSpec &cpus(unsigned n) { proto_.cpus(n); return *this; }
     FleetSpec &ssd_class(char cls) { proto_.ssd_class(cls); return *this; }
     FleetSpec &seed(std::uint64_t s) { proto_.seed(s); return *this; }
-    FleetSpec &app_tick(sim::SimTime t) { proto_.app_tick(t); return *this; }
     FleetSpec &tiers(const tier::TierChainSpec &spec) { proto_.tiers(spec); return *this; }
     FleetSpec &tiers(const std::string &spec) { proto_.tiers(spec); return *this; }
     FleetSpec &workload(const std::string &preset, std::uint64_t footprint_mb = 1024) { proto_.workload(preset, footprint_mb); return *this; }
@@ -313,6 +320,7 @@ class FleetSpec
     FleetSpec &app(workload::AppProfile profile, const tier::TierChainSpec &t, cgroup::Priority priority = cgroup::Priority::NORMAL) { proto_.app(std::move(profile), t, priority); return *this; }
     FleetSpec &controller(ControllerFactory factory) { proto_.controller(std::move(factory)); return *this; }
     FleetSpec &controller(const std::string &name) { proto_.controller(name); return *this; }
+    FleetSpec &faults(const FaultPlan &plan) { proto_.faults(plan); return *this; }
     // clang-format on
 
     /** Materialize the fleet (hosts, containers, controllers). */

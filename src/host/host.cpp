@@ -71,15 +71,37 @@ Host::enableTracing(std::size_t capacity_bytes)
 {
     if (trace_)
         return *trace_;
-    trace_ = std::make_unique<obs::TraceRing>(capacity_bytes);
-    obs::TraceRing *ring = trace_.get();
+    return continueTrace(
+        std::make_unique<obs::TraceRing>(capacity_bytes));
+}
+
+obs::TraceRing &
+Host::continueTrace(std::unique_ptr<obs::TraceRing> earlier)
+{
+    trace_ = std::move(earlier);
+    wireTrace(trace_.get());
+    return *trace_;
+}
+
+std::unique_ptr<obs::TraceRing>
+Host::takeTrace()
+{
+    // The ring outlives this host: its tasks would log their last PSI
+    // changes into it as they are destroyed.
+    wireTrace(nullptr);
+    return std::move(trace_);
+}
+
+void
+Host::wireTrace(obs::TraceRing *ring)
+{
     mm_.setTrace(ring);
     swap_.setTrace(ring, obs::TRACK_SWAP_SSD);
     zswap_.setTrace(ring, obs::TRACK_ZSWAP);
     nvm_.setTrace(ring, obs::TRACK_NVM);
     cxl_.setTrace(ring, obs::TRACK_NVM);
     fs_.setTrace(ring, obs::TRACK_FILESYSTEM);
-    // Dedicated pools (capped zswap) built before tracing was on.
+    // Dedicated pools of capped zswap tokens.
     for (const auto &pool : dedicatedPools_)
         pool->setTrace(ring, obs::TRACK_ZSWAP);
     for (const auto &cg : tree_.all())
@@ -87,7 +109,6 @@ Host::enableTracing(std::size_t capacity_bytes)
                            static_cast<std::uint16_t>(cg->id()));
     if (controller_)
         controller_->setTrace(ring);
-    return *trace_;
 }
 
 obs::MetricRegistry &

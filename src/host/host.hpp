@@ -163,6 +163,15 @@ class Host
      */
     obs::TraceRing &enableTracing(std::size_t capacity_bytes);
 
+    /** enableTracing() into @p earlier, the ring of a host this one
+     *  replaces (a rebuilt host's), so new events follow the old
+     *  ones. Only while tracing is off. */
+    obs::TraceRing &continueTrace(std::unique_ptr<obs::TraceRing> earlier);
+
+    /** Hand the trace ring on (nullptr when tracing is off); nothing
+     *  of this host records into it any more. */
+    std::unique_ptr<obs::TraceRing> takeTrace();
+
     /**
      * Create the metric registry + sampler and start sampling every
      * @p interval. Host-level probes (free memory, root PSI, SSD
@@ -234,6 +243,10 @@ class Host
 
     /** Register the controller's probes and note their names. */
     void registerControllerMetrics();
+
+    /** Point every instrumented component at @p ring (nullptr
+     *  detaches them). */
+    void wireTrace(obs::TraceRing *ring);
 
     sim::Simulation &sim_;
     HostConfig config_;

@@ -21,8 +21,8 @@
 
 #include "core/senpai.hpp"
 #include "core/tmo_daemon.hpp"
-#include "fault/fault_injector.hpp"
-#include "fault/fault_plan.hpp"
+#include "host/fault_injector.hpp"
+#include "host/fault_plan.hpp"
 #include "host/fleet.hpp"
 #include "mem/page.hpp"
 #include "psi/psi.hpp"
@@ -48,10 +48,10 @@ fleetSpec(std::size_t hosts, std::uint64_t seed)
 }
 
 /** A plan touching every subsystem the injector can reach. */
-fault::FaultPlan
+host::FaultPlan
 stressPlan()
 {
-    return fault::FaultPlan::parseString(
+    return host::FaultPlan::parseString(
         "t=20 kind=ssd-latency arg=6\n"
         "t=35 kind=ssd-write-error arg=0.3\n"
         "t=50 kind=swap-exhaust arg=0.2\n"
@@ -64,21 +64,16 @@ stressPlan()
  *  fault counters a degraded run must also agree on. */
 std::vector<double>
 faultedDigest(std::size_t hosts, std::uint64_t seed, unsigned jobs,
-              const std::function<fault::FaultPlan(std::size_t)> &plan,
+              const std::function<host::FaultPlan(std::size_t)> &plan,
               sim::SimTime duration = 2 * sim::MINUTE)
 {
-    host::Fleet fleet = fleetSpec(hosts, seed).build();
+    host::Fleet fleet =
+        fleetSpec(hosts, seed)
+            .customize([&plan](std::size_t i, host::HostBuilder &builder) {
+                builder.faults(plan(i));
+            })
+            .build();
     fleet.start();
-
-    std::vector<std::unique_ptr<fault::FaultInjector>> injectors;
-    for (std::size_t i = 0; i < fleet.size(); ++i) {
-        auto host_plan = plan(i);
-        if (host_plan.empty())
-            continue;
-        injectors.push_back(std::make_unique<fault::FaultInjector>(
-            fleet.host(i), std::move(host_plan)));
-        injectors.back()->arm();
-    }
     fleet.run(duration, jobs);
 
     std::vector<double> digest;
@@ -114,7 +109,7 @@ faultedDigest(std::size_t hosts, std::uint64_t seed, unsigned jobs,
     });
     append([&](host::Host &h) {
         return static_cast<double>(
-            fault::hostDegradationEvents(h));
+            host::hostDegradationEvents(h));
     });
     return digest;
 }
@@ -125,23 +120,23 @@ faultedDigest(std::size_t hosts, std::uint64_t seed, unsigned jobs,
 
 TEST(FaultPlanTest, ParsesTokensInAnyOrderAndSortsByTime)
 {
-    const auto plan = fault::FaultPlan::parseString(
+    const auto plan = host::FaultPlan::parseString(
         "# a comment line\n"
         "t=90 kind=ram-shrink arg=64\n"
         "\n"
         "kind=ssd-latency arg=4 t=10   # trailing comment\n");
     ASSERT_EQ(plan.size(), 2u);
-    EXPECT_EQ(plan.events[0].kind, fault::FaultKind::SSD_LATENCY);
+    EXPECT_EQ(plan.events[0].kind, host::FaultKind::SSD_LATENCY);
     EXPECT_EQ(plan.events[0].at, 10 * sim::SEC);
     EXPECT_DOUBLE_EQ(plan.events[0].arg, 4.0);
-    EXPECT_EQ(plan.events[1].kind, fault::FaultKind::RAM_SHRINK);
+    EXPECT_EQ(plan.events[1].kind, host::FaultKind::RAM_SHRINK);
 }
 
 TEST(FaultPlanTest, RoundTripsThroughToString)
 {
     const auto plan = stressPlan();
     const auto again =
-        fault::FaultPlan::parseString(plan.toString());
+        host::FaultPlan::parseString(plan.toString());
     EXPECT_EQ(plan.events, again.events);
 }
 
@@ -149,28 +144,28 @@ TEST(FaultPlanTest, ToStringKeepsEveryDigit)
 {
     // Times and arguments print exactly: a time prints as seconds
     // that convert back to the same nanosecond.
-    const auto plan = fault::FaultPlan::parseString(
+    const auto plan = host::FaultPlan::parseString(
         "t=0.1234567891 kind=ssd-latency arg=3.141592653589793\n"
         "t=86399.999999999 kind=zswap-cap arg=1e-7\n"
         "t=1e9 kind=ram-shrink arg=-0.5\n");
-    EXPECT_EQ(fault::FaultPlan::parseString(plan.toString()).events,
+    EXPECT_EQ(host::FaultPlan::parseString(plan.toString()).events,
               plan.events)
         << plan.toString();
-    EXPECT_EQ(fault::FaultPlan::parseString("t=20 kind=ssd-online\n")
+    EXPECT_EQ(host::FaultPlan::parseString("t=20 kind=ssd-online\n")
                   .toString(),
               "t=20 kind=ssd-online arg=0\n");
 }
 
 TEST(FaultPlanTest, KindNamesRoundTrip)
 {
-    for (std::size_t i = 0; i < fault::NUM_FAULT_KINDS; ++i) {
-        const auto kind = static_cast<fault::FaultKind>(i);
+    for (std::size_t i = 0; i < host::NUM_FAULT_KINDS; ++i) {
+        const auto kind = static_cast<host::FaultKind>(i);
         const auto back =
-            fault::faultKindFromName(fault::faultKindName(kind));
+            host::faultKindFromName(host::faultKindName(kind));
         ASSERT_TRUE(back.has_value()) << i;
         EXPECT_EQ(*back, kind);
     }
-    EXPECT_FALSE(fault::faultKindFromName("disk-melt").has_value());
+    EXPECT_FALSE(host::faultKindFromName("disk-melt").has_value());
 }
 
 TEST(FaultPlanTest, MalformedSpecsNameTheLine)
@@ -178,7 +173,7 @@ TEST(FaultPlanTest, MalformedSpecsNameTheLine)
     const auto expectError = [](const std::string &text,
                                 const std::string &needle) {
         try {
-            fault::FaultPlan::parseString(text);
+            host::FaultPlan::parseString(text);
             FAIL() << "expected invalid_argument for: " << text;
         } catch (const std::invalid_argument &error) {
             EXPECT_NE(std::string(error.what()).find(needle),
@@ -204,7 +199,7 @@ TEST(FaultPlanTest, NonFiniteAndHugeNumbersAreRejectedByName)
                                 const std::string &needle) {
         const std::string text = "t=5 kind=ssd-latency arg=2\n" + line;
         try {
-            fault::FaultPlan::parseString(text);
+            host::FaultPlan::parseString(text);
             FAIL() << "expected invalid_argument for: " << line;
         } catch (const std::invalid_argument &error) {
             const std::string what = error.what();
@@ -226,7 +221,7 @@ TEST(FaultPlanTest, NonFiniteAndHugeNumbersAreRejectedByName)
                     "arg must be in [-1e9, 1e9]");
 
     // The bounds themselves parse.
-    const auto plan = fault::FaultPlan::parseString(
+    const auto plan = host::FaultPlan::parseString(
         "t=1e9 kind=ssd-latency arg=1e9\nt=0 kind=ram-shrink arg=-1e9\n");
     ASSERT_EQ(plan.size(), 2u);
     EXPECT_EQ(plan.events[1].at, 1'000'000'000 * sim::SEC);
@@ -236,15 +231,15 @@ TEST(FaultPlanTest, NonFiniteAndHugeNumbersAreRejectedByName)
 
 TEST(FaultPlanTest, MissingFileThrows)
 {
-    EXPECT_THROW(fault::FaultPlan::fromFile("/nonexistent/plan.txt"),
+    EXPECT_THROW(host::FaultPlan::fromFile("/nonexistent/plan.txt"),
                  std::invalid_argument);
 }
 
 TEST(FaultPlanTest, RandomPlansAreSeedDeterministic)
 {
-    const auto a = fault::FaultPlan::random(7, 10 * sim::MINUTE);
-    const auto b = fault::FaultPlan::random(7, 10 * sim::MINUTE);
-    const auto c = fault::FaultPlan::random(8, 10 * sim::MINUTE);
+    const auto a = host::FaultPlan::random(7, 10 * sim::MINUTE);
+    const auto b = host::FaultPlan::random(7, 10 * sim::MINUTE);
+    const auto c = host::FaultPlan::random(8, 10 * sim::MINUTE);
     EXPECT_EQ(a.events, b.events);
     EXPECT_NE(a.events, c.events);
     EXPECT_GE(a.size(), 3u);
@@ -267,7 +262,7 @@ TEST(FaultInjectionTest, FaultedFleetIsBitIdenticalForAnyJobs)
 TEST(FaultInjectionTest, ChaosPlansAreBitIdenticalForAnyJobs)
 {
     const auto plan = [](std::size_t i) {
-        return fault::FaultPlan::random(
+        return host::FaultPlan::random(
             1000 + (i + 1) * 0x9e3779b97f4a7c15ull, 2 * sim::MINUTE);
     };
     const auto serial = faultedDigest(6, 7, 1, plan);
@@ -282,13 +277,13 @@ TEST(FaultInjectionTest, UnfaultedHostsMatchAFaultFreeRun)
     // dedicated RNG stream, so healthy hosts are untouched).
     const std::size_t hosts = 4, victim = 2;
     const auto offline_plan = [&](std::size_t i) {
-        fault::FaultPlan plan;
+        host::FaultPlan plan;
         if (i == victim)
-            plan = fault::FaultPlan::parseString(
+            plan = host::FaultPlan::parseString(
                 "t=30 kind=ssd-offline\n");
         return plan;
     };
-    const auto none = [](std::size_t) { return fault::FaultPlan{}; };
+    const auto none = [](std::size_t) { return host::FaultPlan{}; };
     const auto faulted = faultedDigest(hosts, 42, 2, offline_plan);
     const auto clean = faultedDigest(hosts, 42, 2, none);
     ASSERT_EQ(faulted.size(), clean.size());
@@ -309,24 +304,24 @@ TEST(FaultInjectionTest, UnfaultedHostsMatchAFaultFreeRun)
 
 TEST(FaultInjectionTest, OfflineSwapMarksBackendFailedAndDegrades)
 {
-    host::Fleet fleet = fleetSpec(1, 11).build();
+    host::Fleet fleet = fleetSpec(1, 11)
+                            .faults(host::FaultPlan::parseString(
+                                "t=20 kind=ssd-offline\n"))
+                            .build();
     fleet.start();
-    auto injector = fault::FaultInjector(
-        fleet.host(0), fault::FaultPlan::parseString(
-                           "t=20 kind=ssd-offline\n"));
-    injector.arm();
     fleet.run(2 * sim::MINUTE);
 
     auto &machine = fleet.host(0);
     EXPECT_TRUE(machine.ssd().offline());
     EXPECT_EQ(machine.swap().status(),
               backend::BackendStatus::FAILED);
-    EXPECT_EQ(fault::hostBackendStatus(machine),
+    EXPECT_EQ(host::hostBackendStatus(machine),
               backend::BackendStatus::FAILED);
-    EXPECT_EQ(injector.injected(), 1u);
-    EXPECT_EQ(
-        injector.injectedOf(fault::FaultKind::SSD_OFFLINE), 1u);
-    EXPECT_FALSE(injector.statsRow().empty());
+    const host::FaultInjector *injector = fleet.injector(0);
+    ASSERT_NE(injector, nullptr);
+    EXPECT_EQ(injector->injected(), 1u);
+    EXPECT_EQ(injector->injectedOf(host::FaultKind::SSD_OFFLINE), 1u);
+    EXPECT_FALSE(injector->statsRow().empty());
 }
 
 TEST(FaultInjectionTest, SwapExhaustionFallsBackToFileOnlyReclaim)
@@ -405,13 +400,11 @@ TEST(FaultInjectionTest, ZswapFaultsReachEveryPool)
     // fault kinds must reach it as they reach the host's shared pool.
     host::Fleet fleet = fleetSpec(1, 17)
                             .tiers("zswap:64mb+ssd;placement=workingset")
+                            .faults(host::FaultPlan::parseString(
+                                "t=0 kind=zswap-cap arg=1\n"
+                                "t=0 kind=zswap-stall arg=500\n"))
                             .build();
     fleet.start();
-    fault::FaultInjector injector(
-        fleet.host(0), fault::FaultPlan::parseString(
-                           "t=0 kind=zswap-cap arg=1\n"
-                           "t=0 kind=zswap-stall arg=500\n"));
-    injector.arm();
     fleet.run(sim::MINUTE);
 
     auto &machine = fleet.host(0);
@@ -421,7 +414,7 @@ TEST(FaultInjectionTest, ZswapFaultsReachEveryPool)
     ASSERT_NE(own, &machine.zswap());
     EXPECT_DOUBLE_EQ(machine.zswap().stallUs(), 500.0);
     EXPECT_DOUBLE_EQ(own->stallUs(), 500.0);
-    EXPECT_EQ(fault::hostBackendStatus(machine),
+    EXPECT_EQ(host::hostBackendStatus(machine),
               backend::BackendStatus::DEGRADED);
 
     // Every page prefers the chain's pool, which the cap holds to
@@ -434,7 +427,7 @@ TEST(FaultInjectionTest, ZswapFaultsReachEveryPool)
     EXPECT_LE(own->usedBytes(), 1ull << 20);
     EXPECT_GT(own->rejectedPages(), 0u);
     EXPECT_GT(machine.swap().usedBytes(), 0u);
-    EXPECT_GE(fault::hostDegradationEvents(machine),
+    EXPECT_GE(host::hostDegradationEvents(machine),
               own->rejectedPages());
 }
 

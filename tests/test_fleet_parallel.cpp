@@ -11,14 +11,12 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "fault/fault_injector.hpp"
-#include "fault/fault_plan.hpp"
 #include "host/controller_registry.hpp"
+#include "host/fault_plan.hpp"
 #include "host/fleet.hpp"
 #include "sim/sharded_executor.hpp"
 #include "stats/histogram.hpp"
@@ -176,36 +174,29 @@ aggregationDigest(unsigned jobs)
                             .workload("feed", 128)
                             .traffic("flat:rps=40")
                             .controller("senpai")
+                            .restart({.maxAttempts = 1,
+                                      .backoff = 30 * sim::SEC})
+                            .customize([](std::size_t i,
+                                          host::HostBuilder &builder) {
+                                // Host 3 crashes once and rejoins at
+                                // the 90 s barrier; host 70 (second
+                                // aggregation group) also crashes
+                                // again 10 s after that rebuild, past
+                                // its budget of one attempt —
+                                // permanently failed.
+                                if (i == 3)
+                                    builder.faults(
+                                        host::FaultPlan::parseString(
+                                            "t=40 kind=host-crash\n"));
+                                if (i == 70)
+                                    builder.faults(
+                                        host::FaultPlan::parseString(
+                                            "t=40 kind=host-crash\n"
+                                            "t=100 kind=host-crash\n"));
+                            })
                             .build();
-    host::RestartPolicy policy;
-    policy.maxAttempts = 1;
-    policy.backoff = 30 * sim::SEC;
-    fleet.setRestartPolicy(policy);
     fleet.enableMetrics(15 * sim::SEC);
     fleet.start();
-
-    const auto armed = [&](std::size_t i, const std::string &plan) {
-        auto injector = std::make_unique<fault::FaultInjector>(
-            fleet.host(i), fault::FaultPlan::parseString(plan));
-        injector->arm();
-        return injector;
-    };
-    std::vector<std::unique_ptr<fault::FaultInjector>> injectors;
-    // Host 3 crashes once and rejoins; host 70 (second aggregation
-    // group) crashes, restarts, and crashes again past its budget of
-    // one attempt — permanently failed.
-    injectors.push_back(armed(3, "t=40 kind=host-crash\n"));
-    injectors.push_back(armed(70, "t=40 kind=host-crash\n"));
-    fleet.onHostRestart([&](std::size_t i, host::Host &machine) {
-        if (i != 70)
-            return;
-        fault::FaultPlan again;
-        again.events.push_back({fleet.now() + 10 * sim::SEC,
-                                fault::FaultKind::HOST_CRASH, 0.0});
-        injectors.push_back(std::make_unique<fault::FaultInjector>(
-            machine, std::move(again)));
-        injectors.back()->arm();
-    });
 
     fleet.run(3 * sim::MINUTE, jobs);
 
@@ -291,16 +282,10 @@ TEST(FleetAggregationTest, AllHostsFailedYieldsEmptyAggregates)
                             .seed(5)
                             .workload("feed", 128)
                             .traffic("flat:rps=20")
+                            .faults(host::FaultPlan::parseString(
+                                "t=40 kind=host-crash\n"))
                             .build();
     fleet.start();
-    std::vector<std::unique_ptr<fault::FaultInjector>> injectors;
-    for (std::size_t i = 0; i < fleet.size(); ++i) {
-        auto injector = std::make_unique<fault::FaultInjector>(
-            fleet.host(i),
-            fault::FaultPlan::parseString("t=40 kind=host-crash\n"));
-        injector->arm();
-        injectors.push_back(std::move(injector));
-    }
     fleet.run(2 * sim::MINUTE, 2);
 
     ASSERT_EQ(fleet.failedCount(), fleet.size());

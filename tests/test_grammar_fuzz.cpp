@@ -13,8 +13,8 @@
  *    under memory pressure with Senpai for a few simulated minutes and
  *    passes fault::auditHost.
  *  - FaultPlan::parseString: an accepted plan's toString() parses back
- *    equal, and a FaultInjector delivers every distinct accepted plan
- *    to one small paging host for three simulated minutes, after which
+ *    equal, and every distinct accepted plan is the fault plan of one
+ *    small paging host for three simulated minutes, after which
  *    fault::auditHost comes back clean.
  *  - TrafficSpec::parse: an accepted spec's toString() parses back
  *    equal, and every distinct accepted spec within a cost budget
@@ -31,9 +31,8 @@
 #include <string>
 #include <vector>
 
-#include "fault/fault_injector.hpp"
-#include "fault/fault_plan.hpp"
 #include "fault/invariant_auditor.hpp"
+#include "host/fault_plan.hpp"
 #include "host/fleet.hpp"
 #include "sim/rng.hpp"
 #include "tier/tier_spec.hpp"
@@ -182,15 +181,15 @@ TEST(GrammarFuzzTest, FaultPlanParsesOrNamesTheError)
             i < static_cast<int>(seeds.size())
                 ? seed
                 : mutate(seed, rng, alphabet, tokens);
-        fault::FaultPlan plan;
+        host::FaultPlan plan;
         try {
-            plan = fault::FaultPlan::parseString(input);
+            plan = host::FaultPlan::parseString(input);
         } catch (const std::invalid_argument &) {
             ++rejected;
             continue;
         }
         const std::string canonical = plan.toString();
-        ASSERT_EQ(fault::FaultPlan::parseString(canonical).events,
+        ASSERT_EQ(host::FaultPlan::parseString(canonical).events,
                   plan.events)
             << "input '" << input << "' printed as '" << canonical
             << "'";
@@ -213,11 +212,9 @@ TEST(GrammarFuzzTest, FaultPlanParsesOrNamesTheError)
                          .tiers("zswap:16mb+ssd")
                          .controller("senpai")
                          .workload("feed", 64)
+                         .faults(host::FaultPlan::parseString(text))
                          .build();
         fleet.start();
-        fault::FaultInjector injector(fleet.host(0),
-                                      fault::FaultPlan::parseString(text));
-        injector.arm();
         fleet.run(3 * sim::MINUTE, 1);
         const auto violations = fault::auditHost(fleet.host(0));
         EXPECT_TRUE(violations.empty()) << violations.front();

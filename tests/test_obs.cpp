@@ -16,9 +16,8 @@
 #include <vector>
 
 #include "core/senpai.hpp"
-#include "fault/fault_injector.hpp"
-#include "fault/fault_plan.hpp"
 #include "host/controller_registry.hpp"
+#include "host/fault_plan.hpp"
 #include "host/fleet.hpp"
 #include "host/host.hpp"
 #include "obs/export.hpp"
@@ -369,35 +368,25 @@ struct ObsArtifact {
 ObsArtifact
 runFleet(unsigned jobs, bool with_faults)
 {
-    auto fleet = host::FleetSpec{}
-                     .hosts(4)
-                     .name_prefix("obs")
-                     .ram_mb(512)
-                     .page_kb(64)
-                     .seed(99)
-                     .tiers("ssd")
-                     .workload("feed", 256)
-                     .controller(host::controllerFactoryFor("senpai",
-                                                            {}))
-                     .build();
-    fleet.enableTracing(1 << 20);
-    fleet.enableMetrics(6 * sim::SEC);
-    fleet.start();
-
-    std::vector<std::unique_ptr<fault::FaultInjector>> injectors;
-    if (with_faults) {
-        const auto plan = fault::FaultPlan::parseString(
+    auto spec = host::FleetSpec{}
+                    .hosts(4)
+                    .name_prefix("obs")
+                    .ram_mb(512)
+                    .page_kb(64)
+                    .seed(99)
+                    .tiers("ssd")
+                    .workload("feed", 256)
+                    .controller(host::controllerFactoryFor("senpai", {}));
+    if (with_faults)
+        spec.faults(host::FaultPlan::parseString(
             "t=30 kind=ssd-latency arg=8\n"
             "t=60 kind=controller-stall arg=20\n"
             "t=90 kind=ssd-offline\n"
-            "t=150 kind=ssd-online\n");
-        for (std::size_t i = 0; i < fleet.size(); ++i) {
-            injectors.push_back(
-                std::make_unique<fault::FaultInjector>(fleet.host(i),
-                                                       plan));
-            injectors.back()->arm();
-        }
-    }
+            "t=150 kind=ssd-online\n"));
+    auto fleet = spec.build();
+    fleet.enableTracing(1 << 20);
+    fleet.enableMetrics(6 * sim::SEC);
+    fleet.start();
 
     fleet.run(4 * sim::MINUTE, jobs);
 

@@ -5,6 +5,9 @@
  *  - a RestartPolicy rebuilds a crashed host from its builder recipe
  *    at an epoch boundary, resumed on the fleet clock, and recovery
  *    is bit-identical for any --jobs;
+ *  - the rebuilt host takes the events of its fault plan after the
+ *    rebuild, and its fault count, metric series and trace go on
+ *    from its earlier lives;
  *  - the restart budget is finite: a host that keeps crashing ends up
  *    permanently failed, and with restarts disabled (the default) a
  *    failed host stays quarantined — the pre-self-healing behaviour;
@@ -29,15 +32,13 @@
 
 #include <algorithm>
 #include <functional>
-#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "fault/fault_injector.hpp"
-#include "fault/fault_plan.hpp"
 #include "fault/invariant_auditor.hpp"
+#include "host/fault_plan.hpp"
 #include "host/fleet.hpp"
 #include "mem/memory_manager.hpp"
 #include "mem/page.hpp"
@@ -87,14 +88,22 @@ restartPolicy(unsigned attempts, sim::SimTime backoff = 30 * sim::SEC)
     return policy;
 }
 
-/** Arm @p plan on host @p i of @p fleet. */
-std::unique_ptr<fault::FaultInjector>
-armed(host::Fleet &fleet, std::size_t i, const std::string &plan)
+/** A customize() hook giving host i the plan @p texts[i] (hosts past
+ *  the end get none). */
+std::function<void(std::size_t, host::HostBuilder &)>
+plans(const std::vector<std::string> &texts)
 {
-    auto injector = std::make_unique<fault::FaultInjector>(
-        fleet.host(i), fault::FaultPlan::parseString(plan));
-    injector->arm();
-    return injector;
+    return [texts](std::size_t i, host::HostBuilder &builder) {
+        if (i < texts.size())
+            builder.faults(host::FaultPlan::parseString(texts[i]));
+    };
+}
+
+/** A plan from its spec text. */
+host::FaultPlan
+plan(const std::string &text)
+{
+    return host::FaultPlan::parseString(text);
 }
 
 /** Stamp @p heat onto every page at the current decay epoch. */
@@ -114,10 +123,11 @@ setAllHeat(host::Host &machine, std::uint8_t heat)
 
 TEST(HostRestartTest, CrashedHostIsRebuiltAndRejoinsTheFleet)
 {
-    host::Fleet fleet = fleetSpec(2, 7).build();
-    fleet.setRestartPolicy(restartPolicy(2));
+    host::Fleet fleet = fleetSpec(2, 7)
+                            .restart(restartPolicy(2))
+                            .customize(plans({"t=60 kind=host-crash\n"}))
+                            .build();
     fleet.start();
-    auto injector = armed(fleet, 0, "t=60 kind=host-crash\n");
 
     fleet.run(5 * sim::MINUTE);
 
@@ -134,9 +144,10 @@ TEST(HostRestartTest, CrashedHostIsRebuiltAndRejoinsTheFleet)
 
 TEST(HostRestartTest, DisabledPolicyKeepsQuarantineSemantics)
 {
-    host::Fleet fleet = fleetSpec(2, 7).build();
+    host::Fleet fleet = fleetSpec(2, 7)
+                            .customize(plans({"t=60 kind=host-crash\n"}))
+                            .build();
     fleet.start();
-    auto injector = armed(fleet, 0, "t=60 kind=host-crash\n");
 
     fleet.run(3 * sim::MINUTE);
 
@@ -148,24 +159,17 @@ TEST(HostRestartTest, DisabledPolicyKeepsQuarantineSemantics)
 
 TEST(HostRestartTest, RepeatCrashesExhaustTheBudget)
 {
-    host::Fleet fleet = fleetSpec(2, 9).build();
-    fleet.setRestartPolicy(restartPolicy(2));
+    // Every life of host 0 crashes again 10 s after its rebuild: the
+    // first crash is seen at the 60 s barrier and rebuilt after 30 s
+    // (at 90 s), the second at 120 s and rebuilt after 60 s (at
+    // 180 s), and the third finds the budget spent.
+    host::Fleet fleet = fleetSpec(2, 9)
+                            .restart(restartPolicy(2))
+                            .customize(plans({"t=60 kind=host-crash\n"
+                                              "t=100 kind=host-crash\n"
+                                              "t=190 kind=host-crash\n"}))
+                            .build();
     fleet.start();
-
-    // Every incarnation of host 0 crashes again shortly after its
-    // rebuild: the restart hook re-arms the next crash.
-    std::vector<std::unique_ptr<fault::FaultInjector>> injectors;
-    injectors.push_back(armed(fleet, 0, "t=60 kind=host-crash\n"));
-    fleet.onHostRestart([&](std::size_t i, host::Host &machine) {
-        if (i != 0)
-            return;
-        fault::FaultPlan next;
-        next.events.push_back({fleet.now() + 10 * sim::SEC,
-                               fault::FaultKind::HOST_CRASH, 0.0});
-        injectors.push_back(
-            std::make_unique<fault::FaultInjector>(machine, next));
-        injectors.back()->arm();
-    });
 
     fleet.run(20 * sim::MINUTE);
 
@@ -177,37 +181,16 @@ TEST(HostRestartTest, RepeatCrashesExhaustTheBudget)
 TEST(HostRestartTest, RecoveryIsBitIdenticalAcrossJobs)
 {
     const auto digest = [](unsigned jobs) {
-        host::Fleet fleet = fleetSpec(4, 11).build();
-        fleet.setRestartPolicy(restartPolicy(3));
+        host::Fleet fleet =
+            fleetSpec(4, 11)
+                .restart(restartPolicy(3))
+                .customize(plans({"t=45 kind=host-crash\n"
+                                  "t=200 kind=ssd-write-error arg=0.4\n"
+                                  "t=260 kind=ssd-online\n",
+                                  "", "t=90 kind=host-crash\n"}))
+                .build();
         fleet.enableInvariantAudit(fault::auditHost);
         fleet.start();
-
-        std::vector<fault::FaultPlan> plans(fleet.size());
-        plans[0] = fault::FaultPlan::parseString(
-            "t=45 kind=host-crash\n"
-            "t=200 kind=ssd-write-error arg=0.4\n"
-            "t=260 kind=ssd-online\n");
-        plans[2] = fault::FaultPlan::parseString(
-            "t=90 kind=host-crash\n");
-        std::vector<std::unique_ptr<fault::FaultInjector>> injectors;
-        for (std::size_t i = 0; i < fleet.size(); ++i) {
-            if (plans[i].empty())
-                continue;
-            injectors.push_back(std::make_unique<fault::FaultInjector>(
-                fleet.host(i), plans[i]));
-            injectors.back()->arm();
-        }
-        fleet.onHostRestart([&](std::size_t i, host::Host &machine) {
-            fault::FaultPlan rest;
-            for (const auto &event : plans[i].events)
-                if (event.at > fleet.now())
-                    rest.events.push_back(event);
-            if (rest.empty())
-                return;
-            injectors.push_back(std::make_unique<fault::FaultInjector>(
-                machine, std::move(rest)));
-            injectors.back()->arm();
-        });
 
         fleet.run(6 * sim::MINUTE, jobs);
         EXPECT_TRUE(fleet.auditViolations().empty());
@@ -230,11 +213,12 @@ TEST(HostRestartTest, RecoveryIsBitIdenticalAcrossJobs)
 
 TEST(HostRestartTest, RebuiltHostContinuesItsMetricSeries)
 {
-    host::Fleet fleet = fleetSpec(2, 7).build();
-    fleet.setRestartPolicy(restartPolicy(2));
+    host::Fleet fleet = fleetSpec(2, 7)
+                            .restart(restartPolicy(2))
+                            .customize(plans({"t=75 kind=host-crash\n"}))
+                            .build();
     fleet.enableMetrics(30 * sim::SEC);
     fleet.start();
-    auto injector = armed(fleet, 0, "t=75 kind=host-crash\n");
 
     fleet.run(6 * sim::MINUTE);
     ASSERT_EQ(fleet.restartedCount(), 1u);
@@ -276,11 +260,83 @@ TEST(HostRestartTest, RebuiltHostContinuesItsMetricSeries)
     }
 }
 
+TEST(HostRestartTest, RebuiltHostResumesTheRestOfItsPlan)
+{
+    // The crash at 45 s is seen at the 60 s barrier and the host is
+    // rebuilt one 30 s backoff later, at 90 s. The SSD slowdown at
+    // 70 s falls while the host is down and never fires; the recovery
+    // at 200 s fires once, on the rebuilt host. One count spans both
+    // lives.
+    host::Fleet fleet = fleetSpec(1, 7)
+                            .restart(restartPolicy(2))
+                            .faults(plan("t=45 kind=host-crash\n"
+                                         "t=70 kind=ssd-latency arg=8\n"
+                                         "t=200 kind=ssd-online\n"))
+                            .build();
+    fleet.start();
+
+    fleet.run(5 * sim::MINUTE);
+    ASSERT_EQ(fleet.restartedCount(), 1u);
+
+    const host::FaultInjector *injector = fleet.injector(0);
+    ASSERT_NE(injector, nullptr);
+    EXPECT_EQ(injector->injectedOf(host::FaultKind::HOST_CRASH), 1u);
+    EXPECT_EQ(injector->injectedOf(host::FaultKind::SSD_LATENCY), 0u);
+    EXPECT_EQ(injector->injectedOf(host::FaultKind::SSD_ONLINE), 1u);
+    EXPECT_EQ(injector->injected(), 2u);
+    EXPECT_EQ(injector->statsRow().front(),
+              std::make_pair(std::string("faults injected"),
+                             std::string("2")));
+}
+
+TEST(HostRestartTest, RebuiltHostContinuesItsTrace)
+{
+    // One ring spans both lives of host 0: the events of its first
+    // life up to the crash record at 75 s, then the rebuilt host's
+    // from 120 s on (failed at the 90 s barrier, one 30 s backoff),
+    // in time order.
+    host::Fleet fleet = fleetSpec(2, 7)
+                            .restart(restartPolicy(2))
+                            .customize(plans({"t=75 kind=host-crash\n"}))
+                            .build();
+    fleet.enableTracing(8 << 20);
+    fleet.start();
+
+    fleet.run(4 * sim::MINUTE);
+    ASSERT_EQ(fleet.restartedCount(), 1u);
+    ASSERT_EQ(fleet.host(0).trace()->dropped(), 0u);
+
+    std::ostringstream out;
+    obs::writeTraceJsonl(out, fleet.traces());
+    std::istringstream in(out.str());
+    const auto hosts = obs::readTraceJsonl(in);
+    ASSERT_EQ(hosts.size(), 2u);
+    ASSERT_EQ(hosts[0].host, "heal0");
+    const auto &events = hosts[0].events;
+    ASSERT_FALSE(events.empty());
+    EXPECT_LT(events.front().time, 75 * sim::SEC);
+    std::size_t crash = events.size();
+    for (std::size_t i = 0; i < events.size(); ++i) {
+        EXPECT_EQ(events[i].seq, i);
+        if (i > 0) {
+            EXPECT_GE(events[i].time, events[i - 1].time) << "event " << i;
+        }
+        if (events[i].type == obs::TraceEventType::FAULT_INJECT &&
+            events[i].code ==
+                static_cast<std::uint8_t>(host::FaultKind::HOST_CRASH))
+            crash = i;
+    }
+    ASSERT_LT(crash + 1, events.size());
+    EXPECT_EQ(events[crash].time, 75 * sim::SEC);
+    EXPECT_GE(events[crash + 1].time, 120 * sim::SEC);
+}
+
 TEST(FleetCollectTest, FrozenHostsStayOutOfFleetPercentiles)
 {
-    host::Fleet fleet = fleetSpec(3, 5).build();
+    host::Fleet fleet =
+        fleetSpec(3, 5).customize(plans({"", "t=60 kind=host-crash\n"}))
+            .build();
     fleet.start();
-    auto injector = armed(fleet, 1, "t=60 kind=host-crash\n");
 
     fleet.run(3 * sim::MINUTE);
 
@@ -295,10 +351,10 @@ TEST(FleetCollectTest, FrozenHostsStayOutOfFleetPercentiles)
 
 TEST(ControllerWatchdogTest, CrashIsRebuiltFromTheFactory)
 {
-    host::Fleet fleet = fleetSpec(1, 3).build();
+    host::Fleet fleet =
+        fleetSpec(1, 3).faults(plan("t=60 kind=controller-crash arg=20\n"))
+            .build();
     fleet.start();
-    auto injector =
-        armed(fleet, 0, "t=60 kind=controller-crash arg=20\n");
 
     fleet.run(3 * sim::MINUTE);
 
@@ -314,11 +370,11 @@ TEST(ControllerWatchdogTest, CrashedControllerIsNotSampled)
     // rebuild, which the 1 s watchdog makes at 300 s + 20 s. The
     // crash, scheduled when the plan was armed, runs before the
     // sample due at 300 s.
-    host::Fleet fleet = fleetSpec(1, 3).build();
+    host::Fleet fleet =
+        fleetSpec(1, 3).faults(plan("t=300 kind=controller-crash arg=20\n"))
+            .build();
     fleet.enableMetrics(6 * sim::SEC);
     fleet.start();
-    auto injector =
-        armed(fleet, 0, "t=300 kind=controller-crash arg=20\n");
     fleet.run(6 * sim::MINUTE);
 
     host::Host &machine = fleet.host(0);
@@ -378,11 +434,11 @@ TEST(ControllerWatchdogTest, CrashedControllerIsNotSampled)
 
 TEST(ControllerWatchdogTest, StallResumesTheSameObjectWithoutRebuild)
 {
-    host::Fleet fleet = fleetSpec(1, 3).build();
+    host::Fleet fleet =
+        fleetSpec(1, 3).faults(plan("t=60 kind=controller-stall arg=20\n"))
+            .build();
     fleet.start();
     core::Controller *before = fleet.host(0).controller();
-    auto injector =
-        armed(fleet, 0, "t=60 kind=controller-stall arg=20\n");
 
     fleet.run(3 * sim::MINUTE);
 
@@ -550,10 +606,10 @@ TEST(TierEvacuationTest, MidChainOfflineFaultPlanKeepsServingLoads)
                      .tiers("zswap:8mb+zswap+ssd")
                      .workload("feed", 192)
                      .controller("senpai")
+                     .faults(plan("t=60 kind=tier-offline arg=0\n"))
                      .build();
     fleet.enableInvariantAudit(fault::auditHost);
     fleet.start();
-    auto injector = armed(fleet, 0, "t=60 kind=tier-offline arg=0\n");
 
     fleet.run(4 * sim::MINUTE);
 
@@ -873,34 +929,14 @@ TEST(SelfHealingAcceptanceTest, CrashAndTierOutagePlanHealsCompletely)
                          .workload("feed", 192)
                          .controller("senpai")
                          .restart(restartPolicy(2, 60 * sim::SEC))
+                         .customize(plans({"t=60 kind=host-crash\n"
+                                           "t=300 kind=controller-crash "
+                                           "arg=20\n",
+                                           "t=90 kind=tier-offline arg=1\n"
+                                           "t=240 kind=tier-online arg=1\n"}))
                          .build();
         fleet.enableInvariantAudit(fault::auditHost);
         fleet.start();
-
-        std::vector<fault::FaultPlan> plans(fleet.size());
-        plans[0] = fault::FaultPlan::parseString(
-            "t=60 kind=host-crash\n"
-            "t=300 kind=controller-crash arg=20\n");
-        plans[1] = fault::FaultPlan::parseString(
-            "t=90 kind=tier-offline arg=1\n"
-            "t=240 kind=tier-online arg=1\n");
-        std::vector<std::unique_ptr<fault::FaultInjector>> injectors;
-        for (std::size_t i = 0; i < fleet.size(); ++i) {
-            injectors.push_back(std::make_unique<fault::FaultInjector>(
-                fleet.host(i), plans[i]));
-            injectors.back()->arm();
-        }
-        fleet.onHostRestart([&](std::size_t i, host::Host &machine) {
-            fault::FaultPlan rest;
-            for (const auto &event : plans[i].events)
-                if (event.at > fleet.now())
-                    rest.events.push_back(event);
-            if (rest.empty())
-                return;
-            injectors.push_back(std::make_unique<fault::FaultInjector>(
-                machine, std::move(rest)));
-            injectors.back()->arm();
-        });
 
         fleet.run(10 * sim::MINUTE, jobs);
 

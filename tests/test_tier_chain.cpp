@@ -24,9 +24,8 @@
 #include "backend/nvm.hpp"
 #include "backend/zswap.hpp"
 #include "core/senpai.hpp"
-#include "fault/fault_injector.hpp"
-#include "fault/fault_plan.hpp"
 #include "fault/invariant_auditor.hpp"
+#include "host/fault_injector.hpp"
 #include "host/fleet.hpp"
 #include "host/host.hpp"
 #include "psi/psi.hpp"
@@ -533,8 +532,8 @@ TEST(TierFaultTest, MiddleTierOfflineDegradesAndRecovers)
     machine.start();
     app.start();
 
-    fault::FaultInjector injector(
-        machine, fault::FaultPlan::parseString(
+    host::FaultInjector injector(
+        machine, host::FaultPlan::parseString(
                      "t=10 kind=tier-offline arg=1\n"
                      "t=60 kind=tier-online arg=1\n"));
     injector.arm();
@@ -547,7 +546,7 @@ TEST(TierFaultTest, MiddleTierOfflineDegradesAndRecovers)
     // One tier down: degraded, not failed — and the aggregate
     // propagates into the host-wide backend status via worseStatus.
     EXPECT_EQ(chain->status(), backend::BackendStatus::DEGRADED);
-    EXPECT_EQ(fault::hostBackendStatus(machine),
+    EXPECT_EQ(host::hostBackendStatus(machine),
               backend::BackendStatus::DEGRADED);
 
     // Eviction still makes progress through the remaining tiers.

@@ -32,17 +32,15 @@
 #include <exception>
 #include <iostream>
 #include <limits>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "cli_number.hpp"
 
-#include "fault/fault_injector.hpp"
-#include "fault/fault_plan.hpp"
 #include "fault/invariant_auditor.hpp"
 #include "host/controller_registry.hpp"
+#include "host/fault_plan.hpp"
 #include "host/fleet.hpp"
 #include "obs/export.hpp"
 #include "stats/table.hpp"
@@ -210,10 +208,33 @@ main(int argc, char **argv)
                      "degradation events", "hosts failed",
                      "restarted", "perm failed"});
 
+    host::RestartPolicy restart;
+    restart.maxAttempts = options.restartMax;
+    restart.backoff =
+        static_cast<sim::SimTime>(options.restartBackoffSec) * sim::SEC;
+
     bool escaped = false;
     bool unhealed = false;
     for (std::uint64_t run = 0; run < options.runs; ++run) {
         const std::uint64_t seed = options.seed + run;
+        const auto plan_for = [&options, seed, duration](std::size_t i) {
+            auto plan = host::FaultPlan::random(
+                seed + (i + 1) * 0x9e3779b97f4a7c15ull, duration);
+            if (options.storm) {
+                // The crash-storm scenario: every host dies outright
+                // mid-run and loses its controller later if it came
+                // back.
+                plan.events.push_back(
+                    {static_cast<sim::SimTime>(
+                         0.3 * static_cast<double>(duration)),
+                     host::FaultKind::HOST_CRASH, 0.0});
+                plan.events.push_back(
+                    {static_cast<sim::SimTime>(
+                         0.55 * static_cast<double>(duration)),
+                     host::FaultKind::CONTROLLER_CRASH, 20.0});
+            }
+            return plan;
+        };
         try {
             auto fleet = host::FleetSpec{}
                              .hosts(options.hosts)
@@ -225,6 +246,12 @@ main(int argc, char **argv)
                              .workload("feed", 256)
                              .controller(host::controllerFactoryFor(
                                  "senpai", {}))
+                             .customize([&plan_for](
+                                            std::size_t i,
+                                            host::HostBuilder &builder) {
+                                 builder.faults(plan_for(i));
+                             })
+                             .restart(restart)
                              .build();
             if (!options.traceFile.empty())
                 fleet.enableTracing(static_cast<std::size_t>(
@@ -235,74 +262,19 @@ main(int argc, char **argv)
                     static_cast<sim::SimTime>(
                         options.metricsIntervalSec) *
                     sim::SEC);
-            if (options.restartMax > 0) {
-                host::RestartPolicy policy;
-                policy.maxAttempts = options.restartMax;
-                policy.backoff =
-                    static_cast<sim::SimTime>(
-                        options.restartBackoffSec) *
-                    sim::SEC;
-                fleet.setRestartPolicy(policy);
-            }
             if (options.audit)
                 fleet.enableInvariantAudit(fault::auditHost);
             fleet.start();
-
-            std::vector<fault::FaultPlan> plans;
-            for (std::size_t i = 0; i < fleet.size(); ++i) {
-                auto plan = fault::FaultPlan::random(
-                    seed + (i + 1) * 0x9e3779b97f4a7c15ull,
-                    duration);
-                if (options.storm) {
-                    // The crash-storm scenario: every host dies
-                    // outright mid-run and loses its controller
-                    // later if it came back.
-                    plan.events.push_back(
-                        {static_cast<sim::SimTime>(
-                             0.3 * static_cast<double>(duration)),
-                         fault::FaultKind::HOST_CRASH, 0.0});
-                    plan.events.push_back(
-                        {static_cast<sim::SimTime>(
-                             0.55 * static_cast<double>(duration)),
-                         fault::FaultKind::CONTROLLER_CRASH, 20.0});
-                }
-                plans.push_back(std::move(plan));
-            }
-
-            std::vector<std::unique_ptr<fault::FaultInjector>>
-                injectors;
-            for (std::size_t i = 0; i < fleet.size(); ++i) {
-                injectors.push_back(
-                    std::make_unique<fault::FaultInjector>(
-                        fleet.host(i), plans[i]));
-                injectors.back()->arm();
-            }
-
-            // A rebuilt host gets the TAIL of its plan: arm() fires
-            // past events immediately, which would re-crash the host
-            // the moment it comes back.
-            fleet.onHostRestart([&](std::size_t i,
-                                    host::Host &machine) {
-                fault::FaultPlan rest;
-                for (const auto &event : plans[i].events)
-                    if (event.at > fleet.now())
-                        rest.events.push_back(event);
-                injectors[i] =
-                    std::make_unique<fault::FaultInjector>(
-                        machine, std::move(rest));
-                injectors[i]->arm();
-            });
-
             fleet.run(duration, options.jobs);
 
             std::uint64_t faults = 0;
-            for (const auto &injector : injectors)
-                faults += injector->injected();
             std::uint64_t degradation = 0;
             double savings = 0.0;
             for (std::size_t i = 0; i < fleet.size(); ++i) {
+                if (const auto *injector = fleet.injector(i))
+                    faults += injector->injected();
                 degradation +=
-                    fault::hostDegradationEvents(fleet.host(i));
+                    host::hostDegradationEvents(fleet.host(i));
                 savings += savingsPct(fleet.host(i));
             }
             savings /= static_cast<double>(fleet.size());

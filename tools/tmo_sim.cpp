@@ -73,7 +73,6 @@
 #include <cstring>
 #include <iostream>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -81,9 +80,8 @@
 
 #include "cli_number.hpp"
 
-#include "fault/fault_injector.hpp"
-#include "fault/fault_plan.hpp"
 #include "host/controller_registry.hpp"
+#include "host/fault_plan.hpp"
 #include "host/fleet.hpp"
 #include "obs/export.hpp"
 #include "stats/table.hpp"
@@ -125,7 +123,7 @@ struct Options {
     bool csv = false;
     /** Scripted faults, parsed (and thus validated) at flag-parse
      *  time; empty = none. */
-    fault::FaultPlan faultPlan;
+    host::FaultPlan faultPlan;
     std::optional<std::uint64_t> chaosSeed;
     std::string traceFile;
     std::uint64_t traceBufferMb = 8;
@@ -225,7 +223,7 @@ parseFlag(const std::string &flag, const char *value, Options &options)
         // Parse (and so validate) the plan file now: a malformed plan
         // must die with a line-numbered error before any simulation
         // state exists.
-        options.faultPlan = fault::FaultPlan::fromFile(value);
+        options.faultPlan = host::FaultPlan::fromFile(value);
     } else if (flag == "--chaos") {
         options.chaosSeed =
             parseNumber<std::uint64_t>(flag, value, 0, U64_MAX);
@@ -437,8 +435,7 @@ printFleetMinute(host::Fleet &fleet, int minute, bool csv,
 
 void
 printSingleHostSummary(host::Fleet &fleet, host::Host &machine,
-                       const Options &options,
-                       const fault::FaultInjector *injector)
+                       const Options &options)
 {
     auto &app = primaryApp(machine);
     const auto info = machine.memory().info(app.cgroup());
@@ -480,7 +477,7 @@ printSingleHostSummary(host::Fleet &fleet, host::Host &machine,
         for (const auto &[label, value] :
              machine.controller()->statsRow())
             table.addRow({label, value});
-    if (injector)
+    if (const host::FaultInjector *injector = fleet.injector(0))
         for (const auto &[label, value] : injector->statsRow())
             table.addRow({label, value});
     if (fleet.restartPolicy().maxAttempts > 0) {
@@ -494,10 +491,7 @@ printSingleHostSummary(host::Fleet &fleet, host::Host &machine,
 }
 
 void
-printFleetSummary(
-    host::Fleet &fleet, const Options &options,
-    const std::vector<std::unique_ptr<fault::FaultInjector>>
-        &injectors)
+printFleetSummary(host::Fleet &fleet, const Options &options)
 {
     const auto savings = fleet.collect(savingsPct);
     const auto pressure = fleet.collect(memPsiAvg60);
@@ -565,22 +559,22 @@ printFleetSummary(
     }
     std::uint64_t faults = 0;
     bool any_injector = false;
-    for (const auto &injector : injectors) {
-        if (!injector)
-            continue;
-        any_injector = true;
-        faults += injector->injected();
+    for (std::size_t i = 0; i < fleet.size(); ++i) {
+        if (const host::FaultInjector *injector = fleet.injector(i)) {
+            any_injector = true;
+            faults += injector->injected();
+        }
     }
     if (any_injector) {
         std::size_t degraded = 0;
         for (std::size_t i = 0; i < fleet.size(); ++i)
-            if (fault::hostBackendStatus(fleet.host(i)) !=
+            if (host::hostBackendStatus(fleet.host(i)) !=
                 backend::BackendStatus::HEALTHY)
                 ++degraded;
         const auto events =
             fleet.collect([](host::Host &machine) {
                 return static_cast<double>(
-                    fault::hostDegradationEvents(machine));
+                    host::hostDegradationEvents(machine));
             });
         table.addRow({"hosts degraded", std::to_string(degraded)});
         table.addRow({"faults injected", std::to_string(faults)});
@@ -618,6 +612,28 @@ main(int argc, char **argv)
     base_config.zswap.allocator =
         backend::allocatorPreset(options.zswapAllocator);
 
+    // Fault delivery: the scripted plan applies to every host; --chaos
+    // layers a per-host random plan (seed mixed with the host index)
+    // on top. Injection rides each host's own shard clock, so results
+    // stay bit-identical for any --jobs.
+    const auto duration =
+        static_cast<sim::SimTime>(options.minutes) * sim::MINUTE;
+    const auto plan_for = [&options, duration](std::size_t i) {
+        host::FaultPlan plan = options.faultPlan;
+        if (options.chaosSeed) {
+            const auto chaos = host::FaultPlan::random(
+                *options.chaosSeed + (i + 1) * 0x9e3779b97f4a7c15ull,
+                duration);
+            plan.events.insert(plan.events.end(), chaos.events.begin(),
+                               chaos.events.end());
+        }
+        return plan;
+    };
+    host::RestartPolicy restart;
+    restart.maxAttempts = options.restartMax;
+    restart.backoff =
+        static_cast<sim::SimTime>(options.restartBackoffSec) * sim::SEC;
+
     host::Fleet fleet;
     try {
         auto spec =
@@ -634,7 +650,12 @@ main(int argc, char **argv)
                 .tiers(options.tiers)
                 .workload(options.app, options.footprintMb)
                 .controller(host::controllerFactoryFor(
-                    options.controller, controller_options));
+                    options.controller, controller_options))
+                .customize([&plan_for](std::size_t i,
+                                       host::HostBuilder &builder) {
+                    builder.faults(plan_for(i));
+                })
+                .restart(restart);
         if (!options.traceRps.empty())
             spec.traffic(options.traceRps);
         fleet = spec.build();
@@ -650,61 +671,7 @@ main(int argc, char **argv)
         fleet.enableMetrics(
             static_cast<sim::SimTime>(options.metricsIntervalSec) *
             sim::SEC);
-    if (options.restartMax > 0) {
-        host::RestartPolicy policy;
-        policy.maxAttempts = options.restartMax;
-        policy.backoff =
-            static_cast<sim::SimTime>(options.restartBackoffSec) *
-            sim::SEC;
-        fleet.setRestartPolicy(policy);
-    }
     fleet.start();
-
-    // Fault delivery: the scripted plan applies to every host; --chaos
-    // layers a per-host random plan (seed mixed with the host index)
-    // on top. Injection rides each host's own shard clock, so results
-    // stay bit-identical for any --jobs.
-    std::vector<std::unique_ptr<fault::FaultInjector>> injectors(
-        fleet.size());
-    const auto duration =
-        static_cast<sim::SimTime>(options.minutes) * sim::MINUTE;
-    std::vector<fault::FaultPlan> plans(fleet.size());
-    for (std::size_t i = 0; i < fleet.size(); ++i) {
-        fault::FaultPlan plan = options.faultPlan;
-        if (options.chaosSeed) {
-            const auto chaos = fault::FaultPlan::random(
-                *options.chaosSeed +
-                    (i + 1) * 0x9e3779b97f4a7c15ull,
-                duration);
-            plan.events.insert(plan.events.end(),
-                               chaos.events.begin(),
-                               chaos.events.end());
-        }
-        plans[i] = std::move(plan);
-        if (plans[i].empty())
-            continue;
-        injectors[i] = std::make_unique<fault::FaultInjector>(
-            fleet.host(i), plans[i]);
-        injectors[i]->arm();
-    }
-
-    // A rebuilt host resumes its plan from the fleet clock onward:
-    // arm() fires past events immediately, so re-arming the full plan
-    // would replay the crash that killed the host.
-    fleet.onHostRestart([&fleet, &plans, &injectors](
-                            std::size_t i, host::Host &machine) {
-        fault::FaultPlan rest;
-        for (const auto &event : plans[i].events)
-            if (event.at > fleet.now())
-                rest.events.push_back(event);
-        if (rest.empty()) {
-            injectors[i].reset();
-            return;
-        }
-        injectors[i] = std::make_unique<fault::FaultInjector>(
-            machine, std::move(rest));
-        injectors[i]->arm();
-    });
 
     const bool fleet_mode = fleet.size() > 1;
     const bool serving = !options.traceRps.empty();
@@ -735,10 +702,9 @@ main(int argc, char **argv)
 
     if (!options.csv) {
         if (fleet_mode)
-            printFleetSummary(fleet, options, injectors);
+            printFleetSummary(fleet, options);
         else
-            printSingleHostSummary(fleet, fleet.host(0), options,
-                                   injectors[0].get());
+            printSingleHostSummary(fleet, fleet.host(0), options);
     }
 
     try {
