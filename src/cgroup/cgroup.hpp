@@ -7,8 +7,9 @@
  *  - an optional memory.max limit,
  *  - the stateless memory.reclaim control file TMO added to the kernel
  *    (§3.3), wired to the reclaimer by the memory manager,
- *  - vmstat-style event counters (pgscan, pgsteal, pswpin/pswpout,
- *    workingset_refault/activate, refaults of file cache),
+ *  - vmstat-style event counters (pgscan and pgsteal, also by
+ *    reclaim kind, pswpin/pswpout, workingset_refault/activate,
+ *    refaults of file cache),
  *  - a PSI group; task state changes propagate to all ancestors.
  *
  * Cgroups are owned by the CgroupTree and referenced by raw pointer;
@@ -36,6 +37,17 @@ inline constexpr std::uint64_t NO_LIMIT = ~0ull;
 struct VmStats {
     std::uint64_t pgscan = 0;       ///< pages scanned by reclaim
     std::uint64_t pgsteal = 0;      ///< pages reclaimed
+    /** pgscan and pgsteal by who asked for the pass (the kernel's
+     *  pgscan_direct, _kswapd and _proactive): each pair sums to its
+     *  total. Direct: a charge that found no free DRAM or hit
+     *  memory.max; kswapd: background reclaim; proactive: the
+     *  memory.reclaim control file. */
+    std::uint64_t pgscanDirect = 0;
+    std::uint64_t pgscanKswapd = 0;
+    std::uint64_t pgscanProactive = 0;
+    std::uint64_t pgstealDirect = 0;
+    std::uint64_t pgstealKswapd = 0;
+    std::uint64_t pgstealProactive = 0;
     std::uint64_t pgactivate = 0;   ///< promotions to the active list
     std::uint64_t pgdeactivate = 0; ///< demotions to the inactive list
     std::uint64_t pgrotate = 0;     ///< referenced pages rotated

@@ -158,6 +158,27 @@ auditHost(host::Host &machine)
                      d.resident + d.stored + d.lost + d.onFilesystem);
         lruTotal += mcg.lru.totalPages();
 
+        // Every reclaim pass adds its scans and steals to one kind.
+        if (mcg.cg) {
+            const cgroup::VmStats &vm = mcg.cg->stats();
+            const auto byKind = [&](const char *what, std::uint64_t total,
+                                    std::uint64_t direct,
+                                    std::uint64_t kswapd,
+                                    std::uint64_t proactive) {
+                if (direct + kswapd + proactive == total)
+                    return;
+                std::ostringstream msg;
+                msg << name << ": " << what << " " << total << " != "
+                    << direct << " direct + " << kswapd << " kswapd + "
+                    << proactive << " proactive";
+                violations.push_back(msg.str());
+            };
+            byKind("pgscan", vm.pgscan, vm.pgscanDirect, vm.pgscanKswapd,
+                   vm.pgscanProactive);
+            byKind("pgsteal", vm.pgsteal, vm.pgstealDirect,
+                   vm.pgstealKswapd, vm.pgstealProactive);
+        }
+
         // Tier-list walk: membership, ownership, tier mapping, and
         // the per-tier byte counters. The links alone end a walk, not
         // the list's size counter, which a corrupt list may have

@@ -15,7 +15,8 @@
  *    on-filesystem == all live pages, and idleBreakdown() at the
  *    last whole second == the 1/2/5-minute counts of the live pages'
  *    lastAccess (catches a page change its generation counts missed;
- *    the first audit of a host starts them);
+ *    the first audit of a host starts them), and pgscan and pgsteal
+ *    == the sums of their direct, kswapd and proactive parts;
  *  - tier lists: every listed page carries PG_TIER_LISTED, belongs to
  *    the cgroup, maps to the tier it is listed under, and no page is
  *    on two lists; per-tier byte counters and list lengths match. A

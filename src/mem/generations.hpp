@@ -105,15 +105,15 @@ class GenerationCounts
      *  start(). */
     void addMemcg();
 
-    /** Count a new live page of @p memcg stamped @p stamp. No-op
-     *  before start(). */
+    /** Count @p pages new live pages of @p memcg stamped @p stamp.
+     *  No-op before start(). */
     void
-    add(std::uint16_t memcg, sim::SimTime stamp)
+    add(std::uint16_t memcg, sim::SimTime stamp, std::uint32_t pages = 1)
     {
         if (!active())
             return;
-        ++memcgs_[memcg].live;
-        ++slot(memcg, stamp);
+        memcgs_[memcg].live += pages;
+        slot(memcg, stamp) += pages;
     }
 
     /** Uncount a freed page of @p memcg stamped @p stamp. No-op

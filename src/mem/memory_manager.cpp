@@ -199,10 +199,9 @@ MemoryManager::enforceLimit(cgroup::Cgroup &cg, std::uint64_t bytes,
             limited = limited->parent();
         if (!limited)
             break;
-        const auto outcome =
-            reclaim(*limited, std::max<std::uint64_t>(
-                                  bytes, 8 * config_.pageBytes),
-                    now);
+        const auto outcome = reclaimSubtree(
+            *limited, std::max<std::uint64_t>(bytes, 8 * config_.pageBytes),
+            now, ReclaimKind::DIRECT);
         stall += outcome.cpuTime;
         if (outcome.reclaimedBytes == 0) {
             ++oomEvents_;
@@ -213,11 +212,12 @@ MemoryManager::enforceLimit(cgroup::Cgroup &cg, std::uint64_t bytes,
 }
 
 sim::SimTime
-MemoryManager::ensureRoom(std::uint64_t bytes, sim::SimTime now)
+MemoryManager::ensureRoom(std::uint64_t bytes, sim::SimTime now,
+                          ReclaimKind kind)
 {
     sim::SimTime stall = 0;
     for (int round = 0; round < 16 && freeBytes() < bytes; ++round) {
-        // Global direct reclaim: shrink the biggest consumer. Cgroups
+        // Global reclaim: shrink the biggest consumer. Cgroups
         // within their memory.low protection are skipped while any
         // unprotected memory exists (second pass ignores protection,
         // as the kernel does under real shortage).
@@ -241,7 +241,7 @@ MemoryManager::ensureRoom(std::uint64_t bytes, sim::SimTime now)
         }
         const std::uint64_t want = std::max<std::uint64_t>(
             bytes, 16 * config_.pageBytes);
-        const auto outcome = shrinkMemCg(*victim, want, now);
+        const auto outcome = shrinkMemCg(*victim, want, now, kind);
         stall += outcome.cpuTime;
         if (outcome.reclaimedBytes == 0) {
             ++oomEvents_;
@@ -252,8 +252,26 @@ MemoryManager::ensureRoom(std::uint64_t bytes, sim::SimTime now)
 }
 
 PageIdx
-MemoryManager::newPage(cgroup::Cgroup &cg, bool anon, bool resident,
-                       sim::SimTime now, AccessResult *result)
+MemoryManager::takeSlot(const Page &fresh)
+{
+    if (!freeSlots_.empty()) {
+        const PageIdx idx = freeSlots_.back();
+        freeSlots_.pop_back();
+        pages_[idx] = fresh;
+        shadowAges_[idx] = 0;
+        return idx;
+    }
+    if (pages_.size() >= NO_PAGE)
+        throw std::length_error("page table full");
+    pages_.push_back(fresh);
+    shadowAges_.push_back(0);
+    return static_cast<PageIdx>(pages_.size() - 1);
+}
+
+AccessResult
+MemoryManager::newPages(cgroup::Cgroup &cg, bool anon, bool resident,
+                        std::uint64_t count, sim::SimTime now,
+                        PageIdx *out)
 {
     MemCg &mcg = memcgOf(cg);
     if (anon && !resident)
@@ -261,44 +279,61 @@ MemoryManager::newPage(cgroup::Cgroup &cg, bool anon, bool resident,
     if (!anon && !mcg.fileBackend)
         throw std::invalid_argument("file pages need a file backend");
 
-    PageIdx idx;
-    if (!freeSlots_.empty()) {
-        idx = freeSlots_.back();
-        freeSlots_.pop_back();
-        pages_[idx] = Page{};
-        shadowAges_[idx] = 0;
-    } else {
-        if (pages_.size() >= NO_PAGE)
-            throw std::length_error("page table full");
-        idx = static_cast<PageIdx>(pages_.size());
-        pages_.emplace_back();
-        shadowAges_.push_back(0);
-    }
-    {
-        Page &page = pages_[idx];
-        page.memcg = mcg.index;
-        page.flags = anon ? PG_ANON : 0;
-        page.lastAccess = now;
-        gens_.add(mcg.index, now);
-        if (!resident) {
-            page.where = Where::FS;
-            return idx;
-        }
-    }
-
-    AccessResult local;
-    local.memStall += enforceLimit(cg, config_.pageBytes, now);
-    local.memStall += ensureRoom(config_.pageBytes, now);
-    // No Page reference may be held across the reclaim above: evicting
-    // into a backend can allocate pages (growing pages_), so residency
-    // is applied by index.
     // New pages start on the inactive list and earn activation by
     // reference, like the post-5.x kernel.
-    makeResident(idx, mcg,
-                 anon ? LruKind::INACTIVE_ANON : LruKind::INACTIVE_FILE);
-    if (result)
-        *result = local;
-    return idx;
+    const LruKind kind =
+        anon ? LruKind::INACTIVE_ANON : LruKind::INACTIVE_FILE;
+    Page fresh;
+    fresh.memcg = mcg.index;
+    fresh.flags = anon ? PG_ANON : 0;
+    fresh.lastAccess = now;
+    Page fitting = fresh;
+    if (resident)
+        fitting.where = Where::RAM;
+
+    AccessResult result;
+    std::uint64_t made = 0;
+    while (made < count) {
+        // A run of pages that fit: while memory.max and free DRAM
+        // both leave a page of room, enforceLimit() and ensureRoom()
+        // do nothing, so the run skips them and charges once at its
+        // end. Nothing in the run reads the charge or residentPages_.
+        std::uint64_t run = std::min<std::uint64_t>(
+            count - made, freeSlots_.size() + (NO_PAGE - pages_.size()));
+        if (resident)
+            run = std::min<std::uint64_t>(
+                run, std::min(freeBytes(), cg.headroom()) /
+                         config_.pageBytes);
+        for (std::uint64_t i = 0; i < run; ++i) {
+            const PageIdx idx = takeSlot(fitting);
+            if (resident)
+                mcg.lru.attachHead(pages_, idx, kind);
+            out[made++] = idx;
+        }
+        if (run > 0) {
+            gens_.add(mcg.index, now, static_cast<std::uint32_t>(run));
+            if (resident) {
+                mcg.cg->charge(run * config_.pageBytes);
+                residentPages_ += run;
+            }
+            continue;
+        }
+
+        // The next page finds no room (or no slot: takeSlot throws),
+        // so it reclaims before its charge: within memory.max first,
+        // then for free DRAM. No Page reference may be held across
+        // the reclaim: evicting into a backend can allocate pages
+        // (growing pages_), so residency is applied by index.
+        const PageIdx idx = takeSlot(fresh);
+        gens_.add(mcg.index, now);
+        assert(resident);
+        result.memStall += enforceLimit(cg, config_.pageBytes, now);
+        result.memStall +=
+            ensureRoom(config_.pageBytes, now, ReclaimKind::DIRECT);
+        makeResident(idx, mcg, kind);
+        out[made++] = idx;
+    }
+    return result;
 }
 
 AccessResult
@@ -427,7 +462,8 @@ MemoryManager::accessSlow(PageIdx idx, sim::SimTime now)
     }
 
     result.memStall += enforceLimit(*mcg.cg, config_.pageBytes, now);
-    result.memStall += ensureRoom(config_.pageBytes, now);
+    result.memStall +=
+        ensureRoom(config_.pageBytes, now, ReclaimKind::DIRECT);
     makeResident(idx, mcg, target);
     return result;
 }
@@ -473,8 +509,8 @@ MemoryManager::freePage(PageIdx idx)
 }
 
 ReclaimOutcome
-MemoryManager::reclaim(cgroup::Cgroup &cg, std::uint64_t bytes,
-                       sim::SimTime now)
+MemoryManager::reclaimSubtree(cgroup::Cgroup &cg, std::uint64_t bytes,
+                              sim::SimTime now, ReclaimKind kind)
 {
     // Reclaim from the subtree: this cgroup if attached, plus any
     // attached descendants, proportional to their size. The subtree
@@ -521,7 +557,7 @@ MemoryManager::reclaim(cgroup::Cgroup &cg, std::uint64_t bytes,
         carry = exact - static_cast<double>(want);
         if (want == 0)
             continue;
-        const auto outcome = shrinkMemCg(*mcg, want, now);
+        const auto outcome = shrinkMemCg(*mcg, want, now, kind);
         total.reclaimedBytes += outcome.reclaimedBytes;
         total.scannedPages += outcome.scannedPages;
         total.anonPages += outcome.anonPages;
@@ -538,7 +574,7 @@ MemoryManager::kswapd(sim::SimTime now)
         KSWAPD_WATERMARK * static_cast<double>(config_.ramBytes));
     if (freeBytes() >= watermark)
         return;
-    ensureRoom(2 * watermark, now);
+    ensureRoom(2 * watermark, now, ReclaimKind::KSWAPD);
 }
 
 CgMemInfo

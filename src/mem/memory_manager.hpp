@@ -55,6 +55,22 @@ enum class ReclaimMode {
     LEGACY_FILE_FIRST,
 };
 
+/**
+ * Who asked for a reclaim pass: the split of pgscan and pgsteal into
+ * the kernel's pgscan_direct, pgscan_kswapd and pgscan_proactive (and
+ * their pgsteal twins) in cgroup::VmStats.
+ */
+enum class ReclaimKind : std::uint8_t {
+    /** A charge that found no room: free DRAM (ensureRoom) or
+     *  memory.max (enforceLimit). */
+    DIRECT,
+    /** Background reclaim below the watermark (kswapd()). */
+    KSWAPD,
+    /** The memory.reclaim control file (reclaim()): Senpai, the TMO
+     *  daemon, g-swap. */
+    PROACTIVE,
+};
+
 /** kswapd keeps free memory above this fraction of capacity. */
 inline constexpr double KSWAPD_WATERMARK = 0.02;
 /** CPU time per scanned page charged to direct reclaim (µs). */
@@ -304,21 +320,53 @@ class MemoryManager
     // --- page lifecycle -------------------------------------------------
 
     /**
-     * Create one page owned by @p cg.
+     * Create @p count pages owned by @p cg, stamped @p now; page i's
+     * index goes to out[i]. The only way pages come into being.
      *
      * Anonymous pages are created resident (allocation is the first
      * touch) and may trigger direct reclaim when memory is tight; the
-     * stall is reported through @p result. File pages can be created
-     * non-resident (@p resident = false), modelling files not yet read.
+     * returned AccessResult holds the summed stall, memory stall only.
+     * File pages can be created non-resident (@p resident = false),
+     * modelling files not yet read. New resident pages start at the
+     * head of their inactive list, the last one made at the head.
+     *
+     * Every simulated value is what making the pages one at a time
+     * gives; the pages that find room are made in runs. While
+     * min(freeBytes(), headroom()) holds k pages, each of the next k
+     * pages takes a slot (the last freed first, else the table's end)
+     * and its list place, and the run ends with one charge. A page
+     * that finds no room reclaims first: memory.max reclaim
+     * (enforceLimit), then direct reclaim (ensureRoom), then its
+     * charge.
+     *
+     * @throws std::invalid_argument before any page exists: @p cg not
+     *         attached, an anon page not resident, a file page without
+     *         a file backend. std::length_error ("page table full") at
+     *         the page that finds no slot; the pages before it exist
+     *         and are in out.
      */
-    PageIdx newPage(cgroup::Cgroup &cg, bool anon, bool resident,
-                    sim::SimTime now, AccessResult *result = nullptr);
+    AccessResult newPages(cgroup::Cgroup &cg, bool anon, bool resident,
+                          std::uint64_t count, sim::SimTime now,
+                          PageIdx *out);
+
+    /** Create one page owned by @p cg: newPages() with a count of 1,
+     *  its stall reported through @p result. */
+    PageIdx
+    newPage(cgroup::Cgroup &cg, bool anon, bool resident, sim::SimTime now,
+            AccessResult *result = nullptr)
+    {
+        PageIdx idx = NO_PAGE;
+        const AccessResult made = newPages(cg, anon, resident, 1, now, &idx);
+        if (result)
+            *result = made;
+        return idx;
+    }
 
     /**
      * Pre-size the page table (and its parallel cold arrays) for
      * @p page_count total pages so steady-state growth never
      * reallocates mid-run. Called by the Host for each app's declared
-     * footprint; growing past the reservation stays correct (newPage
+     * footprint; growing past the reservation stays correct (newPages
      * reallocates as before), just slower. Capped at NO_PAGE.
      */
     void reservePages(std::uint64_t page_count);
@@ -416,10 +464,14 @@ class MemoryManager
      * Reclaim up to @p bytes from @p cg's subtree. This implements the
      * memory.reclaim control file; Senpai's proactive reclaim enters
      * here and does NOT stall the workload (the cost shows up later as
-     * refaults, exactly as in production).
+     * refaults, exactly as in production). Its scans count as
+     * ReclaimKind::PROACTIVE.
      */
-    ReclaimOutcome reclaim(cgroup::Cgroup &cg, std::uint64_t bytes,
-                           sim::SimTime now);
+    ReclaimOutcome
+    reclaim(cgroup::Cgroup &cg, std::uint64_t bytes, sim::SimTime now)
+    {
+        return reclaimSubtree(cg, bytes, now, ReclaimKind::PROACTIVE);
+    }
 
     /**
      * Background reclaim: if free memory is below the watermark, shrink
@@ -483,7 +535,7 @@ class MemoryManager
      *
      * Generation rule: the first call walks the page table once and
      * starts the host's GenerationCounts; from then on attach(),
-     * newPage(), access(), touch() and freePage() keep them current,
+     * newPages(), access(), touch() and freePage() keep them current,
      * and nothing else changes a page's lastAccess or owner. A call at a
      * whole-second @p now (the profilers' cadence) sums at most a few
      * hundred generations. Any other @p now, or one more than ~200 s
@@ -571,12 +623,24 @@ class MemoryManager
         page.lastAccess = now;
     }
 
-    /** Direct-reclaim path: make room for @p bytes of new residency. */
-    sim::SimTime ensureRoom(std::uint64_t bytes, sim::SimTime now);
+    /** Global reclaim until @p bytes are free: direct reclaim for a
+     *  new charge, or kswapd's pass. Returns its CPU time. */
+    sim::SimTime ensureRoom(std::uint64_t bytes, sim::SimTime now,
+                            ReclaimKind kind);
 
-    /** Enforce @p cg's memory.max on a new charge of @p bytes. */
+    /** Enforce @p cg's memory.max on a new charge of @p bytes (direct
+     *  reclaim). */
     sim::SimTime enforceLimit(cgroup::Cgroup &cg, std::uint64_t bytes,
                               sim::SimTime now);
+
+    /** reclaim() on behalf of @p kind. */
+    ReclaimOutcome reclaimSubtree(cgroup::Cgroup &cg, std::uint64_t bytes,
+                                  sim::SimTime now, ReclaimKind kind);
+
+    /** A table slot holding @p fresh: the last freed slot, else a new
+     *  one at the table's end. Throws std::length_error when the
+     *  table is full. */
+    PageIdx takeSlot(const Page &fresh);
 
     /**
      * Make page @p idx resident and charge it. Takes the index, not a
@@ -586,9 +650,10 @@ class MemoryManager
      */
     void makeResident(PageIdx idx, MemCg &mcg, LruKind kind);
 
-    /** Core shrink loop, shared by all reclaim entry points. */
+    /** Core shrink loop, shared by all reclaim entry points. Adds its
+     *  scanned and reclaimed pages to @p kind's pgscan and pgsteal. */
     ReclaimOutcome shrinkMemCg(MemCg &mcg, std::uint64_t target_bytes,
-                               sim::SimTime now);
+                               sim::SimTime now, ReclaimKind kind);
 
     /** Decay the anon/file cost balance towards zero. */
     void decayCosts(MemCg &mcg, sim::SimTime now);

@@ -30,7 +30,7 @@ constexpr std::uint32_t AGE_BATCH = 32;
 
 ReclaimOutcome
 MemoryManager::shrinkMemCg(MemCg &mcg, std::uint64_t target_bytes,
-                           sim::SimTime now)
+                           sim::SimTime now, ReclaimKind kind)
 {
     ReclaimOutcome outcome;
     const std::uint64_t target_pages =
@@ -306,6 +306,22 @@ MemoryManager::shrinkMemCg(MemCg &mcg, std::uint64_t target_bytes,
     }
 
     outcome.reclaimedBytes = reclaimed_pages * config_.pageBytes;
+    // The pass's share of pgscan and pgsteal, by who asked for it.
+    cgroup::VmStats &stats = mcg.cg->stats();
+    switch (kind) {
+      case ReclaimKind::DIRECT:
+        stats.pgscanDirect += outcome.scannedPages;
+        stats.pgstealDirect += reclaimed_pages;
+        break;
+      case ReclaimKind::KSWAPD:
+        stats.pgscanKswapd += outcome.scannedPages;
+        stats.pgstealKswapd += reclaimed_pages;
+        break;
+      case ReclaimKind::PROACTIVE:
+        stats.pgscanProactive += outcome.scannedPages;
+        stats.pgstealProactive += reclaimed_pages;
+        break;
+    }
     outcome.cpuTime = sim::fromUsec(
         static_cast<double>(outcome.scannedPages) *
         RECLAIM_US_PER_PAGE);

@@ -201,6 +201,17 @@ TierChainSpec::parse(const std::string &text)
     if (spec.tiers.size() > 8)
         throw std::invalid_argument("bad tier chain '" + text +
                                     "': at most 8 tiers");
+    // An uncapped token names one of the host's shared devices, which
+    // can stand at one chain position only; each capped zswap token
+    // is a pool of its own.
+    for (std::size_t i = 0; i < spec.tiers.size(); ++i)
+        for (std::size_t j = 0; j < i; ++j)
+            if (spec.tiers[i].capBytes == 0 && spec.tiers[j] == spec.tiers[i])
+                throw std::invalid_argument(
+                    "bad tier chain '" + text + "': shared device '" +
+                    spec.tiers[i].token() + "' at tiers " +
+                    std::to_string(j) + " and " + std::to_string(i) +
+                    "; a chain names each device at most once");
     if (semi != std::string::npos)
         parseKeys(text, text.substr(semi + 1), spec);
     return spec;

@@ -87,13 +87,15 @@ struct TierChainSpec {
      * tier is `zswap[:<cap>]|ssd|nvm|cxl` and cap is an integer with a
      * kb/mb/gb suffix (e.g. "zswap:256mb+ssd"). "none" or "" parses
      * to the empty chain, which takes no keys. Placement defaults to
-     * hotness; it only matters for chains of two or more tiers. A
-     * spec may name a shared device twice ("ssd+ssd"); building such
-     * a chain is refused (TierChain's constructor).
+     * hotness; it only matters for chains of two or more tiers. An
+     * uncapped token names one of the host's shared devices, so it
+     * may appear once; capped zswap:<cap> pools are separate devices
+     * and may repeat ("zswap:64mb+zswap:256mb+ssd").
      *
      * @throws std::invalid_argument naming the offending token: an
-     * unknown tier, key or value, a duplicate key, an empty value, or
-     * a key on the empty chain.
+     * unknown tier, key or value, a duplicate key, an empty value, a
+     * key on the empty chain, or a repeated uncapped token (with both
+     * of its tier positions).
      */
     static TierChainSpec parse(const std::string &text);
 

@@ -55,12 +55,11 @@ AppModel::allocateInitial(sim::SimTime now)
         region.pages.reserve(region.targetPages);
         if (region.spec.lazy)
             continue; // grows over time
-        for (std::uint64_t i = 0; i < region.targetPages; ++i) {
-            // File pages start resident too: the page cache is assumed
-            // warm at container start (Web preloads its cache, §4.2).
-            region.pages.push_back(mm_.newPage(
-                *cg_, !region.spec.file, true, now, nullptr));
-        }
+        // File pages start resident too: the page cache is assumed
+        // warm at container start (Web preloads its cache, §4.2).
+        region.pages.resize(region.targetPages);
+        mm_.newPages(*cg_, !region.spec.file, true, region.targetPages, now,
+                     region.pages.data());
     }
 }
 
@@ -89,12 +88,10 @@ AppModel::growLazyRegions(sim::SimTime now, Stalls &stalls)
         growthCarry_ -= static_cast<double>(grow);
         grow = std::min<std::uint64_t>(
             grow, region.targetPages - region.pages.size());
-        for (std::uint64_t i = 0; i < grow; ++i) {
-            mem::AccessResult result;
-            region.pages.push_back(mm_.newPage(
-                *cg_, !region.spec.file, true, now, &result));
-            stalls.add(result);
-        }
+        const std::size_t have = region.pages.size();
+        region.pages.resize(have + grow);
+        stalls.add(mm_.newPages(*cg_, !region.spec.file, true, grow, now,
+                                region.pages.data() + have));
     }
 }
 

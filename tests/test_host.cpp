@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 
+#include "fault/invariant_auditor.hpp"
 #include "host/fleet.hpp"
 #include "host/host.hpp"
 #include "stats/timeseries.hpp"
@@ -253,4 +255,45 @@ TEST(HostTest, CrossAppCpuContentionMakesCpuPressure)
     // do not.
     EXPECT_EQ(alone, 0u);
     EXPECT_GT(contended, sim::SEC);
+}
+
+TEST(ReclaimKindTest, StartIsDirectAndKswapdAndSenpaiCountApart)
+{
+    // 208 MiB of feed on 192 MiB of RAM: the app's start over-commits
+    // the host, so every page it evicts then is direct reclaim. Later
+    // kswapd keeps the watermark and Senpai writes memory.reclaim.
+    host::Fleet fleet = host::FleetSpec{}
+                            .ram_mb(192)
+                            .page_kb(16)
+                            .tiers("zswap+ssd")
+                            .workload("feed", 208)
+                            .controller("senpai")
+                            .build();
+    fleet.start();
+    host::Host &machine = fleet.host(0);
+    const cgroup::VmStats &vm = machine.apps().front()->cgroup().stats();
+    EXPECT_GT(vm.pgstealDirect, 0u);
+    EXPECT_EQ(vm.pgscanDirect, vm.pgscan);
+    EXPECT_EQ(vm.pgstealDirect, vm.pgsteal);
+    EXPECT_EQ(vm.pgscanKswapd + vm.pgscanProactive, 0u);
+    EXPECT_EQ(vm.pgstealKswapd + vm.pgstealProactive, 0u);
+    const cgroup::VmStats at_start = vm;
+
+    fleet.run(10 * sim::MINUTE);
+    ASSERT_EQ(fleet.failedCount(), 0u) << fleet.hostError(0);
+    EXPECT_GT(vm.pgstealKswapd, 0u);
+    EXPECT_GT(vm.pgstealProactive, 0u);
+    EXPECT_GE(vm.pgstealDirect, at_start.pgstealDirect);
+    EXPECT_EQ(vm.pgscanDirect + vm.pgscanKswapd + vm.pgscanProactive,
+              vm.pgscan);
+    EXPECT_EQ(vm.pgstealDirect + vm.pgstealKswapd + vm.pgstealProactive,
+              vm.pgsteal);
+    EXPECT_TRUE(fault::auditHost(machine).empty());
+
+    // The auditor names a kind split that does not add up.
+    machine.apps().front()->cgroup().stats().pgscanKswapd += 1;
+    const auto violations = fault::auditHost(machine);
+    ASSERT_EQ(violations.size(), 1u);
+    EXPECT_NE(violations[0].find("pgscan"), std::string::npos)
+        << violations[0];
 }

@@ -938,12 +938,28 @@ accessLoop(mem::MemoryManager &mm, const std::vector<mem::PageIdx> &picks,
     return totals;
 }
 
-void
-expectSameWorld(const TouchWorld &a, const TouchWorld &b,
-                sim::SimTime now)
+/** The pages of one LRU list, head to tail. */
+std::vector<mem::PageIdx>
+listOrder(const mem::MemoryManager &mm, const mem::LruList &list)
 {
-    const auto &pa = a.mm->pages();
-    const auto &pb = b.mm->pages();
+    std::vector<mem::PageIdx> order;
+    for (mem::PageIdx cur = list.head();
+         cur != mem::NO_PAGE && order.size() <= mm.pages().size();
+         cur = mm.pages()[cur].next)
+        order.push_back(cur);
+    return order;
+}
+
+/** Two managers hold the same simulated state: every page field and
+ *  shadow age, each list's order, the counters of every memcg and its
+ *  ancestors, idleBreakdown() at whole seconds after @p now, and the
+ *  global resident, used and free totals. */
+void
+expectSameManager(const mem::MemoryManager &a, const mem::MemoryManager &b,
+                  sim::SimTime now)
+{
+    const auto &pa = a.pages();
+    const auto &pb = b.pages();
     ASSERT_EQ(pa.size(), pb.size());
     for (std::size_t i = 0; i < pa.size(); ++i) {
         SCOPED_TRACE("page " + std::to_string(i));
@@ -958,39 +974,53 @@ expectSameWorld(const TouchWorld &a, const TouchWorld &b,
         EXPECT_EQ(pa[i].heatEpoch, pb[i].heatEpoch);
         EXPECT_EQ(pa[i].storedBytes, pb[i].storedBytes);
         EXPECT_EQ(pa[i].lastAccess, pb[i].lastAccess);
-        EXPECT_EQ(a.mm->shadowAge(static_cast<mem::PageIdx>(i)),
-                  b.mm->shadowAge(static_cast<mem::PageIdx>(i)));
+        EXPECT_EQ(a.shadowAge(static_cast<mem::PageIdx>(i)),
+                  b.shadowAge(static_cast<mem::PageIdx>(i)));
     }
-    ASSERT_EQ(a.mm->memcgCount(), b.mm->memcgCount());
-    for (std::size_t m = 0; m < a.mm->memcgCount(); ++m) {
-        const mem::MemCg &ma = a.mm->memcgAt(m);
-        const mem::MemCg &mb = b.mm->memcgAt(m);
+    ASSERT_EQ(a.memcgCount(), b.memcgCount());
+    for (std::size_t m = 0; m < a.memcgCount(); ++m) {
+        const mem::MemCg &ma = a.memcgAt(m);
+        const mem::MemCg &mb = b.memcgAt(m);
         SCOPED_TRACE(ma.cg->name());
         for (std::size_t k = 0; k < mem::NUM_LRU_LISTS; ++k) {
             const auto kind = static_cast<mem::LruKind>(k);
             EXPECT_EQ(ma.lru.list(kind).head(), mb.lru.list(kind).head());
             EXPECT_EQ(ma.lru.list(kind).tail(), mb.lru.list(kind).tail());
             EXPECT_EQ(ma.lru.list(kind).size(), mb.lru.list(kind).size());
+            EXPECT_EQ(listOrder(a, ma.lru.list(kind)),
+                      listOrder(b, mb.lru.list(kind)));
         }
         // VmStats is all 64-bit counters.
         EXPECT_EQ(std::memcmp(&ma.cg->stats(), &mb.cg->stats(),
                               sizeof(cgroup::VmStats)),
                   0);
-        EXPECT_EQ(ma.cg->memCurrent(), mb.cg->memCurrent());
+        const cgroup::Cgroup *up_b = mb.cg;
+        for (const cgroup::Cgroup *up_a = ma.cg; up_a && up_b;
+             up_a = up_a->parent(), up_b = up_b->parent())
+            EXPECT_EQ(up_a->memCurrent(), up_b->memCurrent())
+                << up_a->name();
         // At whole seconds, counted or walked alike.
         const sim::SimTime first = (now / sim::SEC + 1) * sim::SEC;
         for (const sim::SimTime at : {first, first + 90 * sim::SEC,
                                       first + 240 * sim::SEC}) {
-            const mem::IdleBreakdown ia = a.mm->idleBreakdown(*ma.cg, at);
-            const mem::IdleBreakdown ib = b.mm->idleBreakdown(*mb.cg, at);
+            const mem::IdleBreakdown ia = a.idleBreakdown(*ma.cg, at);
+            const mem::IdleBreakdown ib = b.idleBreakdown(*mb.cg, at);
             EXPECT_EQ(ia.used1min, ib.used1min);
             EXPECT_EQ(ia.used2min, ib.used2min);
             EXPECT_EQ(ia.used5min, ib.used5min);
             EXPECT_EQ(ia.cold, ib.cold);
         }
     }
-    EXPECT_EQ(a.mm->residentPages(), b.mm->residentPages());
-    EXPECT_EQ(a.mm->ramUsed(), b.mm->ramUsed());
+    EXPECT_EQ(a.residentPages(), b.residentPages());
+    EXPECT_EQ(a.ramUsed(), b.ramUsed());
+    EXPECT_EQ(a.freeBytes(), b.freeBytes());
+}
+
+void
+expectSameWorld(const TouchWorld &a, const TouchWorld &b,
+                sim::SimTime now)
+{
+    expectSameManager(*a.mm, *b.mm, now);
 }
 
 void
@@ -1080,4 +1110,200 @@ TEST(TouchBatchTest, BatchEqualsAccessLoop)
             }
         }
     }
+}
+
+namespace
+{
+
+/**
+ * A manager to create pages in: "app" and "neighbour" under one "pool"
+ * cgroup, on one zswap+ssd chain (a cold page enters the SSD, whose
+ * write latency is a draw), with 48 resident pages each, anon and
+ * file, some of them referenced or active, and some of the app's pages
+ * freed. Two worlds built with the same arguments are identical, so
+ * one can make pages in one newPages() batch and the other by as many
+ * newPage() calls.
+ */
+struct CreateWorld {
+    cgroup::CgroupTree tree;
+    backend::SsdDevice ssd{backend::ssdSpecForClass('C'), 1};
+    backend::SwapBackend swap{ssd, 256ull << 20};
+    backend::FilesystemBackend fs{ssd};
+    backend::ZswapPool zswap{{}, 2};
+    tier::TierChain chain{"zswap+ssd", {&zswap, &swap},
+                          tier::TierPlacement::HOTNESS};
+    std::unique_ptr<mem::MemoryManager> mm;
+    cgroup::Cgroup *pool = nullptr;
+    cgroup::Cgroup *app = nullptr;
+    /** The freed pages, in the order they were freed. */
+    std::vector<mem::PageIdx> freed;
+
+    /**
+     * @param ram_pages Host DRAM, in pages.
+     * @param pool_max_pages The pool's memory.max, in pages; 0 = none.
+     * @param free_slots How many of the app's pages to free.
+     * @param counting Start the generation counts before any page is
+     *        made.
+     */
+    CreateWorld(std::uint64_t seed, std::uint64_t ram_pages,
+                std::uint64_t pool_max_pages, std::size_t free_slots,
+                bool counting)
+    {
+        mem::MemoryConfig config;
+        config.ramBytes = ram_pages * PAGE;
+        config.pageBytes = PAGE;
+        mm = std::make_unique<mem::MemoryManager>(config, seed);
+        pool = &tree.create("pool");
+        app = &tree.create("app", pool);
+        cgroup::Cgroup &neighbour = tree.create("neighbour", pool);
+        mm->attach(*app, &chain, &fs);
+        mm->attach(neighbour, &chain, &fs);
+        if (counting)
+            mm->idleBreakdown(*app, 0);
+        std::vector<mem::PageIdx> own;
+        for (int i = 0; i < 48; ++i) {
+            mm->newPage(neighbour, i % 3 != 0, true, 0);
+            own.push_back(mm->newPage(*app, i % 2 == 0, true, 0));
+        }
+        sim::Rng rng(seed);
+        for (int t = 1; t <= 3; ++t)
+            for (mem::PageIdx idx = 0; idx < mm->pages().size(); ++idx)
+                if (rng.chance(0.3))
+                    mm->access(idx, t * sim::SEC);
+        // 7 and 48 are coprime: distinct pages in a scrambled order.
+        for (std::size_t i = 0; i < free_slots; ++i) {
+            freed.push_back(own[i * 7 % own.size()]);
+            mm->freePage(freed.back());
+        }
+        if (pool_max_pages > 0)
+            pool->setMemMax(pool_max_pages * PAGE);
+    }
+};
+
+} // namespace
+
+TEST(NewPagesTest, BatchEqualsNewPageLoop)
+{
+    struct Case {
+        const char *name;
+        std::uint64_t ramPages;
+        std::uint64_t poolMaxPages;
+        std::size_t freeSlots;
+        bool anon;
+        bool resident;
+        std::uint64_t count;
+        /** The batch must take direct reclaim. */
+        bool reclaims;
+        /** ... and some of it must store into the SSD. */
+        bool ssd;
+    };
+    // The fill holds 96 pages less the freed ones.
+    const Case cases[] = {
+        {"room for every page", 1024, 0, 0, true, true, 200, false, false},
+        {"RAM runs out", 128, 0, 0, true, true, 160, true, true},
+        {"memory.max runs out", 1024, 120, 0, true, true, 60, true, false},
+        {"free slots", 1024, 0, 12, true, true, 40, false, false},
+        {"free slots, RAM runs out", 100, 0, 12, false, true, 60, true,
+         false},
+        {"non-resident file pages", 100, 0, 12, false, false, 40, false,
+         false},
+        {"a count of 0", 100, 0, 12, true, true, 0, false, false},
+    };
+    const sim::SimTime now = 7 * sim::SEC + 250 * sim::MSEC;
+    for (const Case &c : cases) {
+        for (const std::uint64_t seed : {21ull, 22ull}) {
+            for (const bool counting : {false, true}) {
+                SCOPED_TRACE(std::string(c.name) + ", seed " +
+                             std::to_string(seed) +
+                             (counting ? ", counting" : ""));
+                CreateWorld batch(seed, c.ramPages, c.poolMaxPages,
+                                  c.freeSlots, counting);
+                CreateWorld loop(seed, c.ramPages, c.poolMaxPages,
+                                 c.freeSlots, counting);
+                const std::size_t table = batch.mm->pages().size();
+
+                std::vector<mem::PageIdx> got(c.count, mem::NO_PAGE);
+                const mem::AccessResult stall = batch.mm->newPages(
+                    *batch.app, c.anon, c.resident, c.count, now,
+                    got.data());
+                std::vector<mem::PageIdx> want;
+                sim::SimTime want_stall = 0;
+                for (std::uint64_t i = 0; i < c.count; ++i) {
+                    mem::AccessResult one;
+                    want.push_back(loop.mm->newPage(
+                        *loop.app, c.anon, c.resident, now, &one));
+                    EXPECT_FALSE(one.faulted);
+                    EXPECT_EQ(one.ioStall, 0u);
+                    want_stall += one.memStall;
+                }
+                EXPECT_EQ(got, want);
+                EXPECT_FALSE(stall.faulted);
+                EXPECT_FALSE(stall.refault);
+                EXPECT_EQ(stall.ioStall, 0u);
+                EXPECT_EQ(stall.memStall, want_stall);
+                expectSameManager(*batch.mm, *loop.mm, now);
+
+                // The case does what it names.
+                const cgroup::VmStats &vm = batch.app->stats();
+                const std::uint64_t direct =
+                    vm.pgscanDirect +
+                    batch.tree.find("pool/neighbour")->stats().pgscanDirect;
+                if (c.reclaims) {
+                    EXPECT_GT(direct, 0u);
+                    EXPECT_GT(stall.memStall, 0u);
+                } else {
+                    EXPECT_EQ(direct, 0u);
+                }
+                if (c.poolMaxPages > 0) {
+                    EXPECT_LE(batch.pool->memCurrent(),
+                              c.poolMaxPages * PAGE);
+                }
+                if (c.ssd) {
+                    EXPECT_GT(batch.swap.usedBytes(), 0u);
+                }
+                // Freed slots are reused last freed first, then the
+                // table grows.
+                for (std::size_t i = 0; i < c.count; ++i) {
+                    if (i < c.freeSlots)
+                        EXPECT_EQ(got[i],
+                                  batch.freed[c.freeSlots - 1 - i]);
+                    else
+                        EXPECT_GE(got[i], table);
+                }
+
+                // The same reclaim evicts the same pages from both.
+                const mem::ReclaimOutcome ra =
+                    batch.mm->reclaim(*batch.pool, 24 * PAGE, now + sim::SEC);
+                const mem::ReclaimOutcome rb =
+                    loop.mm->reclaim(*loop.pool, 24 * PAGE, now + sim::SEC);
+                EXPECT_GT(ra.reclaimedBytes, 0u);
+                EXPECT_EQ(ra.reclaimedBytes, rb.reclaimedBytes);
+                EXPECT_EQ(ra.scannedPages, rb.scannedPages);
+                EXPECT_EQ(ra.anonPages, rb.anonPages);
+                EXPECT_EQ(ra.filePages, rb.filePages);
+                EXPECT_EQ(ra.cpuTime, rb.cpuTime);
+                expectSameManager(*batch.mm, *loop.mm, now + sim::SEC);
+            }
+        }
+    }
+}
+
+TEST(NewPagesTest, ArgumentErrorsThrowBeforeAnyPageExists)
+{
+    CreateWorld world(21, 1024, 0, 4, false);
+    cgroup::Cgroup &stray = world.tree.create("stray");
+    const std::size_t table = world.mm->pages().size();
+    const std::uint64_t resident = world.mm->residentPages();
+    std::vector<mem::PageIdx> out(8, mem::NO_PAGE);
+    EXPECT_THROW(world.mm->newPages(stray, true, true, 8, 0, out.data()),
+                 std::invalid_argument);
+    EXPECT_THROW(
+        world.mm->newPages(*world.app, true, false, 8, 0, out.data()),
+        std::invalid_argument);
+    world.mm->attach(stray, nullptr, nullptr);
+    EXPECT_THROW(world.mm->newPages(stray, false, true, 8, 0, out.data()),
+                 std::invalid_argument);
+    EXPECT_EQ(world.mm->pages().size(), table);
+    EXPECT_EQ(world.mm->residentPages(), resident);
+    EXPECT_EQ(out, std::vector<mem::PageIdx>(8, mem::NO_PAGE));
 }

@@ -9,15 +9,15 @@
  * metrics, tier faults degrade (not fail) the aggregate status, a
  * three-tier fleet run is bit-identical for any --jobs, each token
  * names one device, and every short chain either runs with a clean
- * audit or is refused for naming a device twice.
+ * audit or is refused at parse for naming a shared device twice.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
-#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -137,11 +137,20 @@ TEST(TierSpecTest, RejectsMalformedSpecs)
     bad("none;placement=workingset", "'none' takes no keys");
     bad(";placement=hotness", "'none' takes no keys");
     bad("zswap+;placement=hotness", "empty tier token");
+    // An uncapped token names a shared device: it may not repeat.
+    bad("zswap+zswap", "shared device 'zswap' at tiers 0 and 1");
+    bad("zswap+ssd+ssd", "shared device 'ssd' at tiers 1 and 2");
+    bad("nvm+zswap:64mb+nvm", "shared device 'nvm' at tiers 0 and 2");
+    bad("cxl+cxl;placement=workingset",
+        "shared device 'cxl' at tiers 0 and 1");
 
     std::string error;
     EXPECT_TRUE(
         tier::isValidTierChainSpec("zswap:64mb+zswap+ssd", &error));
     EXPECT_TRUE(error.empty());
+    // Capped pools are devices of their own, even of one size.
+    EXPECT_TRUE(tier::isValidTierChainSpec("zswap:64mb+zswap:256mb+ssd"));
+    EXPECT_TRUE(tier::isValidTierChainSpec("zswap:64mb+zswap:64mb"));
     // The largest whole-MiB cap below 2^64 bytes round-trips.
     EXPECT_EQ(tier::TierChainSpec::parse("zswap:17592186044415mb")
                   .toString(),
@@ -674,19 +683,11 @@ TEST(TierChainPropertyTest, EveryShortChainRunsCleanOrIsRefusedByName)
 {
     // Each chain of two and three tokens under both placements. A
     // chain naming one of the host's shared devices twice is refused
-    // when the host is built, by the device's name: an offloaded page
-    // finds its tier list by its device, so a device at two positions
-    // would corrupt the lists. Every other chain runs under an
-    // aggressive controller with the invariant auditor after every
-    // 30 s epoch.
-    sim::Simulation reference_sim;
-    host::Host reference(reference_sim, host::HostConfig{});
-    const std::map<std::string, std::string> shared = {
-        {"zswap", reference.zswap().name()},
-        {"ssd", reference.swap().name()},
-        {"nvm", reference.nvm().name()},
-        {"cxl", reference.cxl().name()},
-    };
+    // when its spec is parsed, by the token: an offloaded page finds
+    // its tier list by its device, so a device at two positions would
+    // corrupt the lists. Every other chain runs under an aggressive
+    // controller with the invariant auditor after every 30 s epoch.
+    const std::set<std::string> shared = {"zswap", "ssd", "nvm", "cxl"};
     const std::vector<std::string> tokens = {"zswap", "zswap:64mb", "ssd",
                                              "nvm", "cxl"};
     std::vector<std::vector<std::string>> chains;
@@ -712,18 +713,15 @@ TEST(TierChainPropertyTest, EveryShortChainRunsCleanOrIsRefusedByName)
             auto spec = host::FleetSpec{}
                             .epoch(30 * sim::SEC)
                             .ram_mb(24)
-                            .page_kb(4)
-                            .tiers(spec_text)
-                            .workload("feed", 32)
-                            .controller("senpai-aggressive");
+                            .page_kb(4);
             if (!repeated.empty()) {
                 ++refused;
                 try {
-                    (void)spec.build();
-                    ADD_FAILURE() << spec_text << " was built";
+                    spec.tiers(spec_text);
+                    ADD_FAILURE() << spec_text << " parsed";
                 } catch (const std::invalid_argument &error) {
                     EXPECT_NE(std::string(error.what())
-                                  .find("device '" + shared.at(repeated) +
+                                  .find("shared device '" + repeated +
                                         "'"),
                               std::string::npos)
                         << spec_text << ": " << error.what();
@@ -731,7 +729,10 @@ TEST(TierChainPropertyTest, EveryShortChainRunsCleanOrIsRefusedByName)
                 continue;
             }
             ++ran;
-            host::Fleet fleet = spec.build();
+            host::Fleet fleet = spec.tiers(spec_text)
+                                    .workload("feed", 32)
+                                    .controller("senpai-aggressive")
+                                    .build();
             fleet.enableInvariantAudit(fault::auditHost);
             fleet.start();
             fleet.run(2 * sim::MINUTE);
@@ -745,4 +746,20 @@ TEST(TierChainPropertyTest, EveryShortChainRunsCleanOrIsRefusedByName)
     // 25 + 125 chains: 4 + 52 of them repeat a shared device.
     EXPECT_EQ(refused, 2u * 56u);
     EXPECT_EQ(ran, 2u * 94u);
+
+    // A chain built from backends directly is refused by TierChain,
+    // by the device's name.
+    sim::Simulation sim;
+    host::Host machine(sim, host::HostConfig{});
+    try {
+        tier::TierChain chain("ssd+ssd", {&machine.swap(), &machine.swap()},
+                              tier::TierPlacement::HOTNESS);
+        ADD_FAILURE() << "a chain holds one device twice";
+    } catch (const std::invalid_argument &error) {
+        EXPECT_NE(std::string(error.what())
+                      .find("device '" + machine.swap().name() +
+                            "' stands at tiers 0 and 1"),
+                  std::string::npos)
+            << error.what();
+    }
 }

@@ -20,7 +20,9 @@ It prints, per side, the fastest and the median host_sim_s_per_wall_s
 with the quartiles, the change/base ratio of each and the pairs the
 change won; then the same from the same pairs for the two other
 end-to-end metrics of BENCHMARK.json, setup_s and peak_rss_mib, whose
-perfbench/run.py value is the median (lower wins); and whether every
+perfbench/run.py value is the median (lower wins), with setup_s
+followed by its two parts, build_s and start_s (the FleetSpec::build
+and Fleet::start times that tmo_perfbench prints); and whether every
 run of both sides printed one digest.
 A run with a failed host or an OOM event counts as failed, not as a
 speed sample. It writes nothing under perfbench/. Building and running
@@ -67,11 +69,11 @@ def base_tree(rev):
     return sha, tree
 
 
-# BENCHMARK.json's end-to-end metrics and whether the higher value
-# wins. perfbench/run.py reports the fastest run of the first and the
-# median of the others.
+# BENCHMARK.json's end-to-end metrics, with setup_s's two parts after
+# it, and whether the higher value wins. perfbench/run.py reports the
+# fastest run of the first and the median of the others.
 METRICS = (("host_sim_s_per_wall_s", True), ("setup_s", False),
-           ("peak_rss_mib", False))
+           ("build_s", False), ("start_s", False), ("peak_rss_mib", False))
 
 
 def timed_run(binary, workload, seed):
@@ -85,6 +87,8 @@ def timed_run(binary, workload, seed):
             "host_sim_s_per_wall_s":
                 result["hosts"] * result["sim_s"] / result["run_s"],
             "setup_s": result["setup_s"],
+            "build_s": result["build_s"],
+            "start_s": result["start_s"],
             "peak_rss_mib": result["peak_rss_mib"],
         }
         return (metrics, result["digest"]), None
